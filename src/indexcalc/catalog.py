@@ -48,8 +48,8 @@ _MONOMIAL_FACTOR = re.compile(r"^(?P<name>[^\^·]+)\^(?P<power>[0-9]+)$")
 class CatalogEntry:
     """A manifold descriptor, its named bundles, and the indices expected on it.
 
-    Expected keys are either a complex name ("signature", "dolbeault",
-    "spin", "euler") or "dolbeault:<bundle>" for a twisted index.
+    Expected keys are either a complex name (a key of
+    index_engine.INDEX_FUNCTIONS) or "<complex>:<bundle>" for a twisted index.
     """
 
     manifold: ManifoldDescriptor
@@ -75,13 +75,6 @@ def _fraction_from_str(text: str) -> Fraction:
         raise DescriptorError(f"bad rational {text!r}: {exc}") from None
 
 
-def _monomial_key(generators: tuple[tuple[str, int], ...], exps: tuple[int, ...]) -> str:
-    factors = sorted((name, e) for (name, _), e in zip(generators, exps) if e)
-    if not factors:
-        return "1"
-    return "·".join(f"{name}^{e}" for name, e in factors)
-
-
 def _monomial_from_key(
     generators: tuple[tuple[str, int], ...], key: str
 ) -> tuple[int, ...]:
@@ -102,7 +95,7 @@ def _monomial_from_key(
 
 def _poly_to_json(poly: GradedPolynomial) -> dict[str, str]:
     return {
-        _monomial_key(poly.generators, exps): _fraction_to_str(coeff)
+        poly.monomial_name(exps): _fraction_to_str(coeff)
         for exps, coeff in poly.sorted_terms()
     }
 
@@ -125,7 +118,7 @@ def _entry_to_json(entry: CatalogEntry) -> dict:
         "kind": m.kind,
         "generators": [[name, degree] for name, degree in m.generators],
         "evaluation": {
-            _monomial_key(m.generators, exps): value
+            m.monomial_name(exps): value
             for exps, value in sorted(m.evaluation.items())
         },
         "tangent_class": _poly_to_json(m.tangent_class),
@@ -149,22 +142,30 @@ def _require(block: Mapping, key: str, context: str):
     return block[key]
 
 
+def _int(value, what: str, context: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DescriptorError(f"{context}: {what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     version = _require(doc, "schema_version", source)
     if version != SCHEMA_VERSION:
         raise DescriptorError(f"{source}: unknown schema_version {version!r}")
     block = _require(doc, "manifold", source)
     name = str(_require(block, "name", source))
-    real_dim = int(_require(block, "real_dim", source))
+    real_dim = _int(_require(block, "real_dim", source), "real_dim", source)
     kind = str(_require(block, "kind", source))
     generators = tuple(
-        (str(g[0]), int(g[1])) for g in _require(block, "generators", source)
+        (str(g[0]), _int(g[1], f"degree of generator {g[0]!r}", source))
+        for g in _require(block, "generators", source)
     )
     for gname, gdeg in generators:
         if gdeg % 2 != 0 or gdeg <= 0:
             raise DescriptorError(f"{source}: odd generator degree: {gname} has degree {gdeg}")
     evaluation = {
-        _monomial_from_key(generators, key): int(value)
+        _monomial_from_key(generators, key): _int(value, f"evaluation of {key!r}", source)
         for key, value in _require(block, "evaluation", source).items()
     }
     tangent = _poly_from_json(generators, real_dim, _require(block, "tangent_class", source))
@@ -185,15 +186,17 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
         raise DescriptorError(f"{source}: {exc}") from None
     bundles = {}
     for bname, bblock in doc.get("bundles", {}).items():
+        context = f"{source} bundle {bname!r}"
         bundles[str(bname)] = BundleDescriptor(
-            rank=int(_require(bblock, "rank", f"{source} bundle {bname!r}")),
+            rank=_int(_require(bblock, "rank", context), "rank", context),
             total_chern=_poly_from_json(
-                generators,
-                real_dim,
-                _require(bblock, "total_chern", f"{source} bundle {bname!r}"),
+                generators, real_dim, _require(bblock, "total_chern", context)
             ),
         )
-    expected = {str(k): int(v) for k, v in doc.get("expected", {}).items()}
+    expected = {
+        str(k): _int(v, f"expected value of {k!r}", source)
+        for k, v in doc.get("expected", {}).items()
+    }
     return CatalogEntry(manifold=manifold, bundles=bundles, expected=expected)
 
 
@@ -372,20 +375,14 @@ def builtin_catalog() -> list[CatalogEntry]:
     return entries
 
 
-def _directory_entries() -> dict[str, CatalogEntry]:
-    directory = os.environ.get(CATALOG_DIR_ENV)
-    if not directory:
-        return {}
-    out = {}
-    for path in sorted(Path(directory).glob("*.json")):
-        entry = load_descriptor(path)
-        out[entry.name] = entry
-    return out
-
-
 def effective_catalog() -> list[CatalogEntry]:
     """Built-in entries with any directory overrides applied."""
-    overrides = _directory_entries()
+    directory = os.environ.get(CATALOG_DIR_ENV)
+    overrides = {}
+    if directory:
+        for path in sorted(Path(directory).glob("*.json")):
+            entry = load_descriptor(path)
+            overrides[entry.name] = entry
     entries = [overrides.pop(e.name, e) for e in builtin_catalog()]
     entries.extend(overrides.values())
     return entries
@@ -397,14 +394,12 @@ def available_names() -> list[str]:
 
 def catalog_entry(name: str) -> CatalogEntry:
     """Look up a catalog entry by name; directory entries shadow built-ins."""
-    overrides = _directory_entries()
-    if name in overrides:
-        return overrides[name]
-    for entry in builtin_catalog():
+    catalog = effective_catalog()
+    for entry in catalog:
         if entry.name == name:
             return entry
     raise DescriptorError(
-        f"unknown manifold {name!r}; available: {', '.join(available_names())}"
+        f"unknown manifold {name!r}; available: {', '.join(e.name for e in catalog)}"
     )
 
 

@@ -2,7 +2,8 @@
 
 Subcommands:
     genus           print a genus class polynomial
-    index           evaluate an index on a catalog or file descriptor
+    index           evaluate an index on a catalog or file descriptor; the
+                    complex names are the keys of index_engine.INDEX_FUNCTIONS
     detreg          closed-form vs oracle regularized determinant
     fermion-checks  gamma-matrix and Berezin identity table
     verify          run the acceptance suite
@@ -16,30 +17,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from . import catalog as _catalog
 from . import index_engine as engine
 from . import zeta_det
-from .clifford import (
-    ComplexRational,
-    anticommutator,
-    build_gamma,
-    chirality,
-    normalization_psi2,
-)
-from .exact_algebra import GradedPolynomial
+from .clifford import gamma_identities
 from .genera import GenusClass, a_hat_class, l_class, todd_class
 from .verification import VerifyReport, run_verification
 
 __all__ = ["build_parser", "run_cli", "main"]
 
 _GENUS_BUILDERS = {"L": l_class, "Ahat": a_hat_class, "Todd": todd_class}
-
-_INDEX_KINDS = ("signature", "dolbeault", "spin", "euler")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument(
         "--manifold", required=True, help="catalog name or path to a descriptor file"
     )
-    p_index.add_argument("--complex", required=True, choices=_INDEX_KINDS, dest="complex_kind")
+    p_index.add_argument(
+        "--complex", required=True, choices=tuple(engine.INDEX_FUNCTIONS), dest="complex_kind"
+    )
     p_index.add_argument("--bundle", help="bundle name from the descriptor")
     _add_format(p_index)
 
@@ -131,15 +122,7 @@ def _cmd_index(args, out) -> int:
                 f"available: {', '.join(sorted(entry.bundles)) or 'none'}"
             )
         bundle = entry.bundles[args.bundle]
-    kind = args.complex_kind
-    if kind == "signature":
-        report = engine.signature_index(entry.manifold)
-    elif kind == "dolbeault":
-        report = engine.dolbeault_index(entry.manifold, bundle)
-    elif kind == "spin":
-        report = engine.spin_index(entry.manifold, bundle)
-    else:
-        report = engine.de_rham_euler(entry.manifold)
+    report = engine.compute_index(entry.manifold, args.complex_kind, bundle)
     payload = {
         "manifold": entry.name,
         "complex": report.complex_kind,
@@ -176,42 +159,18 @@ def _cmd_detreg(args, out) -> int:
 def _cmd_fermion_checks(args, out) -> int:
     if not 1 <= args.max_n <= 5:
         raise ValueError("--max-n must be between 1 and 5")
-    rows = []
-    for n in range(1, args.max_n + 1):
-        rep = build_gamma(n)
-        dim = 2**n
-        eye = np.eye(dim, dtype=np.complex128)
-        zero = np.zeros((dim, dim), dtype=np.complex128)
-        clifford_ok = all(
-            np.array_equal(
-                anticommutator(rep.matrices[a], rep.matrices[b]),
-                2 * eye if a == b else zero,
-            )
-            for a in range(2 * n)
-            for b in range(2 * n)
-        )
-        hermitian_ok = all(np.array_equal(g, g.conj().T) for g in rep.matrices)
-        gamma = chirality(rep)
-        chirality_ok = (
-            np.array_equal(gamma @ gamma, eye)
-            and gamma.trace() == 0
-            and (gamma @ gamma).trace() == 2**n
-            and all(
-                np.array_equal(anticommutator(gamma, g), zero) for g in rep.matrices
-            )
-        )
-        norm = normalization_psi2(n)
-        norm_ok = norm == ComplexRational.i_power(n)
-        rows.append(
-            {
-                "n": n,
-                "clifford": clifford_ok,
-                "hermitian": hermitian_ok,
-                "chirality": chirality_ok,
-                "normalization": repr(norm),
-                "normalization_ok": norm_ok,
-            }
-        )
+    results = [gamma_identities(n) for n in range(1, args.max_n + 1)]
+    rows = [
+        {
+            "n": r.n,
+            "clifford": r.clifford,
+            "hermitian": r.hermitian,
+            "chirality": r.chirality_ok,
+            "normalization": repr(r.normalization),
+            "normalization_ok": r.normalization_ok,
+        }
+        for r in results
+    ]
     all_ok = all(
         r["clifford"] and r["hermitian"] and r["chirality"] and r["normalization_ok"]
         for r in rows

@@ -30,6 +30,8 @@ __all__ = [
     "berezin_integrate",
     "normalization_psi2",
     "anticommutator",
+    "GammaIdentities",
+    "gamma_identities",
 ]
 
 
@@ -291,3 +293,47 @@ def normalization_psi2(n: int) -> ComplexRational:
         top = top * GrassmannElement.generator(k)
     integral = berezin_integrate(top, 2 * n)
     return ComplexRational(Fraction(2**n)) / integral
+
+
+@dataclass(frozen=True)
+class GammaIdentities:
+    """The gamma-matrix and Berezin identities at real dimension 2n, all exact."""
+
+    n: int
+    clifford: bool  # {gamma^a, gamma^b} = 2 delta^ab
+    hermitian: bool  # every gamma^a equals its conjugate transpose
+    grading: bool  # gamma_(2n+1)^2 = 1 and {gamma_(2n+1), gamma^a} = 0 for every a
+    trace: complex  # Tr gamma_(2n+1), expected 0
+    square_trace: complex  # Tr gamma_(2n+1)^2, expected 2^n
+    normalization: ComplexRational  # expected i^n
+
+    @property
+    def chirality_ok(self) -> bool:
+        return self.grading and self.trace == 0 and self.square_trace == 2**self.n
+
+    @property
+    def normalization_ok(self) -> bool:
+        return self.normalization == ComplexRational.i_power(self.n)
+
+
+def gamma_identities(n: int) -> GammaIdentities:
+    """Check the Clifford, Hermiticity, chirality and i^n identities for build_gamma(n)."""
+    rep = build_gamma(n)
+    eye = np.eye(2**n, dtype=np.complex128)
+    zero = np.zeros_like(eye)
+    gamma = chirality(rep)
+    square = gamma @ gamma
+    return GammaIdentities(
+        n=n,
+        clifford=all(
+            np.array_equal(anticommutator(g, h), 2 * eye if a == b else zero)
+            for a, g in enumerate(rep.matrices)
+            for b, h in enumerate(rep.matrices)
+        ),
+        hermitian=all(np.array_equal(g, g.conj().T) for g in rep.matrices),
+        grading=np.array_equal(square, eye)
+        and all(np.array_equal(anticommutator(gamma, g), zero) for g in rep.matrices),
+        trace=complex(gamma.trace()),
+        square_trace=complex(square.trace()),
+        normalization=normalization_psi2(n),
+    )

@@ -15,54 +15,19 @@ from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "Rational",
-    "rational_arith",
     "bernoulli",
     "TaylorSeries",
     "genus_series",
     "GradedPolynomial",
-    "poly_mul",
     "symmetric_reduce",
     "BasisMismatchError",
     "NonSymmetricError",
 ]
 
-# Arbitrary-precision rational in lowest terms with positive denominator.
-# fractions.Fraction already guarantees every invariant (canonical zero 0/1,
-# gcd-reduced, denominator > 0), so it is the coefficient field everywhere.
-Rational = Fraction
-
-_ARITH_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    # unicode spellings accepted for convenience
-    "−": lambda a, b: a - b,
-    "×": lambda a, b: a * b,
-    "÷": lambda a, b: a / b,
-}
-
-
-def rational_arith(a: Rational, b: Rational, op: str) -> Rational:
-    """Apply one of +, -, *, / to two rationals, exactly.
-
-    Division by zero raises ZeroDivisionError; the result is always in
-    lowest terms (Fraction normalizes on construction).
-    """
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}; expected one of + - * /") from None
-    if op in ("/", "÷") and b == 0:
-        raise ZeroDivisionError("rational division by zero")
-    return fn(Fraction(a), Fraction(b))
-
-
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
 
 
-def bernoulli(k: int) -> Rational:
+def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k under the convention B_1 = -1/2.
 
     Computed by the defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0,
@@ -478,11 +443,6 @@ class GradedPolynomial:
 
     def __repr__(self) -> str:
         return f"GradedPolynomial({self})"
-
-
-def poly_mul(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
-    """Truncated product of two polynomials over the identical generator basis."""
-    return a * b
 
 
 def _elementary_symmetric(

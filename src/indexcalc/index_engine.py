@@ -34,10 +34,9 @@ __all__ = [
     "dolbeault_index",
     "spin_index",
     "de_rham_euler",
-    "hirzebruch_consistency",
+    "INDEX_FUNCTIONS",
+    "compute_index",
 ]
-
-INDEX_KINDS = ("signature", "dolbeault", "spin", "spin_twisted", "de_rham")
 
 
 class DescriptorError(ValueError):
@@ -124,10 +123,7 @@ class ManifoldDescriptor:
         k_max = self.real_dim // 4
         if self.kind == "oriented_real":
             return [self.tangent_class.degree_part(4 * k) for k in range(1, k_max + 1)]
-        parts = chern_to_pontryagin(self.chern_parts(), self.real_dim)
-        if not parts:
-            parts = [self.tangent_class.degree_part(4 * k) for k in range(1, k_max + 1)]
-        return parts
+        return chern_to_pontryagin(self.chern_parts(), self.real_dim)
 
 
 @dataclass(frozen=True)
@@ -201,13 +197,15 @@ def _report(kind: str, density: GradedPolynomial, manifold: ManifoldDescriptor, 
     )
 
 
-def _substituted_genus(names_to_parts: dict[str, GradedPolynomial], genus_poly: GradedPolynomial,
+def _substituted_genus(builder, prefix: str, parts: list[GradedPolynomial],
                        manifold: ManifoldDescriptor) -> GradedPolynomial:
+    """builder(len(parts)) with its classes prefix1, prefix2, ... replaced by parts."""
+    genus_poly = builder(len(parts)).polynomial
     if not genus_poly.generators:
         return GradedPolynomial.constant(
             manifold.generators, manifold.real_dim, genus_poly.constant_term()
         )
-    return genus_poly.substitute(names_to_parts)
+    return genus_poly.substitute({f"{prefix}{k + 1}": part for k, part in enumerate(parts)})
 
 
 def signature_index(manifold: ManifoldDescriptor) -> IndexReport:
@@ -216,11 +214,7 @@ def signature_index(manifold: ManifoldDescriptor) -> IndexReport:
     The L-polynomial has no components of degree 2 mod 4, so the index
     vanishes identically on manifolds with real_dim = 2 mod 4.
     """
-    l = manifold.real_dim // 4
-    genus = l_class(l)
-    parts = manifold.pontryagin_parts()
-    assignments = {f"p{k + 1}": parts[k] for k in range(l)}
-    density = _substituted_genus(assignments, genus.polynomial, manifold)
+    density = _substituted_genus(l_class, "p", manifold.pontryagin_parts(), manifold)
     return _report("signature", density, manifold)
 
 
@@ -234,10 +228,7 @@ def dolbeault_index(
         )
     if bundle is None:
         bundle = BundleDescriptor.trivial(manifold)
-    n = manifold.real_dim // 2
-    genus = todd_class(n)
-    assignments = {f"c{i + 1}": part for i, part in enumerate(manifold.chern_parts())}
-    td = _substituted_genus(assignments, genus.polynomial, manifold)
+    td = _substituted_genus(todd_class, "c", manifold.chern_parts(), manifold)
     ch = chern_character(bundle.rank, bundle.chern_parts(manifold.real_dim)).polynomial
     return _report("dolbeault", td * ch, manifold)
 
@@ -253,11 +244,7 @@ def spin_index(
     """
     if bundle is None:
         bundle = BundleDescriptor.trivial(manifold)
-    l = manifold.real_dim // 4
-    genus = a_hat_class(l)
-    parts = manifold.pontryagin_parts()
-    assignments = {f"p{k + 1}": parts[k] for k in range(l)}
-    a_hat = _substituted_genus(assignments, genus.polynomial, manifold)
+    a_hat = _substituted_genus(a_hat_class, "p", manifold.pontryagin_parts(), manifold)
     ch = chern_character(bundle.rank, bundle.chern_parts(manifold.real_dim)).polynomial
     kind = "spin" if bundle.total_chern == manifold.one() and bundle.rank == 1 else "spin_twisted"
     return _report(kind, a_hat * ch, manifold, hint="is the descriptor actually spin?")
@@ -276,25 +263,29 @@ def de_rham_euler(manifold: ManifoldDescriptor) -> IndexReport:
     return _report("de_rham", density, manifold)
 
 
-def hirzebruch_consistency(
-    manifold: ManifoldDescriptor, recorded_signature: int | None = None
-) -> bool:
-    """Cross-check the signature on a complex descriptor with real_dim = 0 mod 4.
+# The only map from complex name to index function: the CLI's --complex
+# choices, verify and the catalog's expected keys all go through it.
+INDEX_FUNCTIONS = {
+    "signature": signature_index,
+    "dolbeault": dolbeault_index,
+    "spin": spin_index,
+    "euler": de_rham_euler,
+}
 
-    The L-genus route must give an exact integer; on four-manifolds it must
-    also match the chi-type combination 4*chi(O) - chi_top, and when a
-    recorded catalog value is supplied it must agree with that too.
-    """
-    if manifold.kind != "complex":
-        raise DescriptorError("hirzebruch_consistency expects a complex descriptor")
-    if manifold.real_dim % 4 != 0:
-        raise DescriptorError("hirzebruch_consistency expects real_dim divisible by 4")
-    report = signature_index(manifold)
-    if recorded_signature is not None and report.integer_value != recorded_signature:
-        return False
-    if manifold.real_dim == 4:
-        chi_o = dolbeault_index(manifold).integer_value
-        euler = de_rham_euler(manifold).integer_value
-        if report.integer_value != 4 * chi_o - euler:
-            return False
-    return True
+
+def compute_index(
+    manifold: ManifoldDescriptor, kind: str, bundle: BundleDescriptor | None = None
+) -> IndexReport:
+    """Evaluate the named complex's index; only dolbeault and spin take a bundle."""
+    if kind not in INDEX_FUNCTIONS:
+        raise DescriptorError(
+            f"unknown complex {kind!r}; expected one of {', '.join(INDEX_FUNCTIONS)}"
+        )
+    if bundle is None:
+        return INDEX_FUNCTIONS[kind](manifold)
+    if kind not in ("dolbeault", "spin"):
+        raise DescriptorError(
+            f"{manifold.name}: the {kind} complex cannot be twisted, but a rank-{bundle.rank} "
+            f"bundle with total Chern class {bundle.total_chern} was given"
+        )
+    return INDEX_FUNCTIONS[kind](manifold, bundle)

@@ -8,6 +8,7 @@ the same tolerances.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import time
 from dataclasses import dataclass, field
@@ -16,10 +17,8 @@ from fractions import Fraction
 from . import catalog as _catalog
 from . import index_engine as engine
 from . import zeta_det
-from .clifford import ComplexRational, anticommutator, build_gamma, chirality, normalization_psi2
+from .clifford import ComplexRational, gamma_identities
 from .genera import a_hat_class, l_class, signature_integrand_identity_check, todd_class
-
-import numpy as np
 
 __all__ = ["VerifyCheck", "VerifyReport", "run_verification"]
 
@@ -123,30 +122,23 @@ def _check_ratio_identity(modes: int):
     return run
 
 
+def _exact(ok: bool) -> str:
+    return "exact" if ok else "violated"
+
+
 def _check_fermionic(report: VerifyReport) -> None:
     for n in range(1, 6):
-        rep = build_gamma(n)
-        dim = 2**n
-        eye = np.eye(dim, dtype=np.complex128)
-        zero = np.zeros((dim, dim), dtype=np.complex128)
-        clifford_ok = all(
-            np.array_equal(
-                anticommutator(rep.matrices[a], rep.matrices[b]),
-                2 * eye if a == b else zero,
-            )
-            for a in range(2 * n)
-            for b in range(2 * n)
-        )
-        report.add(f"clifford relations (n={n})", "exact", "exact" if clifford_ok else "violated", clifford_ok)
-        gamma = chirality(rep)
-        trace_ok = gamma.trace() == 0
-        square_trace = (gamma @ gamma).trace()
-        square_ok = square_trace == 2**n
-        report.add(f"trace gamma_(2n+1) (n={n})", 0, complex(gamma.trace()), trace_ok)
-        report.add(f"trace gamma_(2n+1)^2 (n={n})", 2**n, complex(square_trace), square_ok)
-        norm = normalization_psi2(n)
-        expected = ComplexRational.i_power(n)
-        report.add(f"normalization i^n (n={n})", repr(expected), repr(norm), norm == expected)
+        ids = gamma_identities(n)
+        report.add(f"clifford relations (n={n})", "exact", _exact(ids.clifford), ids.clifford)
+        report.add(f"gamma^a hermitian (n={n})", "exact", _exact(ids.hermitian), ids.hermitian)
+        report.add(f"trace gamma_(2n+1) (n={n})", 0, ids.trace, ids.trace == 0)
+        square_ok = ids.square_trace == 2**n
+        report.add(f"trace gamma_(2n+1)^2 (n={n})", 2**n, ids.square_trace, square_ok)
+        grading = f"gamma_(2n+1)^2 = 1, anticommutes with gamma^a (n={n})"
+        report.add(grading, "exact", _exact(ids.grading), ids.grading)
+        expected = repr(ComplexRational.i_power(n))
+        norm_ok = ids.normalization_ok
+        report.add(f"normalization i^n (n={n})", expected, repr(ids.normalization), norm_ok)
 
 
 def _check_signature_integrand(report: VerifyReport) -> None:
@@ -200,50 +192,36 @@ def _check_genus_coefficients(report: VerifyReport) -> None:
     )
 
 
+# frozen reference values, independent of the catalog's own expected tables
 _CRITERION_6 = (
-    ("cp2", "signature", None, 1),
-    ("k3", "signature", None, -16),
-    ("cp1xcp1", "signature", None, 0),
-    ("cp1", "dolbeault", None, 1),
-    ("cp2", "dolbeault", None, 1),
-    ("cp3", "dolbeault", None, 1),
-    ("k3", "dolbeault", None, 2),
-    ("k3", "spin", None, 2),
-    ("k3", "euler", None, 24),
-    *[("cp1", "dolbeault", f"O({k})", k + 1) for k in range(-2, 4)],
+    ("cp2", "signature", 1),
+    ("k3", "signature", -16),
+    ("cp1xcp1", "signature", 0),
+    ("cp1", "dolbeault", 1),
+    ("cp2", "dolbeault", 1),
+    ("cp3", "dolbeault", 1),
+    ("k3", "dolbeault", 2),
+    ("k3", "spin", 2),
+    ("k3", "euler", 24),
+    *[("cp1", f"dolbeault:O({k})", k + 1) for k in range(-2, 4)],
 )
 
 
-def _compute_index(entry: _catalog.CatalogEntry, complex_kind: str, bundle_name: str | None):
-    manifold = entry.manifold
-    bundle = entry.bundles[bundle_name] if bundle_name else None
-    if complex_kind == "signature":
-        return engine.signature_index(manifold)
-    if complex_kind == "dolbeault":
-        return engine.dolbeault_index(manifold, bundle)
-    if complex_kind == "spin":
-        return engine.spin_index(manifold, bundle)
-    if complex_kind == "euler":
-        return engine.de_rham_euler(manifold)
-    raise ValueError(f"unknown index kind {complex_kind!r}")
-
-
-def _check_catalog_indices(report: VerifyReport) -> None:
-    for name, kind, bundle_name, expected in _CRITERION_6:
-        entry = _catalog.catalog_entry(name)
+def _check_catalog_indices(report: VerifyReport, catalog, index) -> None:
+    for name, key, expected in _CRITERION_6:
+        kind, _, bundle_name = key.partition(":")
         label = f"{kind}({name}{', ' + bundle_name if bundle_name else ''})"
         try:
-            rep = _compute_index(entry, kind, bundle_name)
+            rep = index(name, key)
         except engine.InconsistentIndexError as exc:
             report.add(label, expected, f"non-integer {exc.value}", False)
             continue
         integral = rep.value.denominator == 1
         report.add(label, expected, rep.value, integral and rep.integer_value == expected)
     # every recorded expectation across the catalog, as an integrality sweep
-    for entry in _catalog.effective_catalog():
+    for entry in catalog:
         for key, expected in sorted(entry.expected.items()):
-            kind, _, bundle_name = key.partition(":")
-            rep = _compute_index(entry, kind, bundle_name or None)
+            rep = index(entry.name, key)
             report.add(
                 f"catalog {entry.name}: {key}",
                 expected,
@@ -252,12 +230,12 @@ def _check_catalog_indices(report: VerifyReport) -> None:
             )
 
 
-def _check_mod4_vanishing(report: VerifyReport) -> None:
+def _check_mod4_vanishing(report: VerifyReport, catalog, index) -> None:
     hit = False
-    for entry in _catalog.effective_catalog():
+    for entry in catalog:
         if entry.manifold.real_dim % 4 == 2:
             hit = True
-            rep = engine.signature_index(entry.manifold)
+            rep = index(entry.name, "signature")
             report.add(
                 f"signature vanishes on {entry.name} (dim {entry.manifold.real_dim})",
                 0,
@@ -271,7 +249,7 @@ def _check_beta_independence(report: VerifyReport) -> None:
     for beta in (0.1, 1.0, 10.0):
         value = zeta_det.fermion_partition(0.0, beta)
         report.add(f"fermion_partition(0, beta={beta:g})", 2.0, value, value == 2.0)
-    for fn in (engine.signature_index, engine.dolbeault_index, engine.spin_index, engine.de_rham_euler):
+    for fn in engine.INDEX_FUNCTIONS.values():
         params = inspect.signature(fn).parameters
         ok = "beta" not in params
         report.add(f"{fn.__name__} has no beta parameter", True, ok, ok)
@@ -287,7 +265,18 @@ def run_verification(full: bool = False) -> VerifyReport:
     _timed(report, "fermionic-identities", _check_fermionic)
     _timed(report, "signature-integrand", _check_signature_integrand)
     _timed(report, "genus-coefficients", _check_genus_coefficients)
-    _timed(report, "catalog-indices", _check_catalog_indices)
-    _check_mod4_vanishing(report)
+    # one catalog snapshot per run; each of its indices is computed at most once
+    catalog = _catalog.effective_catalog()
+    entries = {entry.name: entry for entry in catalog}
+
+    @functools.cache
+    def index(name: str, key: str) -> engine.IndexReport:
+        entry = entries[name]
+        kind, _, bundle_name = key.partition(":")
+        bundle = entry.bundles[bundle_name] if bundle_name else None
+        return engine.compute_index(entry.manifold, kind, bundle)
+
+    _timed(report, "catalog-indices", lambda r: _check_catalog_indices(r, catalog, index))
+    _check_mod4_vanishing(report, catalog, index)
     _check_beta_independence(report)
     return report

@@ -67,8 +67,8 @@ class SingularOperatorError(ValueError):
 
 def _require_positive_beta(beta: float) -> float:
     beta = float(beta)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     return beta
 
 
@@ -191,6 +191,9 @@ class OperatorSpec:
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {OPERATOR_KINDS}")
         _require_positive_beta(self.beta)
+        parameter = float(self.parameter)
+        if not math.isfinite(parameter):
+            raise ValueError(f"parameter must be finite, got {parameter}")
         prime = self.prime
         if prime is None:
             prime = self.kind in _PBC_KINDS
@@ -198,7 +201,7 @@ class OperatorSpec:
             raise ValueError(f"{self.kind} has a zero mode at parameter 0; prime must be true")
         object.__setattr__(self, "prime", bool(prime))
         object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "parameter", float(self.parameter))
+        object.__setattr__(self, "parameter", parameter)
 
     def paired_mode_factors(self, n_modes: int) -> np.ndarray:
         """Eigenvalue products over the symmetric mode pairs (n, -n) or (k, -k-1).
@@ -219,13 +222,8 @@ class OperatorSpec:
             return sq  # (i nu_n)(-i nu_n)
         if self.kind == "apbc_first_order_shifted":
             return sq + self.parameter**2
-        if self.kind == "pbc_curvature_block":
-            d = sq - self.parameter**2
-            return d * d
-        if self.kind == "apbc_curvature_block":
-            d = sq - self.parameter**2
-            return d * d
-        raise AssertionError(self.kind)
+        d = sq - self.parameter**2  # pbc_curvature_block and apbc_curvature_block
+        return d * d
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,29 @@ class TestDescriptorFiles:
         monkeypatch.delenv(CATALOG_DIR_ENV)
         assert catalog_entry("k3").expected["signature"] == -16
 
+    @pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "field,path",
+        [
+            ("real_dim", ("manifold", "real_dim")),
+            ("degree of generator 'h'", ("manifold", "generators", 0, 1)),
+            ("evaluation of 'h^1'", ("manifold", "evaluation", "h^1")),
+            ("rank", ("bundles", "O(1)", "rank")),
+            ("expected value of 'euler'", ("expected", "euler")),
+        ],
+    )
+    def test_integer_fields_are_strict(self, tmp_path, field, path, bad):
+        save_descriptor(catalog_entry("cp1"), tmp_path / "cp1.json")
+        doc = json.loads((tmp_path / "cp1.json").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        (tmp_path / "cp1.json").write_text(json.dumps(doc))
+        with pytest.raises(DescriptorError) as info:
+            load_descriptor(tmp_path / "cp1.json")
+        assert f"{field} must be an integer, got {json.dumps(bad)}" in str(info.value)
+
     def test_resolve_path_or_name(self, tmp_path):
         path = tmp_path / "cp2.json"
         save_descriptor(catalog_entry("cp2"), path)
@@ -212,6 +235,15 @@ class TestCliIndex:
         assert code == 2
         assert "O(9)" in err
 
+    @pytest.mark.parametrize("kind", ["signature", "euler"])
+    def test_bundle_on_untwisted_complex_exits_2(self, kind):
+        code, out, err = run(
+            ["index", "--manifold", "cp1", "--complex", kind, "--bundle", "O(1)"]
+        )
+        assert (code, out) == (2, "")
+        assert f"the {kind} complex cannot be twisted" in err
+        assert "total Chern class 1 + h" in err
+
     def test_file_descriptor(self, tmp_path):
         path = tmp_path / "cp2.json"
         save_descriptor(catalog_entry("cp2"), path)
@@ -258,6 +290,22 @@ class TestCliDetreg:
         assert code == 2
         assert "zero eigenvalue" in err
 
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["--op", "pbc_laplacian", "--beta", "inf"], ("beta", "inf")),
+            (["--op", "pbc_laplacian", "--beta", "nan"], ("beta", "nan")),
+            (["--op", "apbc_first_order_shifted", "--beta", "1", "--param", "nan"],
+             ("parameter", "nan")),
+            (["--op", "apbc_curvature_block", "--beta", "1", "--param", "inf"],
+             ("parameter", "inf")),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, argv, names):
+        code, out, err = run(["detreg", *argv])
+        assert (code, out) == (2, "")
+        assert all(name in err for name in names)
+
 
 class TestCliFermionChecks:
     def test_table(self):
@@ -287,6 +335,13 @@ class TestCliVerify:
         assert doc["passed"] is True
         assert doc["n_fail"] == 0
         assert {"name", "expected", "computed", "status"} <= set(doc["checks"][0])
+
+    def test_gamma_checks_as_strong_as_fermion_checks(self):
+        code, out, _ = run(["verify", "--format", "json"])
+        status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        for n in range(1, 6):
+            assert status[f"gamma^a hermitian (n={n})"] is True
+            assert status[f"gamma_(2n+1)^2 = 1, anticommutes with gamma^a (n={n})"] is True
 
     def test_catalog_override_failure_exits_1(self, tmp_path, monkeypatch):
         entry = catalog_entry("k3")

@@ -15,6 +15,7 @@ from indexcalc.clifford import (
     berezin_integrate,
     build_gamma,
     chirality,
+    gamma_identities,
     normalization_psi2,
 )
 
@@ -154,3 +155,17 @@ class TestNormalization:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             normalization_psi2(0)
+
+
+class TestGammaIdentities:
+    def test_non_hermitian_representation_detected(self, monkeypatch):
+        # conjugating by the non-unitary S = diag(2, 1) keeps the Clifford
+        # relations and the chirality but breaks Hermiticity
+        s = np.diag([2.0, 1.0]).astype(np.complex128)
+        s_inv = np.diag([0.5, 1.0]).astype(np.complex128)
+        real = build_gamma(1)
+        skewed = type(real)(n=1, matrices=tuple(s @ g @ s_inv for g in real.matrices))
+        monkeypatch.setattr("indexcalc.clifford.build_gamma", lambda n: skewed)
+        ids = gamma_identities(1)
+        assert ids.clifford and ids.grading and ids.chirality_ok
+        assert not ids.hermitian

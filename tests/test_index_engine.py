@@ -12,11 +12,12 @@ from indexcalc.index_engine import (
     BundleDescriptor,
     DescriptorError,
     InconsistentIndexError,
+    INDEX_FUNCTIONS,
     ManifoldDescriptor,
+    compute_index,
     de_rham_euler,
     dolbeault_index,
     evaluate,
-    hirzebruch_consistency,
     signature_index,
     spin_index,
 )
@@ -175,26 +176,6 @@ class TestEuler:
         assert de_rham_euler(with_euler).integer_value == 2
 
 
-class TestHirzebruchConsistency:
-    def test_cp2(self):
-        assert hirzebruch_consistency(manifold("cp2"), 1)
-
-    def test_k3(self):
-        assert hirzebruch_consistency(manifold("k3"), -16)
-
-    def test_product(self):
-        assert hirzebruch_consistency(manifold("cp1xcp1"), 0)
-
-    def test_mismatch_detected(self):
-        assert not hirzebruch_consistency(manifold("k3"), 16)
-
-    def test_requires_right_shape(self):
-        with pytest.raises(DescriptorError):
-            hirzebruch_consistency(manifold("s4"))
-        with pytest.raises(DescriptorError):
-            hirzebruch_consistency(manifold("cp1"))
-
-
 class TestDescriptorValidation:
     def test_odd_generator_degree(self):
         with pytest.raises(DescriptorError):
@@ -250,11 +231,57 @@ class TestDescriptorValidation:
 
 class TestCatalogIntegrality:
     def test_every_recorded_index_is_integral(self):
-        from indexcalc.verification import _compute_index
-
         for entry in builtin_catalog():
             for key, expected in entry.expected.items():
                 kind, _, bundle = key.partition(":")
-                report = _compute_index(entry, kind, bundle or None)
+                twist = entry.bundles[bundle] if bundle else None
+                report = compute_index(entry.manifold, kind, twist)
                 assert report.value.denominator == 1, (entry.name, key)
                 assert report.integer_value == expected, (entry.name, key)
+
+
+class TestIndexRegistry:
+    DIRECT = {
+        "signature": signature_index,
+        "dolbeault": dolbeault_index,
+        "spin": spin_index,
+        "euler": de_rham_euler,
+    }
+
+    def test_one_set_of_complex_names(self):
+        import argparse
+
+        from indexcalc.cli import build_parser
+
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        complex_arg = next(a for a in sub.choices["index"]._actions if a.dest == "complex_kind")
+        expected_kinds = {
+            key.partition(":")[0] for entry in builtin_catalog() for key in entry.expected
+        }
+        assert set(complex_arg.choices) == set(INDEX_FUNCTIONS) == expected_kinds
+        assert set(INDEX_FUNCTIONS) == set(self.DIRECT)
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (DescriptorError, InconsistentIndexError) as exc:
+            return type(exc), str(exc)
+
+    def test_compute_index_matches_engine_functions(self):
+        for entry in builtin_catalog():
+            for kind, direct in self.DIRECT.items():
+                want = self._outcome(direct, entry.manifold)
+                assert self._outcome(compute_index, entry.manifold, kind) == want, (entry.name, kind)
+                if kind not in ("dolbeault", "spin"):
+                    continue
+                for name, bundle in entry.bundles.items():
+                    want = self._outcome(direct, entry.manifold, bundle)
+                    got = self._outcome(compute_index, entry.manifold, kind, bundle)
+                    assert got == want, (entry.name, kind, name)
+
+    def test_unknown_complex(self):
+        with pytest.raises(DescriptorError, match="unknown complex 'de_rham'"):
+            compute_index(manifold("cp1"), "de_rham")

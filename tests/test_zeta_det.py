@@ -148,6 +148,19 @@ class TestOperatorSpec:
         assert det_pbc_first_order(1.0) == 1.0
         assert det_pbc_first_order(2.5) == 2.5
 
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match=f"beta .*{beta}"):
+            OperatorSpec("pbc_laplacian", beta)
+        with pytest.raises(ValueError, match=f"beta .*{beta}"):
+            det_apbc_first_order(1.0, beta)
+
+    @pytest.mark.parametrize("kind", ["apbc_first_order_shifted", "pbc_curvature_block"])
+    @pytest.mark.parametrize("parameter", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_parameter(self, kind, parameter):
+        with pytest.raises(ValueError, match=f"parameter .*{parameter}"):
+            OperatorSpec(kind, 1.0, parameter)
+
 
 class TestOracle:
     def test_laplacian_oracle_exact_ratio(self):
