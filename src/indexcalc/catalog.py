@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .exact_algebra import GradedPolynomial
-from .index_engine import BundleDescriptor, DescriptorError, ManifoldDescriptor
+from .index_engine import INDEX_FUNCTIONS, BundleDescriptor, DescriptorError, ManifoldDescriptor
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -149,6 +149,22 @@ def _int(value, what: str, context: str) -> int:
     return value
 
 
+def _expected_key(key: str, bundles: Mapping[str, BundleDescriptor], source: str) -> str:
+    """An expected key: a complex name, or "<complex>:<bundle>" naming a bundle here."""
+    kind, sep, bundle = key.partition(":")
+    if kind not in INDEX_FUNCTIONS:
+        raise DescriptorError(
+            f"{source}: expected key {key!r} names no complex; "
+            f"expected one of {', '.join(INDEX_FUNCTIONS)}"
+        )
+    if sep and bundle not in bundles:
+        raise DescriptorError(
+            f"{source}: expected key {key!r} names no bundle of the descriptor; "
+            f"available: {', '.join(sorted(bundles)) or 'none'}"
+        )
+    return key
+
+
 def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     version = _require(doc, "schema_version", source)
     if version != SCHEMA_VERSION:
@@ -194,7 +210,7 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
             ),
         )
     expected = {
-        str(k): _int(v, f"expected value of {k!r}", source)
+        _expected_key(str(k), bundles, source): _int(v, f"expected value of {k!r}", source)
         for k, v in doc.get("expected", {}).items()
     }
     return CatalogEntry(manifold=manifold, bundles=bundles, expected=expected)

@@ -306,6 +306,19 @@ class TestCliDetreg:
         assert (code, out) == (2, "")
         assert all(name in err for name in names)
 
+    def test_float_overflow_exits_2(self):
+        code, out, err = run(
+            ["detreg", "--op", "apbc_first_order_shifted", "--beta", "1000", "--param", "10"]
+        )
+        assert (code, out) == (2, "")
+        assert "apbc_first_order_shifted" in err and "beta=1000" in err and "parameter=10" in err
+        assert "float range" in err
+
+    def test_unknown_op_exits_2(self):
+        code, out, err = run(["detreg", "--op", "nope", "--beta", "1"])
+        assert (code, out) == (2, "")
+        assert "'nope'" in err and "pbc_laplacian" in err
+
 
 class TestCliFermionChecks:
     def test_table(self):
@@ -355,6 +368,29 @@ class TestCliVerify:
         code, out, _ = run(["verify"])
         assert code == 1
         assert "FAIL" in out
+
+
+class TestCatalogDirExpectedKeys:
+    """A catalog-dir descriptor whose expected key names no complex or bundle."""
+
+    @pytest.fixture(params=["dolbeault:O(9)", "hodge"])
+    def bad_key(self, request, tmp_path, monkeypatch):
+        entry = catalog_entry("cp1")
+        save_descriptor(
+            CatalogEntry(entry.manifold, entry.bundles, {**entry.expected, request.param: 1}),
+            tmp_path / "cp1.json",
+        )
+        monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
+        return request.param
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["index", "--manifold", "k3", "--complex", "spin"]]
+    )
+    def test_exits_2_naming_file_and_key(self, bad_key, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert "cp1.json" in err and repr(bad_key) in err
+        assert ("no bundle" if ":" in bad_key else "no complex") in err
 
 
 class TestCliMisc:

@@ -1,0 +1,60 @@
+"""The package surface: lazily resolved public names and a numpy-free cold start."""
+
+from __future__ import annotations
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import indexcalc
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_CHILD = """
+import sys
+import indexcalc
+loaded = sorted(m for m in sys.modules if m.startswith("indexcalc.") or m == "numpy")
+assert loaded == [], loaded
+from indexcalc.cli import run_cli
+assert run_cli(["index", "--manifold", "k3", "--complex", "spin"]) == 0
+assert run_cli(["genus", "--kind", "Todd", "--half-dim", "3"]) == 0
+assert "numpy" not in sys.modules, "index or genus imported numpy"
+"""
+
+
+def test_cold_index_and_genus_never_import_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["2", "1 + 1/2·c1 + 1/12·c2 + 1/12·c1^2 + 1/24·c1·c2"]
+
+
+@pytest.mark.parametrize("name", [n for n in indexcalc.__all__ if n != "__version__"])
+def test_public_name_resolves_to_its_submodule_object(name):
+    module = importlib.import_module(f"indexcalc.{indexcalc._SUBMODULE[name]}")
+    assert getattr(indexcalc, name) is getattr(module, name)
+    assert name in module.__all__
+
+
+def test_dir_and_star_import_list_every_public_name():
+    assert set(indexcalc.__all__) <= set(dir(indexcalc))
+    namespace: dict = {}
+    exec("from indexcalc import *", namespace)
+    assert set(indexcalc.__all__) <= set(namespace)
+    assert len(indexcalc.__all__) == len(set(indexcalc.__all__))
+
+
+def test_submodule_attribute_and_unknown_attribute():
+    assert indexcalc.zeta_det is importlib.import_module("indexcalc.zeta_det")
+    from indexcalc import zeta_det  # noqa: F401
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        indexcalc.no_such_name

@@ -160,9 +160,27 @@ class TestOperatorSpec:
     def test_rejects_non_finite_parameter(self, kind, parameter):
         with pytest.raises(ValueError, match=f"parameter .*{parameter}"):
             OperatorSpec(kind, 1.0, parameter)
+        # the closed forms called directly refuse it too
+        closed_forms = {
+            "apbc_first_order_shifted": (det_apbc_first_order, fermion_partition),
+            "pbc_curvature_block": (det_pbc_curvature_block, det_apbc_curvature_block),
+        }
+        name = "omega" if kind == "apbc_first_order_shifted" else "y"
+        for fn in closed_forms[kind]:
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {parameter}"):
+                fn(parameter, 1.0)
 
 
 class TestOracle:
+    def test_leaving_float_range_names_the_operator(self):
+        # the partial product overflows although every mode factor is finite
+        spec = OperatorSpec("apbc_first_order_shifted", 1.0, 1e100)
+        named = r"apbc_first_order_shifted .*beta=1.0, parameter=1e\+100"
+        with pytest.raises(ValueError, match=named):
+            oracle_product(spec, 10)
+        with pytest.raises(ValueError, match="float range"):
+            closed_form(spec)
+
     def test_laplacian_oracle_exact_ratio(self):
         for beta in (0.5, 1.0, 2.0):
             spec = OperatorSpec("pbc_laplacian", beta)
