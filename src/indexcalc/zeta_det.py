@@ -9,6 +9,9 @@ paired with a truncated-infinite-product oracle.  The oracle regularizes by
 ratio: it divides the partial product at the given parameter by the partial
 product at parameter zero and multiplies by the closed-form reference
 determinant, which is scheme-independent for the ratios that enter indices.
+It sums the log of each mode pair's ratio, log1p(t) or 2 log|1 - t| with
+t = parameter^2 / frequency^2, one fixed-size block of modes at a time, so
+its memory stays bounded whatever the mode count.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
@@ -51,6 +54,16 @@ OPERATOR_KINDS = (
 )
 
 _PBC_KINDS = ("pbc_laplacian", "pbc_first_order", "pbc_curvature_block")
+_CURVATURE_KINDS = ("pbc_curvature_block", "apbc_curvature_block")
+# kinds whose eigenvalues do not depend on the parameter
+_LAPLACIAN_KINDS = ("pbc_laplacian", "pbc_first_order")
+
+# Modes per oracle block: one 256 KiB float array, which stays in cache while
+# the block's frequencies become log-ratios in place.
+_ORACLE_BLOCK = 1 << 15
+
+# Absolute tolerance of the curvature blocks' singularity test
+_SINGULAR_TOL = 1e-9
 
 # Riemann zeta data entering the spectral-zeta route
 _ZETA_R_AT_0 = -0.5
@@ -93,9 +106,20 @@ def _in_float_range(spec: OperatorSpec, compute: Callable[[], float]) -> float:
     return value
 
 
-def _nearest_integer(x: float, tol: float = 1e-9) -> int | None:
+def _singular_multiple(kind: str, beta: float, y: float, unit: float) -> int | None:
+    """The integer that beta*y/unit lies within _SINGULAR_TOL of, or None.
+
+    From |beta*y/unit| = 2^23 on, every float is that close to an integer, so
+    the test would decide nothing there: such a y is refused with a ValueError.
+    """
+    x = beta * y / unit
+    if math.ulp(x) > _SINGULAR_TOL:
+        raise ValueError(
+            f"{kind} parameter {y} at beta={beta} is beyond the float resolution "
+            "of the singularity test"
+        )
     n = round(x)
-    if abs(x - n) <= tol:
+    if abs(x - n) <= _SINGULAR_TOL:
         return int(n)
     return None
 
@@ -138,7 +162,7 @@ def det_pbc_curvature_block(y: float, beta: float) -> float:
     y = _require_finite(y, "y")
     if y == 0.0:
         return beta * beta
-    n = _nearest_integer(beta * y / (2.0 * math.pi))
+    n = _singular_multiple("pbc_curvature_block", beta, y, 2.0 * math.pi)
     if n is not None and n != 0:
         raise SingularOperatorError(
             f"zero eigenvalue: beta*y/2 = {n}*pi (periodic mode n = {n})", mode_index=n
@@ -157,7 +181,7 @@ def det_apbc_curvature_block(y: float, beta: float) -> float:
     """
     beta = _require_positive_beta(beta)
     y = _require_finite(y, "y")
-    m = _nearest_integer(beta * y / math.pi)
+    m = _singular_multiple("apbc_curvature_block", beta, y, math.pi)
     if m is not None and m % 2 != 0:
         raise SingularOperatorError(
             f"zero eigenvalue: beta*y/2 = ({m}/2)*pi (antiperiodic mode {m})",
@@ -191,6 +215,21 @@ def det_apbc_first_order(omega: float, beta: float) -> float:
     """
     beta = _require_positive_beta(beta)
     return 2.0 * math.cosh(beta * _require_finite(omega, "omega") / 2.0)
+
+
+def _mode_frequencies(kind: str, beta: float, start: int, stop: int) -> np.ndarray:
+    """nu_n for n = start+1..stop (periodic kinds) or omega_k for k = start..stop-1.
+
+    Returns a fresh array that callers may overwrite.
+    """
+    if kind in _PBC_KINDS:
+        freq = np.arange(start + 1, stop + 1, dtype=float)  # n
+        freq *= 2.0 * math.pi
+    else:
+        freq = np.arange(2 * start + 1, 2 * stop, 2, dtype=float)  # 2k + 1
+        freq *= math.pi
+    freq /= beta
+    return freq
 
 
 @dataclass(frozen=True)
@@ -230,18 +269,16 @@ class OperatorSpec:
         """
         if n_modes < 1:
             raise ValueError("need at least one mode")
-        if self.kind in _PBC_KINDS:
-            freq = 2.0 * math.pi * np.arange(1, n_modes + 1) / self.beta
-        else:
-            freq = (2.0 * np.arange(0, n_modes) + 1.0) * math.pi / self.beta
+        freq = _mode_frequencies(self.kind, self.beta, 0, n_modes)
         sq = freq * freq
         if self.kind == "pbc_laplacian":
             return sq * sq  # lambda_n = nu_n^2 at both n and -n
         if self.kind == "pbc_first_order":
             return sq  # (i nu_n)(-i nu_n)
+        p2 = self.parameter * self.parameter  # inf, not OverflowError, past the float range
         if self.kind == "apbc_first_order_shifted":
-            return sq + self.parameter**2
-        d = sq - self.parameter**2  # pbc_curvature_block and apbc_curvature_block
+            return sq + p2
+        d = sq - p2  # pbc_curvature_block and apbc_curvature_block
         return d * d
 
 
@@ -277,31 +314,55 @@ def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
     """Ratio-regularized partial eigenvalue product.
 
     prod_{|n| <= N} lambda_n(parameter) / lambda_n(0), times the closed-form
-    reference determinant at parameter 0.  Logs are summed with numpy's
-    pairwise summation, so the result is deterministic and independent of
-    any mode-level parallel split to well below 1e-12.
+    reference determinant at parameter 0.  Each mode pair's ratio enters as
+    its log, log1p(t) for the shifted first-order operator and 2 log|1 - t|
+    for the curvature blocks (t = parameter^2 / frequency^2; the Laplacian
+    kinds have t = 0), summed block by block with numpy's pairwise summation
+    and the block sums added with math.fsum.  Memory is bounded by one block
+    whatever N is.  The block size is fixed, so the result is deterministic
+    and does not depend on any parallel split of the modes.
     """
     if n_modes < 1:
         raise ValueError("need at least one mode")
     reference = replace(spec, parameter=0.0)
-    num = spec.paired_mode_factors(n_modes)
-    den = reference.paired_mode_factors(n_modes)
-    zero = np.flatnonzero(num == 0.0)
-    if zero.size:
-        if not spec.prime:
-            raise SingularOperatorError(
-                f"exactly-zero eigenvalue in mode pair {int(zero[0])} at parameter {spec.parameter}",
-                mode_index=int(zero[0]),
-            )
-        # primed semantics: zero modes are excluded from the product
-        keep = num != 0.0
-        num = num[keep]
-        den = den[keep]
-    # `ratios` stays bound until return: freeing it before np.log allocates its
-    # output made each call about 10% slower (heap reuse in the allocator)
-    ratios = num / den
-    log_ratio = float(np.sum(np.log(ratios)))
+    # an overflowing t drives the sum to inf, which _in_float_range refuses
+    with np.errstate(over="ignore"):
+        log_ratio = math.fsum(
+            _block_log_ratio(spec, start, min(start + _ORACLE_BLOCK, n_modes))
+            for start in range(0, n_modes, _ORACLE_BLOCK)
+        )
     return _in_float_range(spec, lambda: closed_form(reference) * math.exp(log_ratio))
+
+
+def _block_log_ratio(spec: OperatorSpec, start: int, stop: int) -> float:
+    """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1."""
+    freq = _mode_frequencies(spec.kind, spec.beta, start, stop)
+    p = 0.0 if spec.kind in _LAPLACIAN_KINDS else abs(spec.parameter)
+    curvature = spec.kind in _CURVATURE_KINDS
+    if curvature and freq[0] <= p <= freq[-1]:
+        # the pair (freq^2 - p^2)^2 vanishes exactly when freq == p: squaring is
+        # one-to-one on normal floats, and this form cannot overflow
+        zero = np.flatnonzero(freq == p)
+        if zero.size:
+            mode = start + int(zero[0])
+            if not spec.prime:
+                raise SingularOperatorError(
+                    f"exactly-zero eigenvalue in mode pair {mode} at parameter {spec.parameter}",
+                    mode_index=mode,
+                )
+            freq[zero] = math.inf  # primed: the pair leaves the product (t = 0)
+    t = np.divide(p, freq, out=freq)
+    t *= t
+    if not curvature:
+        return float(np.sum(np.log1p(t, out=t)))
+    # t falls as the frequencies rise, so t > 1 on a leading run of modes only
+    above = int(np.count_nonzero(t > 1.0)) if t[0] > 1.0 else 0
+    head, tail = t[:above], t[above:]
+    head -= 1.0
+    np.log(head, out=head)
+    np.negative(tail, out=tail)
+    np.log1p(tail, out=tail)
+    return 2.0 * float(np.sum(t))
 
 
 def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:

@@ -314,6 +314,22 @@ class TestCliDetreg:
         assert "apbc_first_order_shifted" in err and "beta=1000" in err and "parameter=10" in err
         assert "float range" in err
 
+    @pytest.mark.parametrize("kind", ["pbc_curvature_block", "apbc_curvature_block"])
+    @pytest.mark.parametrize("param", ["1e17", "1e200"])
+    def test_parameter_beyond_float_resolution_exits_2(self, kind, param):
+        # parameter**2 overflowed here, and 1e17 was called a zero eigenvalue
+        code, out, err = run(["detreg", "--op", kind, "--beta", "1", "--param", param])
+        assert (code, out) == (2, "")
+        assert kind in err and "beta=1.0" in err and f"parameter {float(param)}" in err
+        assert "float resolution" in err and "zero eigenvalue" not in err
+
+    def test_parameter_square_overflow_with_tiny_beta(self):
+        # beta*w/2 = 5e-101: both the closed form and the partial product are 2
+        code, out, _ = run(
+            ["detreg", "--op", "apbc_first_order_shifted", "--beta", "1e-300", "--param", "1e200"]
+        )
+        assert (code, out.splitlines()) == (0, ["closed=2", "oracle=2", "delta=0"])
+
     def test_unknown_op_exits_2(self):
         code, out, err = run(["detreg", "--op", "nope", "--beta", "1"])
         assert (code, out) == (2, "")

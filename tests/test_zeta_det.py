@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from indexcalc import zeta_det
 from indexcalc.zeta_det import (
+    OPERATOR_KINDS,
     OperatorSpec,
     SingularOperatorError,
     closed_form,
@@ -65,6 +72,12 @@ class TestPbcCurvatureBlock:
         for y in (0.3, 1.7, 2.5):
             assert det_pbc_curvature_block(y, 1.0) == det_pbc_curvature_block(-y, 1.0)
 
+    def test_singular_below_float_resolution(self):
+        # beta*y/2pi = 10^6 is still resolved to the 1e-9 tolerance
+        with pytest.raises(SingularOperatorError) as info:
+            det_pbc_curvature_block(2.0 * math.pi * 10**6, 1.0)
+        assert info.value.mode_index == 10**6
+
 
 class TestApbcCurvatureBlock:
     def test_y_zero(self):
@@ -98,6 +111,15 @@ class TestApbcCurvatureBlock:
     def test_even_in_y(self):
         for y in (0.4, 1.9):
             assert det_apbc_curvature_block(y, 1.0) == det_apbc_curvature_block(-y, 1.0)
+
+
+@pytest.mark.parametrize("det", [det_pbc_curvature_block, det_apbc_curvature_block])
+@pytest.mark.parametrize("y", [1e17, -1e17, 1e200])
+def test_curvature_block_beyond_float_resolution(det, y):
+    # every float this large is within 1e-9 of an integer: no zero-eigenvalue verdict
+    with pytest.raises(ValueError, match=rf"parameter {re.escape(str(y))} .*float resolution") as info:
+        det(y, 1.0)
+    assert not isinstance(info.value, SingularOperatorError)
 
 
 class TestApbcFirstOrder:
@@ -241,3 +263,115 @@ class TestOracle:
         assert record.oracle_value == 4.0
         assert record.delta == 0.0
         assert record.oracle_modes == 100
+
+
+B = zeta_det._ORACLE_BLOCK
+
+
+def raw_oracle(spec, n_modes):
+    """The oracle straight from paired_mode_factors: one numpy log-sum of num/den."""
+    reference = replace(spec, parameter=0.0)
+    num = spec.paired_mode_factors(n_modes)
+    den = reference.paired_mode_factors(n_modes)
+    keep = num != 0.0
+    return closed_form(reference) * math.exp(float(np.sum(np.log(num[keep] / den[keep]))))
+
+
+def fsum_oracle(spec, n_modes):
+    """The oracle from one math.log1p per mode pair, summed exactly by math.fsum."""
+    if spec.kind in ("pbc_laplacian", "pbc_first_order"):
+        return closed_form(spec)  # the parameter does not enter these eigenvalues
+    terms = []
+    for k in range(n_modes):
+        if spec.kind.startswith("pbc"):
+            freq = 2.0 * math.pi * (k + 1) / spec.beta
+        else:
+            freq = (2.0 * k + 1.0) * math.pi / spec.beta
+        t = (spec.parameter / freq) ** 2
+        if spec.kind == "apbc_first_order_shifted":
+            terms.append(math.log1p(t))
+        elif freq != abs(spec.parameter):
+            terms.append(2.0 * (math.log(t - 1.0) if t > 1.0 else math.log1p(-t)))
+    return closed_form(replace(spec, parameter=0.0)) * math.exp(math.fsum(terms))
+
+
+REGULAR_SPECS = [
+    OperatorSpec("pbc_laplacian", 1.7),
+    OperatorSpec("pbc_first_order", 0.6),
+    OperatorSpec("apbc_first_order_shifted", 1.3, 1.1),
+    OperatorSpec("pbc_curvature_block", 1.2, 2.5),
+    OperatorSpec("apbc_curvature_block", 0.8, -3.0),
+]
+
+
+class TestBlockedOracle:
+    @pytest.mark.parametrize("n_modes", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("spec", REGULAR_SPECS, ids=lambda spec: spec.kind)
+    def test_block_boundaries(self, spec, n_modes):
+        value = oracle_product(spec, n_modes)
+        assert math.isclose(value, raw_oracle(spec, n_modes), rel_tol=1e-12)
+        assert math.isclose(value, fsum_oracle(spec, n_modes), rel_tol=1e-13)
+
+    def test_singular_mode_counted_globally(self):
+        k = B + 5
+        spec = OperatorSpec("apbc_curvature_block", 1.0, (2 * k + 1) * math.pi)
+        with pytest.raises(SingularOperatorError) as info:
+            oracle_product(spec, 2 * B)
+        assert info.value.mode_index == k
+        assert np.flatnonzero(spec.paired_mode_factors(2 * B) == 0.0)[0] == k
+
+    def test_primed_zero_pair_dropped_beyond_first_block(self):
+        n = B + 7
+        spec = OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * n)
+        assert spec.paired_mode_factors(n)[n - 1] == 0.0
+        # the partial product settles only for N >> n
+        value = oracle_product(spec, 4 * 10**6)
+        assert math.isfinite(value) and value > 0.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OperatorSpec("apbc_curvature_block", 0.7, 9.3),
+            OperatorSpec("pbc_curvature_block", 1.0, 2.0 * (3.0 * math.pi - 0.3)),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_agrees_with_exact_log_sum(self, spec):
+        n_modes = 2 * 10**5
+        assert math.isclose(oracle_product(spec, n_modes), fsum_oracle(spec, n_modes), rel_tol=1e-13)
+
+    def test_memory_bounded_by_one_block(self):
+        spec = OperatorSpec("apbc_curvature_block", 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            oracle_product(spec, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 10**6
+
+    def test_parameter_square_past_float_range(self):
+        # parameter**2 overflows; the mode factors and the oracle must not raise OverflowError
+        spec = OperatorSpec("apbc_curvature_block", 1.0, 1e200)
+        assert np.isinf(spec.paired_mode_factors(10)).all()
+        with pytest.raises(ValueError, match=r"apbc_curvature_block .*beta=1.0, parameter=1e\+200"):
+            oracle_product(spec, 10)
+        # every t = (parameter/omega_k)^2 is about 1e-201: the product is the reference 2
+        tiny = OperatorSpec("apbc_first_order_shifted", 1e-300, 1e200)
+        assert oracle_product(tiny, 1000) == 2.0
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(OPERATOR_KINDS),
+        beta=st.floats(0.2, 5.0),
+        z=st.floats(-12.0, 12.0),
+        n_modes=st.integers(1, 2 * 10**4),
+    )
+    def test_matches_raw_route(self, kind, beta, z, n_modes):
+        # z = beta*parameter/2, kept 0.05 away from every zero eigenvalue
+        if kind == "pbc_curvature_block":
+            assume(abs(z) < 0.5 or abs(abs(z) / math.pi - round(abs(z) / math.pi)) > 0.05)
+        elif kind == "apbc_curvature_block":
+            assume(abs(abs(z) / math.pi - round(abs(z) / math.pi) - 0.5) < 0.45)
+        spec = OperatorSpec(kind, beta, 2.0 * z / beta)
+        assert math.isclose(oracle_product(spec, n_modes), raw_oracle(spec, n_modes), rel_tol=1e-11)
