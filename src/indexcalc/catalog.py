@@ -23,7 +23,13 @@ from pathlib import Path
 from typing import Mapping
 
 from .exact_algebra import GradedPolynomial
-from .index_engine import INDEX_FUNCTIONS, BundleDescriptor, DescriptorError, ManifoldDescriptor
+from .index_engine import (
+    INDEX_FUNCTIONS,
+    BundleDescriptor,
+    DescriptorError,
+    ManifoldDescriptor,
+    _checked_generators,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -177,9 +183,10 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
         (str(g[0]), _int(g[1], f"degree of generator {g[0]!r}", source))
         for g in _require(block, "generators", source)
     )
-    for gname, gdeg in generators:
-        if gdeg % 2 != 0 or gdeg <= 0:
-            raise DescriptorError(f"{source}: odd generator degree: {gname} has degree {gdeg}")
+    try:
+        _checked_generators(generators)  # before any monomial key is parsed with them
+    except DescriptorError as exc:
+        raise DescriptorError(f"{source}: {exc}") from None
     evaluation = {
         _monomial_from_key(generators, key): _int(value, f"evaluation of {key!r}", source)
         for key, value in _require(block, "evaluation", source).items()
@@ -203,12 +210,12 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     bundles = {}
     for bname, bblock in doc.get("bundles", {}).items():
         context = f"{source} bundle {bname!r}"
-        bundles[str(bname)] = BundleDescriptor(
-            rank=_int(_require(bblock, "rank", context), "rank", context),
-            total_chern=_poly_from_json(
-                generators, real_dim, _require(bblock, "total_chern", context)
-            ),
-        )
+        rank = _int(_require(bblock, "rank", context), "rank", context)
+        total = _poly_from_json(generators, real_dim, _require(bblock, "total_chern", context))
+        try:
+            bundles[str(bname)] = BundleDescriptor(rank=rank, total_chern=total)
+        except DescriptorError as exc:
+            raise DescriptorError(f"{context}: {exc}") from None
     expected = {
         _expected_key(str(k), bundles, source): _int(v, f"expected value of {k!r}", source)
         for k, v in doc.get("expected", {}).items()

@@ -96,7 +96,7 @@ def _float_str(value: float) -> str:
 
 def _cmd_genus(args, out) -> int:
     if args.half_dim < 0:
-        raise ValueError("--half-dim must be non-negative")
+        raise ValueError(f"--half-dim must be non-negative, got {args.half_dim}")
     genus: GenusClass = _GENUS_BUILDERS[args.kind](args.half_dim)
     poly = genus.polynomial
     payload = {
@@ -139,6 +139,8 @@ def _cmd_index(args, out) -> int:
 def _cmd_detreg(args, out) -> int:
     from . import zeta_det
 
+    if args.oracle_modes < 1:
+        raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")
     spec = zeta_det.OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
     record = zeta_det.regularized_det(spec, args.oracle_modes)
     payload = {

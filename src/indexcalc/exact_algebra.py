@@ -471,6 +471,9 @@ def symmetric_reduce(
     Uses iterated leading-term elimination (Gauss's algorithm), one
     homogeneous component at a time.  Raises NonSymmetricError, naming a
     violating transposition, if the input is not symmetric.
+
+    This is the reference route: the genus classes in genera come from power
+    sums and never call it; tests reduce root products with it to check them.
     """
     if len(p.generators) != n_roots:
         raise ValueError(

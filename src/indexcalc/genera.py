@@ -1,10 +1,15 @@
 """Multiplicative-sequence characteristic classes and Chern/Pontryagin algebra.
 
 A genus is defined by a power series f(x) with f(0) = 1.  Its class is the
-symmetric product f(x_1)...f(x_n) over formal roots, rewritten in the
+symmetric product f(x_1)...f(x_n) over formal roots, written in the
 elementary symmetric classes of the roots.  For an even series the product
 only depends on the squared roots, so the classes come out in Pontryagin-type
 generators of degree 4k; otherwise in Chern-type generators of degree 2k.
+
+No root is ever expanded: log prod f(x_i) = sum_m a_m P_m, where a_m are the
+coefficients of log f and the power sums P_m of the roots come from Newton's
+identities in the class generators (Hirzebruch, Topological Methods in
+Algebraic Geometry, section 1).  The Chern character uses the same power sums.
 """
 
 from __future__ import annotations
@@ -14,12 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .exact_algebra import (
-    GradedPolynomial,
-    TaylorSeries,
-    genus_series,
-    symmetric_reduce,
-)
+from .exact_algebra import GradedPolynomial, TaylorSeries, genus_series
 
 __all__ = [
     "GenusClass",
@@ -57,18 +57,38 @@ class ChernCharacter:
     polynomial: GradedPolynomial
 
 
+def _power_sums(
+    elementary: Sequence[GradedPolynomial], count: int
+) -> list[GradedPolynomial]:
+    """Power sums P_1..P_count of roots whose elementary symmetric classes are
+    e_i = elementary[i - 1] (zero past the end of the list), by Newton's
+    identities P_m = sum_{i=1}^{m-1} (-1)^(i-1) e_i P_{m-i} + (-1)^(m-1) m e_m.
+    """
+    zero = GradedPolynomial(elementary[0].generators, elementary[0].truncation, {})
+    e = [*elementary, *[zero] * count]
+    sums: list[GradedPolynomial] = []
+    for m in range(1, count + 1):
+        pm = Fraction((-1) ** (m - 1) * m) * e[m - 1]
+        for i in range(1, m):
+            pm = pm + Fraction((-1) ** (i - 1)) * (e[i - 1] * sums[m - i - 1])
+        sums.append(pm)
+    return sums
+
+
 def multiplicative_sequence(
     f: TaylorSeries,
     n_roots: int,
     class_names: Sequence[str],
     truncation: int | None = None,
 ) -> GradedPolynomial:
-    """Product of f over n formal roots, reduced to symmetric class generators.
+    """Product of f over n formal roots, in the symmetric class generators.
 
-    For an even f the roots are regrouped into squared-root variables of
-    degree 4 (so class k has degree 4k); for a general f the roots have
+    For an even f the roots are regrouped into squared-root variables y of
+    degree 4 (so class k has degree 4k); for a general f the roots y = x have
     degree 2.  Default truncation keeps exactly the degrees where all n
-    classes can appear: n * deg(class_1 generator step) ... i.e. 4n or 2n.
+    classes can appear: 4n or 2n.  With g(y) = f(x) truncated at the order
+    of f, log g = sum_m a_m y^m, so the product is the truncated exponential
+    of sum_m a_m P_m, the P_m being the power sums of the y-roots.
     """
     if f.coefficient(0) != 1:
         raise ValueError("a genus-defining series must have constant term 1")
@@ -83,24 +103,26 @@ def multiplicative_sequence(
     if n_roots == 0:
         return GradedPolynomial((), truncation, {(): Fraction(1)})
 
-    basis = tuple((f"r{i + 1}", d_root) for i in range(n_roots))
-    # per-root series: root power k carries coefficient f[2k] (even) or f[k]
     max_power = truncation // d_root
-    coeffs = []
-    for k in range(max_power + 1):
-        src = 2 * k if even else k
-        coeffs.append(f.coefficient(src) if src <= f.order else Fraction(0))
-    product = GradedPolynomial.constant(basis, truncation, Fraction(1))
-    for i in range(n_roots):
-        exps_base = [0] * n_roots
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if c:
-                e = list(exps_base)
-                e[i] = k
-                terms[tuple(e)] = c
-        product = product * GradedPolynomial(basis, truncation, terms)
-    return symmetric_reduce(product, n_roots, list(class_names))
+    step = 2 if even else 1
+    g = [f.coefficient(step * k) if step * k <= f.order else Fraction(0)
+         for k in range(max_power + 1)]
+    # log g = sum_m a_m y^m from g' = g (log g)':  m a_m = m g_m - sum_{k<m} k a_k g_{m-k}
+    a = [Fraction(0)]
+    for m in range(1, max_power + 1):
+        a.append(g[m] - Fraction(sum(k * a[k] * g[m - k] for k in range(1, m)), m))
+
+    basis = tuple((str(name), d_root * (k + 1)) for k, name in enumerate(class_names))
+    classes = [GradedPolynomial.generator(basis, truncation, name) for name, _ in basis]
+    power_sums = _power_sums(classes, max_power)
+    # exp of S = sum_m a_m P_m by degree: m E_m = sum_{k=1}^m k a_k P_k E_{m-k}
+    parts = [GradedPolynomial.constant(basis, truncation, Fraction(1))]
+    for m in range(1, max_power + 1):
+        em = GradedPolynomial(basis, truncation, {})
+        for k in range(1, m + 1):
+            em = em + (k * a[k]) * (power_sums[k - 1] * parts[m - k])
+        parts.append(Fraction(1, m) * em)
+    return sum(parts[1:], parts[0])
 
 
 def l_class(l: int) -> GenusClass:
@@ -165,24 +187,8 @@ def chern_character(
     if truncation is None:
         truncation = model.truncation
 
-    def zero() -> GradedPolynomial:
-        return GradedPolynomial(model.generators, model.truncation, {})
-
-    def e(i: int) -> GradedPolynomial:
-        if 1 <= i <= len(chern_classes):
-            return chern_classes[i - 1]
-        return zero()
-
-    max_m = truncation // 2
-    # Newton: s_m = sum_{i=1}^{m-1} (-1)^(i-1) e_i s_{m-i} + (-1)^(m-1) m e_m
-    s: list[GradedPolynomial] = [zero()]  # s[0] unused
     ch = GradedPolynomial.constant(model.generators, model.truncation, Fraction(rank))
-    for m in range(1, max_m + 1):
-        sm = Fraction((-1) ** (m - 1) * m) * e(m)
-        for i in range(1, m):
-            term = e(i) * s[m - i]
-            sm = sm + Fraction((-1) ** (i - 1)) * term
-        s.append(sm)
+    for m, sm in enumerate(_power_sums(chern_classes, truncation // 2), start=1):
         ch = ch + Fraction(1, factorial(m)) * sm
     return ChernCharacter(rank, ch)
 
@@ -222,30 +228,16 @@ def signature_integrand_identity_check(l: int) -> bool:
     """Volume-component equality of the two signature integrands.
 
     Compares the top (degree 2l) component of 2^l prod (x_i/2)/tanh(x_i/2)
-    with that of prod x_i/tanh(x_i) over l degree-2 roots; only that
+    with that of prod x_i/tanh(x_i) over l degree-2 roots, both written in
+    p_1..p_l as multiplicative sequences truncated at degree 2l; only that
     component survives integration over a 2l-dimensional manifold, and the
     lower components genuinely differ (the constant terms are 2^l vs 1).
     """
     if l < 0:
         raise ValueError("l must be non-negative")
-    truncation = 2 * l
     f = genus_series("L", 2 * l)
     half = f.scale_argument(Fraction(1, 2))  # (x/2)/tanh(x/2)
-    basis = tuple((f"x{i + 1}", 2) for i in range(l))
-
-    def root_product(series: TaylorSeries, scale: Fraction) -> GradedPolynomial:
-        prod = GradedPolynomial.constant(basis, truncation, scale)
-        for i in range(l):
-            terms = {}
-            for k in range(truncation // 2 + 1):
-                c = series.coefficient(k) if k <= series.order else Fraction(0)
-                if c:
-                    e = [0] * l
-                    e[i] = k
-                    terms[tuple(e)] = c
-            prod = prod * GradedPolynomial(basis, truncation, terms)
-        return prod
-
-    lhs = root_product(half, Fraction(2**l)).degree_part(truncation)
-    rhs = root_product(f, Fraction(1)).degree_part(truncation)
-    return lhs == rhs
+    names = [f"p{i + 1}" for i in range(l)]
+    lhs = multiplicative_sequence(half, l, names, truncation=2 * l).degree_part(2 * l)
+    rhs = multiplicative_sequence(f, l, names, truncation=2 * l).degree_part(2 * l)
+    return Fraction(2**l) * lhs == rhs

@@ -10,6 +10,7 @@ precisely what betrays a non-spin input).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -55,6 +56,23 @@ class InconsistentIndexError(ValueError):
         super().__init__(message)
 
 
+_NAME_BREAKERS = re.compile(r"[·^\s]")
+
+
+def _checked_generators(generators) -> tuple[tuple[str, int], ...]:
+    """(name, degree) pairs whose names fit monomial keys like "a^2·b^1" and
+    whose degrees are even and positive."""
+    gens = tuple((str(n), int(d)) for n, d in generators)
+    for n, d in gens:
+        if not n or _NAME_BREAKERS.search(n):
+            raise DescriptorError(
+                f"generator name {n!r} must be non-empty and contain no '·', '^' or whitespace"
+            )
+        if d <= 0 or d % 2 != 0:
+            raise DescriptorError(f"generator {n!r} has odd generator degree {d}")
+    return gens
+
+
 @dataclass(frozen=True)
 class ManifoldDescriptor:
     """Characteristic data of a closed even-dimensional manifold.
@@ -79,10 +97,7 @@ class ManifoldDescriptor:
             raise DescriptorError(f"real_dim must be even and positive, got {self.real_dim}")
         if self.kind not in ("oriented_real", "complex"):
             raise DescriptorError(f"kind must be oriented_real or complex, got {self.kind!r}")
-        gens = tuple((str(n), int(d)) for n, d in self.generators)
-        for n, d in gens:
-            if d <= 0 or d % 2 != 0:
-                raise DescriptorError(f"generator {n!r} has odd generator degree {d}")
+        gens = _checked_generators(self.generators)
         object.__setattr__(self, "generators", gens)
         table = {}
         for exps, value in dict(self.evaluation).items():
@@ -128,7 +143,10 @@ class ManifoldDescriptor:
 
 @dataclass(frozen=True)
 class BundleDescriptor:
-    """A vector bundle given by rank and total Chern class in the manifold basis."""
+    """A vector bundle given by rank and total Chern class in the manifold basis.
+
+    c_k vanishes for k > rank, so total_chern has no part above degree 2*rank.
+    """
 
     rank: int
     total_chern: GradedPolynomial
@@ -138,6 +156,12 @@ class BundleDescriptor:
             raise DescriptorError(f"bundle rank must be non-negative, got {self.rank}")
         if self.total_chern.constant_term() != 1:
             raise DescriptorError("total_chern must have degree-0 term 1")
+        for degree in self.total_chern.homogeneous_degrees():
+            if degree > 2 * self.rank:
+                raise DescriptorError(
+                    f"a rank-{self.rank} bundle has c_k = 0 for k > {self.rank}, but its "
+                    f"c_{degree // 2} = {self.total_chern.degree_part(degree)} is nonzero"
+                )
 
     @classmethod
     def trivial(cls, manifold: ManifoldDescriptor, rank: int = 1) -> "BundleDescriptor":

@@ -2,7 +2,9 @@
 
 Dict-based polynomial arithmetic over root exponent tuples, with genus
 series coefficients taken from the Bernoulli closed forms; none of it uses
-the package's series division or symmetric reduction.
+the package's series division or symmetric reduction.  `reduced_root_product`
+is the other reference: the root expansion of prod f(x_i) rewritten by the
+package's Gauss elimination (`symmetric_reduce`), with no power sums.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from indexcalc.exact_algebra import GradedPolynomial, bernoulli
+from indexcalc.exact_algebra import GradedPolynomial, TaylorSeries, bernoulli, symmetric_reduce
 
 
 def d_mul(a, b, max_deg, weights):
@@ -99,3 +101,27 @@ def genus_matches_brute_force(genus_poly: GradedPolynomial, kind: str, n: int, w
     max_deg = weight * n
     expected = brute_force_product(kind, n, max_deg, weights)
     return expand_class_poly(genus_poly, n, max_deg, weights) == expected
+
+
+def reduced_root_product(f: TaylorSeries, n_roots: int, class_names) -> GradedPolynomial:
+    """prod f(x_i) over n formal roots, expanded in the roots and reduced to
+    the elementary symmetric classes by symmetric_reduce.
+
+    Roots have degree 4 (squared roots) for an even f and 2 otherwise, and
+    the truncation is n times the root degree, as in multiplicative_sequence.
+    """
+    even = f.is_even()
+    d_root = 4 if even else 2
+    truncation = d_root * n_roots
+    basis = tuple((f"r{i + 1}", d_root) for i in range(n_roots))
+    product = GradedPolynomial.constant(basis, truncation, Fraction(1))
+    for i in range(n_roots):
+        terms = {}
+        for k in range(truncation // d_root + 1):
+            src = 2 * k if even else k
+            if src <= f.order and f.coefficient(src):
+                e = [0] * n_roots
+                e[i] = k
+                terms[tuple(e)] = f.coefficient(src)
+        product = product * GradedPolynomial(basis, truncation, terms)
+    return symmetric_reduce(product, n_roots, list(class_names))

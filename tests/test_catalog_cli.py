@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indexcalc.catalog import (
     CATALOG_DIR_ENV,
@@ -18,7 +23,13 @@ from indexcalc.catalog import (
     save_descriptor,
 )
 from indexcalc.cli import run_cli
-from indexcalc.index_engine import DescriptorError
+from indexcalc.exact_algebra import GradedPolynomial
+from indexcalc.index_engine import (
+    INDEX_FUNCTIONS,
+    BundleDescriptor,
+    DescriptorError,
+    ManifoldDescriptor,
+)
 
 
 def run(argv):
@@ -173,6 +184,89 @@ class TestDescriptorFiles:
         assert resolve_manifold("cp2").name == "cp2"
 
 
+_GENERATOR_NAMES = st.text(alphabet="abhpcxyzXYZ019_'()[]-+éλ∂", min_size=1, max_size=4)
+
+
+@st.composite
+def catalog_entries(draw):
+    """A random valid descriptor: up to 3 generators, real_dim <= 8, bundles
+    with no Chern class above their rank, and expected keys of every form."""
+    names = draw(st.lists(_GENERATOR_NAMES, max_size=3, unique=True))
+    gens = tuple((name, draw(st.sampled_from((2, 4, 6)))) for name in names)
+    real_dim = draw(st.sampled_from((2, 4, 6, 8)))
+
+    def degree(exps):
+        return sum(e * d for e, (_, d) in zip(exps, gens))
+
+    monomials = [
+        e for e in product(range(real_dim // 2 + 1), repeat=len(gens)) if degree(e) <= real_dim
+    ]
+    coefficients = st.fractions(min_value=-99, max_value=99, max_denominator=60)
+
+    def poly(max_degree, constant):
+        keys = [e for e in monomials if 0 < degree(e) <= max_degree]
+        terms = draw(st.dictionaries(st.sampled_from(keys), coefficients, max_size=4)) if keys else {}
+        return GradedPolynomial(gens, real_dim, {(0,) * len(gens): constant, **terms})
+
+    kind = draw(st.sampled_from(("complex", "oriented_real")))
+    manifold = ManifoldDescriptor(
+        name=draw(st.text(alphabet="abcxyz0123_-", min_size=1, max_size=6)),
+        real_dim=real_dim,
+        kind=kind,
+        generators=gens,
+        evaluation={
+            e: draw(st.integers(-50, 50)) for e in monomials if degree(e) == real_dim
+        },
+        tangent_class=poly(real_dim, 1),
+        euler_class=poly(real_dim, 0) if kind == "oriented_real" and draw(st.booleans()) else None,
+    )
+    bundles = {}
+    for bname in draw(st.lists(st.sampled_from(["O(1)", "E", "V_2", "L(-3)"]), unique=True)):
+        rank = draw(st.integers(0, 3))
+        bundles[bname] = BundleDescriptor(rank=rank, total_chern=poly(2 * rank, 1))
+    keys = [*INDEX_FUNCTIONS, *(f"{c}:{b}" for c in ("dolbeault", "spin") for b in bundles)]
+    expected = draw(st.dictionaries(st.sampled_from(keys), st.integers(-99, 99)))
+    return CatalogEntry(manifold=manifold, bundles=bundles, expected=expected)
+
+
+class TestDescriptorGrammar:
+    @settings(max_examples=80, deadline=None)
+    @given(entry=catalog_entries())
+    def test_save_load_save_is_byte_identical(self, entry):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+            save_descriptor(entry, first)
+            reloaded = load_descriptor(first)
+            save_descriptor(reloaded, second)
+            assert first.read_bytes() == second.read_bytes()
+        assert reloaded == entry
+
+    @pytest.mark.parametrize("name", ["a^b", "a·b", "a b", ""])
+    def test_bad_generator_name_in_file_is_named(self, tmp_path, name):
+        path = tmp_path / "cp1.json"
+        save_descriptor(catalog_entry("cp1"), path)
+        doc = json.loads(path.read_text())
+        doc["manifold"]["generators"][0][0] = name
+        path.write_text(json.dumps(doc, ensure_ascii=False))
+        code, out, err = run(["index", "--manifold", str(path), "--complex", "euler"])
+        assert (code, out) == (2, "")
+        assert f"generator name {name!r}" in err and "cp1.json" in err
+        assert "bad monomial factor" not in err
+
+    def test_chern_class_above_rank_in_file(self, tmp_path):
+        path = tmp_path / "cp2.json"
+        save_descriptor(catalog_entry("cp2"), path)
+        doc = json.loads(path.read_text())
+        doc["bundles"] = {"L": {"rank": 1, "total_chern": {"1": "1/1", "h^2": "5/1"}}}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["index", "--manifold", str(path), "--complex", "dolbeault", "--bundle", "L"]
+        )
+        assert (code, out) == (2, "")
+        assert "cp2.json bundle 'L'" in err
+        assert "rank-1 bundle" in err and "c_2 = 5·h^2" in err
+
+
 class TestCliGenus:
     def test_l2_text(self):
         code, out, _ = run(["genus", "--kind", "L", "--half-dim", "2"])
@@ -195,6 +289,11 @@ class TestCliGenus:
     def test_bad_kind_usage_error(self):
         code, _, _ = run(["genus", "--kind", "X", "--half-dim", "1"])
         assert code == 2
+
+    def test_negative_half_dim_exits_2_naming_value(self):
+        code, out, err = run(["genus", "--kind", "L", "--half-dim", "-1"])
+        assert (code, out) == (2, "")
+        assert "--half-dim must be non-negative, got -1" in err
 
 
 class TestCliIndex:
@@ -305,6 +404,13 @@ class TestCliDetreg:
         code, out, err = run(["detreg", *argv])
         assert (code, out) == (2, "")
         assert all(name in err for name in names)
+
+    @pytest.mark.parametrize("modes", ["0", "-3"])
+    def test_oracle_modes_below_one_exits_2(self, modes):
+        code, out, err = run(["detreg", "--op", "pbc_laplacian", "--beta", "1",
+                              "--oracle-modes", modes])
+        assert (code, out) == (2, "")
+        assert f"--oracle-modes must be at least 1, got {modes}" in err
 
     def test_float_overflow_exits_2(self):
         code, out, err = run(

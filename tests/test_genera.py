@@ -4,7 +4,8 @@ The heavy oracle lives in oracle_helpers: a self-contained dict-polynomial
 expansion of prod f(x_i) over formal roots, with series coefficients taken
 from the Bernoulli closed forms.  Package results in the p/c classes are
 expanded back to the roots with that local code and compared term by term,
-so the check never reuses the package's reduction path.
+so the check never reuses the package's power-sum path.  A second reference
+reduces the root product with symmetric_reduce (Gauss elimination).
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from math import factorial
 
 import pytest
 
-from oracle_helpers import brute_force_product, expand_class_poly
+from oracle_helpers import brute_force_product, expand_class_poly, reduced_root_product
 
-from indexcalc.exact_algebra import GradedPolynomial, TaylorSeries
+from indexcalc.exact_algebra import GradedPolynomial, TaylorSeries, bernoulli, genus_series
 from indexcalc.genera import (
     a_hat_class,
     chern_character,
@@ -34,11 +35,17 @@ from indexcalc.genera import (
         ("L", l_class, 1, 4),
         ("L", l_class, 2, 4),
         ("L", l_class, 3, 4),
+        ("L", l_class, 4, 4),
+        ("L", l_class, 5, 4),
         ("A_hat", a_hat_class, 2, 4),
         ("A_hat", a_hat_class, 3, 4),
+        ("A_hat", a_hat_class, 4, 4),
+        ("A_hat", a_hat_class, 5, 4),
         ("Todd", todd_class, 2, 2),
         ("Todd", todd_class, 3, 2),
         ("Todd", todd_class, 4, 2),
+        ("Todd", todd_class, 5, 2),
+        ("Todd", todd_class, 6, 2),
     ],
 )
 def test_genus_against_brute_force_expansion(kind, builder, n, weight):
@@ -149,6 +156,39 @@ class TestMultiplicativeSequence:
     def test_degree_zero_term_is_one(self):
         for genus in (l_class(2), a_hat_class(2), todd_class(3)):
             assert genus.polynomial.constant_term() == 1
+
+    @pytest.mark.parametrize("kind,prefix", [("L", "p"), ("A_hat", "p"), ("Todd", "c")])
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_equals_symmetric_reduce_of_root_product(self, kind, prefix, n):
+        order = n if kind == "Todd" else 2 * n
+        f = genus_series(kind, order)
+        names = [f"{prefix}{i + 1}" for i in range(n)]
+        assert multiplicative_sequence(f, n, names) == reduced_root_product(f, n, names)
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_one_plus_x_gives_total_class(self, n):
+        # prod (1 + x_i) = 1 + c_1 + ... + c_n, and prod (1 + x_i^2) = 1 + p_1 + ... + p_n
+        for coefficients, prefix, step in (((1, 1), "c", 2), ((1, 0, 1), "p", 4)):
+            f = TaylorSeries("x", tuple(Fraction(c) for c in coefficients))
+            poly = multiplicative_sequence(f, n, [f"{prefix}{i + 1}" for i in range(n)])
+            assert poly.generators == tuple((f"{prefix}{i + 1}", step * (i + 1)) for i in range(n))
+            units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+            assert poly.terms == {(0,) * n: 1, **{e: 1 for e in units}}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exp_series_gives_exp_c1(self, n):
+        poly = multiplicative_sequence(genus_series("Exp", n), n, [f"c{i + 1}" for i in range(n)])
+        assert poly.terms == {
+            (k,) + (0,) * (n - 1): Fraction(1, factorial(k)) for k in range(n + 1)
+        }
+
+    def test_l_class_top_pontryagin_coefficient(self):
+        # the p_k coefficient of L_k is 2^(2k) (2^(2k-1) - 1) |B_2k| / (2k)!
+        poly = l_class(10).polynomial
+        for k in range(1, 11):
+            exps = tuple(int(j == k - 1) for j in range(10))
+            expected = 2 ** (2 * k) * (2 ** (2 * k - 1) - 1) * abs(bernoulli(2 * k)) / factorial(2 * k)
+            assert poly.terms[exps] == expected, k
 
 
 class TestChernCharacter:

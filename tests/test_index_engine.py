@@ -228,6 +228,34 @@ class TestDescriptorValidation:
         with pytest.raises(DescriptorError):
             BundleDescriptor(rank=-1, total_chern=cp1.one())
 
+    @pytest.mark.parametrize("rank,degree", [(0, 2), (1, 4), (1, 8), (2, 6)])
+    def test_chern_class_above_rank(self, rank, degree):
+        gens = (("h", 2),)
+        total = GradedPolynomial(gens, 8, {(0,): 1, (degree // 2,): 5})
+        with pytest.raises(DescriptorError) as info:
+            BundleDescriptor(rank=rank, total_chern=total)
+        assert f"rank-{rank} bundle" in str(info.value)
+        assert f"its c_{degree // 2} = 5·h" in str(info.value)
+
+    def test_chern_classes_up_to_rank(self):
+        gens = (("h", 2),)
+        total = GradedPolynomial(gens, 8, {(0,): 1, (1,): 2, (2,): 3})
+        assert BundleDescriptor(rank=2, total_chern=total).rank == 2
+
+    @pytest.mark.parametrize("name", ["", "a^b", "a·b", "a b", "a\tb", "b\n"])
+    def test_generator_name_grammar(self, name):
+        gens = ((name, 2),)
+        with pytest.raises(DescriptorError) as info:
+            ManifoldDescriptor(
+                name="bad",
+                real_dim=2,
+                kind="complex",
+                generators=gens,
+                evaluation={(1,): 1},
+                tangent_class=GradedPolynomial(gens, 2, {(0,): 1}),
+            )
+        assert f"generator name {name!r}" in str(info.value)
+
 
 class TestCatalogIntegrality:
     def test_every_recorded_index_is_integral(self):
