@@ -74,16 +74,17 @@ def _fraction_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fraction_from_str(text: str) -> Fraction:
+def _fraction_from_str(text: str, context: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DescriptorError(f"bad rational {text!r}: {exc}") from None
+        raise DescriptorError(f"{context}: bad rational {text!r}: {exc}") from None
 
 
 def _monomial_from_key(
-    generators: tuple[tuple[str, int], ...], key: str
+    generators: tuple[tuple[str, int], ...], key: str, context: str
 ) -> tuple[int, ...]:
+    """Exponent vector of a key like "a^2·b^1"; ``context`` names the file and field."""
     exps = [0] * len(generators)
     if key == "1":
         return tuple(exps)
@@ -91,10 +92,10 @@ def _monomial_from_key(
     for factor in key.split("·"):
         m = _MONOMIAL_FACTOR.match(factor)
         if not m:
-            raise DescriptorError(f"bad monomial factor {factor!r} in key {key!r}")
+            raise DescriptorError(f"{context}: bad monomial factor {factor!r} in key {key!r}")
         name = m.group("name")
         if name not in positions:
-            raise DescriptorError(f"unknown generator {name!r} in monomial {key!r}")
+            raise DescriptorError(f"{context}: unknown generator {name!r} in monomial {key!r}")
         exps[positions[name]] += int(m.group("power"))
     return tuple(exps)
 
@@ -107,12 +108,16 @@ def _poly_to_json(poly: GradedPolynomial) -> dict[str, str]:
 
 
 def _poly_from_json(
-    generators: tuple[tuple[str, int], ...], truncation: int, data: Mapping[str, str]
+    generators: tuple[tuple[str, int], ...], truncation: int, block: Mapping, field: str,
+    context: str,
 ) -> GradedPolynomial:
+    """The polynomial stored under ``block[field]``; errors name ``context`` and the field."""
+    data = _require(block, field, context)
+    context = f"{context} {field}"
     terms = {}
     for key, text in data.items():
-        exps = _monomial_from_key(generators, key)
-        terms[exps] = _fraction_from_str(str(text))
+        exps = _monomial_from_key(generators, key, context)
+        terms[exps] = _fraction_from_str(str(text), context)
     return GradedPolynomial(generators, truncation, terms)
 
 
@@ -188,13 +193,14 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     except DescriptorError as exc:
         raise DescriptorError(f"{source}: {exc}") from None
     evaluation = {
-        _monomial_from_key(generators, key): _int(value, f"evaluation of {key!r}", source)
+        _monomial_from_key(generators, key, f"{source} evaluation"):
+            _int(value, f"evaluation of {key!r}", source)
         for key, value in _require(block, "evaluation", source).items()
     }
-    tangent = _poly_from_json(generators, real_dim, _require(block, "tangent_class", source))
+    tangent = _poly_from_json(generators, real_dim, block, "tangent_class", source)
     euler = None
     if "euler_class" in block:
-        euler = _poly_from_json(generators, real_dim, block["euler_class"])
+        euler = _poly_from_json(generators, real_dim, block, "euler_class", source)
     try:
         manifold = ManifoldDescriptor(
             name=name,
@@ -211,7 +217,7 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     for bname, bblock in doc.get("bundles", {}).items():
         context = f"{source} bundle {bname!r}"
         rank = _int(_require(bblock, "rank", context), "rank", context)
-        total = _poly_from_json(generators, real_dim, _require(bblock, "total_chern", context))
+        total = _poly_from_json(generators, real_dim, bblock, "total_chern", context)
         try:
             bundles[str(bname)] = BundleDescriptor(rank=rank, total_chern=total)
         except DescriptorError as exc:

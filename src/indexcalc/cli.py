@@ -102,7 +102,7 @@ def _cmd_genus(args, out) -> int:
     payload = {
         "kind": genus.kind,
         "half_dim": genus.half_dim,
-        "truncation": genus.truncation,
+        "truncation": poly.truncation,
         "polynomial": str(poly),
         "terms": {
             poly.monomial_name(exps): f"{c.numerator}/{c.denominator}"

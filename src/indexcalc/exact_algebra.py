@@ -373,6 +373,11 @@ class GradedPolynomial:
 
         All assigned polynomials must share one basis and truncation; the
         result lives in that basis.  Every generator of self must be assigned.
+
+        This is a reference route that nothing in the package calls: index
+        densities are built in the manifold's ring by power sums.  It stays
+        because the tests substitute tangent classes into the formal genera
+        to check those densities, and perfbench/tracer.py binds it by name.
         """
         missing = [n for n, _ in self.generators if n not in assignments]
         if missing:
@@ -472,8 +477,10 @@ def symmetric_reduce(
     homogeneous component at a time.  Raises NonSymmetricError, naming a
     violating transposition, if the input is not symmetric.
 
-    This is the reference route: the genus classes in genera come from power
-    sums and never call it; tests reduce root products with it to check them.
+    This is a reference route that nothing in the package calls: the genus
+    classes in genera come from power sums.  It stays because the tests
+    reduce root products with it to check them, and perfbench/tracer.py
+    binds it by name.
     """
     if len(p.generators) != n_roots:
         raise ValueError(

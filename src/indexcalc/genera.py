@@ -1,15 +1,18 @@
 """Multiplicative-sequence characteristic classes and Chern/Pontryagin algebra.
 
 A genus is defined by a power series f(x) with f(0) = 1.  Its class is the
-symmetric product f(x_1)...f(x_n) over formal roots, written in the
+symmetric product f(x_1)...f(x_n) over the roots of a bundle, written in the
 elementary symmetric classes of the roots.  For an even series the product
-only depends on the squared roots, so the classes come out in Pontryagin-type
-generators of degree 4k; otherwise in Chern-type generators of degree 2k.
+only depends on the squared roots, so it is a series in Pontryagin-type
+classes of degree 4k; otherwise in Chern-type classes of degree 2k.
 
 No root is ever expanded: log prod f(x_i) = sum_m a_m P_m, where a_m are the
 coefficients of log f and the power sums P_m of the roots come from Newton's
-identities in the class generators (Hirzebruch, Topological Methods in
-Algebraic Geometry, section 1).  The Chern character uses the same power sums.
+identities in the classes (Hirzebruch, Topological Methods in Algebraic
+Geometry, section 1).  The classes may live in any graded ring: the formal
+classes p_k or c_k give `l_class`, `a_hat_class` and `todd_class`, and a
+manifold's own tangent classes give its index density directly, with no
+formal generator in between.  The Chern character uses the same power sums.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ class GenusClass:
     kind: str
     half_dim: int
     polynomial: GradedPolynomial
-    truncation: int
 
 
 @dataclass(frozen=True)
@@ -76,34 +78,27 @@ def _power_sums(
 
 
 def multiplicative_sequence(
-    f: TaylorSeries,
-    n_roots: int,
-    class_names: Sequence[str],
-    truncation: int | None = None,
+    f: TaylorSeries, classes: Sequence[GradedPolynomial], one: GradedPolynomial
 ) -> GradedPolynomial:
-    """Product of f over n formal roots, in the symmetric class generators.
+    """Product of f over the roots whose elementary symmetric classes are given.
 
-    For an even f the roots are regrouped into squared-root variables y of
-    degree 4 (so class k has degree 4k); for a general f the roots y = x have
-    degree 2.  Default truncation keeps exactly the degrees where all n
-    classes can appear: 4n or 2n.  With g(y) = f(x) truncated at the order
-    of f, log g = sum_m a_m y^m, so the product is the truncated exponential
-    of sum_m a_m P_m, the P_m being the power sums of the y-roots.
+    For an even f the roots are the squared-root variables y = x^2 and
+    ``classes[k]`` must have pure degree 4(k+1); for a general f, y = x and
+    the degree is 2(k+1).  ``one`` is the unit of the ring the classes live
+    in: the result is truncated at its truncation, and an empty class list
+    (all classes zero) gives ``one`` itself.  With g(y) = f(x) truncated at
+    the order of f, log g = sum_m a_m y^m, so the product is the truncated
+    exponential of sum_m a_m P_m, the P_m being the power sums of the y-roots.
     """
     if f.coefficient(0) != 1:
         raise ValueError("a genus-defining series must have constant term 1")
-    if n_roots < 0:
-        raise ValueError("n_roots must be non-negative")
-    if len(class_names) != n_roots:
-        raise ValueError(f"need {n_roots} class names, got {len(class_names)}")
     even = f.is_even()
     d_root = 4 if even else 2
-    if truncation is None:
-        truncation = d_root * n_roots
-    if n_roots == 0:
-        return GradedPolynomial((), truncation, {(): Fraction(1)})
+    _validate_pure_degree(classes, d_root)
+    if not classes:
+        return one
 
-    max_power = truncation // d_root
+    max_power = one.truncation // d_root
     step = 2 if even else 1
     g = [f.coefficient(step * k) if step * k <= f.order else Fraction(0)
          for k in range(max_power + 1)]
@@ -112,44 +107,48 @@ def multiplicative_sequence(
     for m in range(1, max_power + 1):
         a.append(g[m] - Fraction(sum(k * a[k] * g[m - k] for k in range(1, m)), m))
 
-    basis = tuple((str(name), d_root * (k + 1)) for k, name in enumerate(class_names))
-    classes = [GradedPolynomial.generator(basis, truncation, name) for name, _ in basis]
     power_sums = _power_sums(classes, max_power)
     # exp of S = sum_m a_m P_m by degree: m E_m = sum_{k=1}^m k a_k P_k E_{m-k}
-    parts = [GradedPolynomial.constant(basis, truncation, Fraction(1))]
+    parts = [one]
     for m in range(1, max_power + 1):
-        em = GradedPolynomial(basis, truncation, {})
+        em = GradedPolynomial(one.generators, one.truncation, {})
         for k in range(1, m + 1):
             em = em + (k * a[k]) * (power_sums[k - 1] * parts[m - k])
         parts.append(Fraction(1, m) * em)
     return sum(parts[1:], parts[0])
 
 
+def _formal_classes(
+    prefix: str, n: int, d_root: int, truncation: int
+) -> tuple[list[GradedPolynomial], GradedPolynomial]:
+    """Generators prefix1..prefix<n> (class k of degree d_root*k) and the unit of their ring."""
+    basis = tuple((f"{prefix}{k}", d_root * k) for k in range(1, n + 1))
+    classes = [GradedPolynomial.generator(basis, truncation, name) for name, _ in basis]
+    return classes, GradedPolynomial.constant(basis, truncation, Fraction(1))
+
+
+def _formal_genus(kind: str, n: int, prefix: str, d_root: int) -> GenusClass:
+    """The genus of series ``kind`` in n formal classes, up to their top degree d_root*n."""
+    if n < 0:
+        raise ValueError(f"half_dim must be non-negative, got {n}")
+    f = genus_series(kind, d_root // 2 * n)
+    classes, one = _formal_classes(prefix, n, d_root, d_root * n)
+    return GenusClass(kind, n, multiplicative_sequence(f, classes, one))
+
+
 def l_class(l: int) -> GenusClass:
     """L-genus 1 + L_1 + ... + L_l in p_1..p_l (series x/tanh x)."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    f = genus_series("L", 2 * l)
-    names = [f"p{i + 1}" for i in range(l)]
-    return GenusClass("L", l, multiplicative_sequence(f, l, names), 4 * l)
+    return _formal_genus("L", l, "p", 4)
 
 
 def a_hat_class(l: int) -> GenusClass:
     """Dirac genus 1 + A_1 + ... + A_l in p_1..p_l (series (x/2)/sinh(x/2))."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    f = genus_series("A_hat", 2 * l)
-    names = [f"p{i + 1}" for i in range(l)]
-    return GenusClass("A_hat", l, multiplicative_sequence(f, l, names), 4 * l)
+    return _formal_genus("A_hat", l, "p", 4)
 
 
 def todd_class(n: int) -> GenusClass:
     """Todd class 1 + Td_1 + ... + Td_n in c_1..c_n (series x/(1 - e^(-x)))."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    f = genus_series("Todd", n)
-    names = [f"c{i + 1}" for i in range(n)]
-    return GenusClass("Todd", n, multiplicative_sequence(f, n, names), 2 * n)
+    return _formal_genus("Todd", n, "c", 2)
 
 
 def _validate_pure_degree(classes: Sequence[GradedPolynomial], step: int) -> None:
@@ -162,11 +161,7 @@ def _validate_pure_degree(classes: Sequence[GradedPolynomial], step: int) -> Non
             )
 
 
-def chern_character(
-    rank: int,
-    chern_classes: Sequence[GradedPolynomial],
-    truncation: int | None = None,
-) -> ChernCharacter:
+def chern_character(rank: int, chern_classes: Sequence[GradedPolynomial]) -> ChernCharacter:
     """Chern character rank + sum_m s_m/m! via Newton's identities.
 
     ``chern_classes[i]`` is c_{i+1} of the bundle, a pure-degree-2(i+1)
@@ -184,11 +179,9 @@ def chern_character(
     model = chern_classes[0]
     for cl in chern_classes[1:]:
         model._check_basis(cl)
-    if truncation is None:
-        truncation = model.truncation
 
     ch = GradedPolynomial.constant(model.generators, model.truncation, Fraction(rank))
-    for m, sm in enumerate(_power_sums(chern_classes, truncation // 2), start=1):
+    for m, sm in enumerate(_power_sums(chern_classes, model.truncation // 2), start=1):
         ch = ch + Fraction(1, factorial(m)) * sm
     return ChernCharacter(rank, ch)
 
@@ -237,7 +230,7 @@ def signature_integrand_identity_check(l: int) -> bool:
         raise ValueError("l must be non-negative")
     f = genus_series("L", 2 * l)
     half = f.scale_argument(Fraction(1, 2))  # (x/2)/tanh(x/2)
-    names = [f"p{i + 1}" for i in range(l)]
-    lhs = multiplicative_sequence(half, l, names, truncation=2 * l).degree_part(2 * l)
-    rhs = multiplicative_sequence(f, l, names, truncation=2 * l).degree_part(2 * l)
+    classes, one = _formal_classes("p", l, 4, 2 * l)
+    lhs = multiplicative_sequence(half, classes, one).degree_part(2 * l)
+    rhs = multiplicative_sequence(f, classes, one).degree_part(2 * l)
     return Fraction(2**l) * lhs == rhs

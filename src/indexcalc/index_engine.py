@@ -6,6 +6,11 @@ indices are linear functionals on characteristic numbers, so no quotient
 cohomology ring is needed.  Every index must come out an exact integer;
 anything else flags an inconsistent descriptor (for the spin complex this is
 precisely what betrays a non-spin input).
+
+Each density is built in the manifold's own ring, truncated at its real
+dimension: the genus is `multiplicative_sequence` fed the manifold's
+Pontryagin or Chern classes, times the Chern character of the twisting
+bundle.  No genus in formal generators is built and substituted.
 """
 
 from __future__ import annotations
@@ -15,14 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact_algebra import GradedPolynomial
-from .genera import (
-    a_hat_class,
-    chern_character,
-    chern_to_pontryagin,
-    l_class,
-    todd_class,
-)
+from .exact_algebra import GradedPolynomial, genus_series
+from .genera import chern_character, chern_to_pontryagin, multiplicative_sequence
 
 __all__ = [
     "ManifoldDescriptor",
@@ -221,24 +220,14 @@ def _report(kind: str, density: GradedPolynomial, manifold: ManifoldDescriptor, 
     )
 
 
-def _substituted_genus(builder, prefix: str, parts: list[GradedPolynomial],
-                       manifold: ManifoldDescriptor) -> GradedPolynomial:
-    """builder(len(parts)) with its classes prefix1, prefix2, ... replaced by parts."""
-    genus_poly = builder(len(parts)).polynomial
-    if not genus_poly.generators:
-        return GradedPolynomial.constant(
-            manifold.generators, manifold.real_dim, genus_poly.constant_term()
-        )
-    return genus_poly.substitute({f"{prefix}{k + 1}": part for k, part in enumerate(parts)})
-
-
 def signature_index(manifold: ManifoldDescriptor) -> IndexReport:
     """Hirzebruch signature: the L-genus paired with the fundamental class.
 
     The L-polynomial has no components of degree 2 mod 4, so the index
     vanishes identically on manifolds with real_dim = 2 mod 4.
     """
-    density = _substituted_genus(l_class, "p", manifold.pontryagin_parts(), manifold)
+    f = genus_series("L", manifold.real_dim // 2)
+    density = multiplicative_sequence(f, manifold.pontryagin_parts(), manifold.one())
     return _report("signature", density, manifold)
 
 
@@ -252,7 +241,8 @@ def dolbeault_index(
         )
     if bundle is None:
         bundle = BundleDescriptor.trivial(manifold)
-    td = _substituted_genus(todd_class, "c", manifold.chern_parts(), manifold)
+    f = genus_series("Todd", manifold.real_dim // 2)
+    td = multiplicative_sequence(f, manifold.chern_parts(), manifold.one())
     ch = chern_character(bundle.rank, bundle.chern_parts(manifold.real_dim)).polynomial
     return _report("dolbeault", td * ch, manifold)
 
@@ -268,7 +258,8 @@ def spin_index(
     """
     if bundle is None:
         bundle = BundleDescriptor.trivial(manifold)
-    a_hat = _substituted_genus(a_hat_class, "p", manifold.pontryagin_parts(), manifold)
+    f = genus_series("A_hat", manifold.real_dim // 2)
+    a_hat = multiplicative_sequence(f, manifold.pontryagin_parts(), manifold.one())
     ch = chern_character(bundle.rank, bundle.chern_parts(manifold.real_dim)).polynomial
     kind = "spin" if bundle.total_chern == manifold.one() and bundle.rank == 1 else "spin_twisted"
     return _report(kind, a_hat * ch, manifold, hint="is the descriptor actually spin?")

@@ -253,6 +253,35 @@ class TestDescriptorGrammar:
         assert f"generator name {name!r}" in err and "cp1.json" in err
         assert "bad monomial factor" not in err
 
+    @pytest.mark.parametrize(
+        "field,key,value,message",
+        [
+            ("tangent_class", "q^1", "1/1", "unknown generator 'q' in monomial 'q^1'"),
+            ("evaluation", "q^1", 1, "unknown generator 'q' in monomial 'q^1'"),
+            ("euler_class", "h^1·q^2", "1/1", "unknown generator 'q' in monomial 'h^1·q^2'"),
+            ("total_chern", "q^1", "1/1", "unknown generator 'q' in monomial 'q^1'"),
+            ("tangent_class", "h^x", "1/1", "bad monomial factor 'h^x'"),
+            ("evaluation", "h^1·", 1, "bad monomial factor ''"),
+            ("total_chern", "h^1", "1/x", "bad rational '1/x'"),
+        ],
+    )
+    def test_bad_polynomial_key_in_file_names_file_and_field(
+        self, tmp_path, field, key, value, message
+    ):
+        path = tmp_path / "cp1.json"
+        save_descriptor(catalog_entry("cp1"), path)
+        doc = json.loads(path.read_text())
+        if field == "total_chern":
+            doc["bundles"]["O(1)"]["total_chern"][key] = value
+            where = "cp1.json bundle 'O(1)' total_chern: "
+        else:
+            doc["manifold"].setdefault(field, {})[key] = value
+            where = f"cp1.json {field}: "
+        path.write_text(json.dumps(doc, ensure_ascii=False))
+        code, out, err = run(["index", "--manifold", str(path), "--complex", "euler"])
+        assert (code, out) == (2, "")
+        assert where + message in err
+
     def test_chern_class_above_rank_in_file(self, tmp_path):
         path = tmp_path / "cp2.json"
         save_descriptor(catalog_entry("cp2"), path)

@@ -17,6 +17,7 @@ import pytest
 
 from oracle_helpers import brute_force_product, expand_class_poly, reduced_root_product
 
+from indexcalc.catalog import catalog_entry
 from indexcalc.exact_algebra import GradedPolynomial, TaylorSeries, bernoulli, genus_series
 from indexcalc.genera import (
     a_hat_class,
@@ -107,18 +108,81 @@ class TestFrozenExpansions:
         assert part.terms == {(1, 1, 0): Fraction(1, 24)}
 
 
+def formal_ring(prefix, n, d_root, truncation=None):
+    """Classes prefix1..prefix<n> of degrees d_root*k and the unit, truncated at d_root*n."""
+    truncation = d_root * n if truncation is None else truncation
+    basis = tuple((f"{prefix}{k}", d_root * k) for k in range(1, n + 1))
+    classes = [GradedPolynomial.generator(basis, truncation, name) for name, _ in basis]
+    return classes, GradedPolynomial.constant(basis, truncation, Fraction(1))
+
+
 class TestMultiplicativeSequence:
     def test_constant_series(self):
         f = TaylorSeries("x", (Fraction(1),))
         for n in (0, 1, 3):
-            poly = multiplicative_sequence(f, n, [f"p{i + 1}" for i in range(n)])
+            poly = multiplicative_sequence(f, *formal_ring("p", n, 4))
             assert poly.constant_term() == 1
             assert poly.homogeneous_degrees() == [0]
 
     def test_requires_unit_constant_term(self):
         f = TaylorSeries("x", (Fraction(2), Fraction(1)))
         with pytest.raises(ValueError):
-            multiplicative_sequence(f, 1, ["p1"])
+            multiplicative_sequence(f, *formal_ring("c", 1, 2))
+
+    def test_classes_must_have_pure_root_degree(self):
+        # c_1 of degree 4 where an odd series wants degree 2, and p_1 of
+        # degree 2 where an even series wants degree 4
+        basis = (("h", 2),)
+        one = GradedPolynomial.constant(basis, 4, Fraction(1))
+        h = GradedPolynomial.generator(basis, 4, "h")
+        with pytest.raises(ValueError, match="class 1 must have pure degree 2"):
+            multiplicative_sequence(genus_series("Todd", 2), [h * h], one)
+        with pytest.raises(ValueError, match="class 1 must have pure degree 4"):
+            multiplicative_sequence(genus_series("L", 2), [h], one)
+
+    @pytest.mark.parametrize("kind", ["L", "A_hat", "Todd"])
+    def test_whitney_in_the_target_ring(self, kind):
+        # one sequence on the Whitney-summed classes (a + b, ab) is the
+        # product of the sequences on a and on b, in the ring of a and b
+        d_root = 2 if kind == "Todd" else 4
+        target = (("a", d_root), ("b", d_root))
+        truncation = 4 * d_root
+        one = GradedPolynomial.constant(target, truncation, Fraction(1))
+        a = GradedPolynomial.generator(target, truncation, "a")
+        b = GradedPolynomial.generator(target, truncation, "b")
+        f = genus_series(kind, 2 * d_root)
+        two = multiplicative_sequence(f, [a + b, a * b], one)
+        assert two == multiplicative_sequence(f, [a], one) * multiplicative_sequence(f, [b], one)
+        assert two.homogeneous_degrees() == [d_root * k for k in range(5)]
+
+    @pytest.mark.parametrize("name", ["cp1", "t2"])
+    def test_empty_class_list_gives_the_unit(self, name):
+        # real_dim 2 has no Pontryagin class, as for the signature on cp1 and t2
+        manifold = catalog_entry(name).manifold
+        assert manifold.pontryagin_parts() == []
+        one = manifold.one()
+        for kind in ("L", "A_hat", "Todd"):
+            assert multiplicative_sequence(genus_series(kind, 1), [], one) == one
+
+    def test_ring_without_generators(self):
+        # t4: every class is the zero polynomial of the generator-free ring
+        t4 = catalog_entry("t4").manifold
+        assert t4.generators == ()
+        for kind, classes in (("L", t4.pontryagin_parts()), ("A_hat", t4.pontryagin_parts()),
+                              ("Todd", t4.chern_parts())):
+            assert classes and all(c.is_zero() for c in classes)
+            assert multiplicative_sequence(genus_series(kind, 2), classes, t4.one()) == t4.one()
+
+    def test_truncation_not_a_multiple_of_the_root_degree(self):
+        # real_dim 6 with Pontryagin classes: only p_1 (degree 4) fits below 6
+        cp3 = catalog_entry("cp3").manifold
+        p = cp3.pontryagin_parts()
+        assert len(p) == 1 and p[0].terms == {(2,): 4}
+        for kind, genus_class in (("L", l_class), ("A_hat", a_hat_class)):
+            poly = multiplicative_sequence(genus_series(kind, 3), p, cp3.one())
+            assert poly.truncation == 6
+            assert poly.homogeneous_degrees() == [0, 4]
+            assert poly == genus_class(1).polynomial.substitute({"p1": p[0]})
 
     def test_whitney_multiplicativity(self):
         # the two-block sequence on Whitney-summed classes (p1 -> a + b,
@@ -163,21 +227,22 @@ class TestMultiplicativeSequence:
         order = n if kind == "Todd" else 2 * n
         f = genus_series(kind, order)
         names = [f"{prefix}{i + 1}" for i in range(n)]
-        assert multiplicative_sequence(f, n, names) == reduced_root_product(f, n, names)
+        classes, one = formal_ring(prefix, n, 2 if kind == "Todd" else 4)
+        assert multiplicative_sequence(f, classes, one) == reduced_root_product(f, n, names)
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_one_plus_x_gives_total_class(self, n):
         # prod (1 + x_i) = 1 + c_1 + ... + c_n, and prod (1 + x_i^2) = 1 + p_1 + ... + p_n
         for coefficients, prefix, step in (((1, 1), "c", 2), ((1, 0, 1), "p", 4)):
             f = TaylorSeries("x", tuple(Fraction(c) for c in coefficients))
-            poly = multiplicative_sequence(f, n, [f"{prefix}{i + 1}" for i in range(n)])
+            poly = multiplicative_sequence(f, *formal_ring(prefix, n, step))
             assert poly.generators == tuple((f"{prefix}{i + 1}", step * (i + 1)) for i in range(n))
             units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
             assert poly.terms == {(0,) * n: 1, **{e: 1 for e in units}}
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exp_series_gives_exp_c1(self, n):
-        poly = multiplicative_sequence(genus_series("Exp", n), n, [f"c{i + 1}" for i in range(n)])
+        poly = multiplicative_sequence(genus_series("Exp", n), *formal_ring("c", n, 2))
         assert poly.terms == {
             (k,) + (0,) * (n - 1): Fraction(1, factorial(k)) for k in range(n + 1)
         }

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from indexcalc.catalog import builtin_catalog, catalog_entry
+from indexcalc import exact_algebra
+from indexcalc.catalog import _cp, builtin_catalog, catalog_entry
 from indexcalc.exact_algebra import GradedPolynomial
+from indexcalc.genera import a_hat_class, chern_character, l_class, todd_class
 from indexcalc.index_engine import (
     BundleDescriptor,
     DescriptorError,
@@ -313,3 +316,89 @@ class TestIndexRegistry:
     def test_unknown_complex(self):
         with pytest.raises(DescriptorError, match="unknown complex 'de_rham'"):
             compute_index(manifold("cp1"), "de_rham")
+
+
+def _cp2_cp3() -> ManifoldDescriptor:
+    gens = (("a", 2), ("b", 2))
+    # (1+a)^3 (1+b)^4 with a^3 = b^4 = 0; a^2 b^3 is the only nonzero top monomial
+    tangent = {(i, j): comb(3, i) * comb(4, j) for i in range(3) for j in range(4)}
+    return ManifoldDescriptor(
+        name="cp2xcp3",
+        real_dim=10,
+        kind="complex",
+        generators=gens,
+        evaluation={(i, 5 - i): int(i == 2) for i in range(6)},
+        tangent_class=GradedPolynomial(gens, 10, tangent),
+    )
+
+
+def _line_bundle(manifold: ManifoldDescriptor, c1: dict) -> BundleDescriptor:
+    zero = (0,) * len(manifold.generators)
+    total = GradedPolynomial(manifold.generators, manifold.real_dim, {zero: 1, **c1})
+    return BundleDescriptor(1, total)
+
+
+def _density_cases():
+    """(label, manifold, bundle or None): every built-in entry and bundle,
+    CP^n for n <= 10 with two line bundles, and CP^2 x CP^3 with one."""
+    cases = []
+    for entry in builtin_catalog():
+        cases.append((entry.name, entry.manifold, None))
+        cases += [(f"{entry.name}:{name}", entry.manifold, bundle)
+                  for name, bundle in sorted(entry.bundles.items())]
+    for n in range(1, 11):
+        m = _cp(n)
+        cases += [(f"cp{n}", m, None), (f"cp{n}:O(1)", m, _line_bundle(m, {(1,): 1})),
+                  (f"cp{n}:O(-2)", m, _line_bundle(m, {(1,): -2}))]
+    m = _cp2_cp3()
+    cases += [("cp2xcp3", m, None),
+              ("cp2xcp3:O(1,-1)", m, _line_bundle(m, {(1, 0): 1, (0, 1): -1}))]
+    return cases
+
+
+DENSITY_CASES = _density_cases()
+CASE_IDS = [label for label, _, _ in DENSITY_CASES]
+
+
+class TestDensityAgainstSubstitution:
+    """The densities built in the manifold's ring equal the reference route:
+    the formal genus X_class(k) with the manifold's classes substituted."""
+
+    @staticmethod
+    def substituted(genus_class, prefix, parts, manifold):
+        if not parts:
+            return manifold.one()
+        genus = genus_class(len(parts)).polynomial
+        return genus.substitute({f"{prefix}{k + 1}": part for k, part in enumerate(parts)})
+
+    @pytest.mark.parametrize("label,m,bundle", DENSITY_CASES, ids=CASE_IDS)
+    def test_density_equals_substituted_genus(self, label, m, bundle):
+        twist = bundle or BundleDescriptor.trivial(m)
+        ch = chern_character(twist.rank, twist.chern_parts(m.real_dim)).polynomial
+        if bundle is None:
+            want = self.substituted(l_class, "p", m.pontryagin_parts(), m)
+            assert signature_index(m).density == want
+        if m.kind == "complex":
+            want = self.substituted(todd_class, "c", m.chern_parts(), m) * ch
+            assert dolbeault_index(m, bundle).density == want
+        want = self.substituted(a_hat_class, "p", m.pontryagin_parts(), m) * ch
+        try:
+            assert spin_index(m, bundle).density == want
+        except InconsistentIndexError as exc:
+            # a non-spin descriptor: the reference density gives the same non-integer
+            assert exc.value == evaluate(want, m) and exc.value.denominator != 1
+
+    def test_index_path_never_substitutes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the index path must not substitute or reduce roots")
+
+        monkeypatch.setattr(GradedPolynomial, "substitute", refuse)
+        monkeypatch.setattr(exact_algebra, "symmetric_reduce", refuse)
+        for label, m, bundle in DENSITY_CASES:
+            for kind in INDEX_FUNCTIONS:
+                if bundle is not None and kind not in ("dolbeault", "spin"):
+                    continue
+                try:
+                    compute_index(m, kind, bundle)
+                except (DescriptorError, InconsistentIndexError):
+                    pass  # a refused complex, such as spin on cp2 or dolbeault on s4
