@@ -3,7 +3,8 @@
 Descriptors are JSON with schema_version 1.  Rationals are serialized as
 "num/den" strings and monomial keys as name-sorted "gen^k·gen^k" strings, so
 files are exact, platform-independent and diffable; the writer is
-deterministic, making save(load(f)) byte-identical for canonical files.
+deterministic, making save(load(f)) byte-identical for canonical files.  The
+reader refuses two keys that name one monomial, such as "h^2" and "h^1·h^1".
 
 Each catalog entry records the indices expected on it, which keeps the
 `verify` subcommand self-contained.  The INDEXCALC_CATALOG_DIR environment
@@ -18,7 +19,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 from pathlib import Path
 from typing import Mapping
 
@@ -81,25 +83,6 @@ def _fraction_from_str(text: str, context: str) -> Fraction:
         raise DescriptorError(f"{context}: bad rational {text!r}: {exc}") from None
 
 
-def _monomial_from_key(
-    generators: tuple[tuple[str, int], ...], key: str, context: str
-) -> tuple[int, ...]:
-    """Exponent vector of a key like "a^2·b^1"; ``context`` names the file and field."""
-    exps = [0] * len(generators)
-    if key == "1":
-        return tuple(exps)
-    positions = {name: i for i, (name, _) in enumerate(generators)}
-    for factor in key.split("·"):
-        m = _MONOMIAL_FACTOR.match(factor)
-        if not m:
-            raise DescriptorError(f"{context}: bad monomial factor {factor!r} in key {key!r}")
-        name = m.group("name")
-        if name not in positions:
-            raise DescriptorError(f"{context}: unknown generator {name!r} in monomial {key!r}")
-        exps[positions[name]] += int(m.group("power"))
-    return tuple(exps)
-
-
 def _poly_to_json(poly: GradedPolynomial) -> dict[str, str]:
     return {
         poly.monomial_name(exps): _fraction_to_str(coeff)
@@ -107,17 +90,42 @@ def _poly_to_json(poly: GradedPolynomial) -> dict[str, str]:
     }
 
 
+def _monomial_table(
+    generators: tuple[tuple[str, int], ...], block: Mapping, field: str, context: str, parse
+) -> dict:
+    """``block[field]``, a JSON object with monomial keys ("1" or like "a^2·b^1"), as a map
+    from exponent vector to ``parse(key, value)``.  A field that is not an object and two
+    keys naming one monomial are refused; errors name ``context`` and the field."""
+    data = _json_type(_require(block, field, context), "object", field, context)
+    context = f"{context} {field}"
+    positions = {name: i for i, (name, _) in enumerate(generators)}
+    keys: dict[tuple[int, ...], str] = {}
+    for key in data:
+        exps = [0] * len(generators)
+        for factor in key.split("·") if key != "1" else ():
+            m = _MONOMIAL_FACTOR.match(factor)
+            if not m:
+                raise DescriptorError(f"{context}: bad monomial factor {factor!r} in key {key!r}")
+            name = m["name"]
+            if name not in positions:
+                raise DescriptorError(f"{context}: unknown generator {name!r} in monomial {key!r}")
+            exps[positions[name]] += int(m["power"])
+        exps = tuple(exps)
+        if exps in keys:
+            raise DescriptorError(f"{context}: keys {keys[exps]!r} and {key!r} name one monomial")
+        keys[exps] = key
+    return {exps: parse(key, data[key]) for exps, key in keys.items()}
+
+
 def _poly_from_json(
     generators: tuple[tuple[str, int], ...], truncation: int, block: Mapping, field: str,
     context: str,
 ) -> GradedPolynomial:
     """The polynomial stored under ``block[field]``; errors name ``context`` and the field."""
-    data = _require(block, field, context)
-    context = f"{context} {field}"
-    terms = {}
-    for key, text in data.items():
-        exps = _monomial_from_key(generators, key, context)
-        terms[exps] = _fraction_from_str(str(text), context)
+    terms = _monomial_table(
+        generators, block, field, context,
+        lambda key, text: _fraction_from_str(str(text), f"{context} {field}"),
+    )
     return GradedPolynomial(generators, truncation, terms)
 
 
@@ -153,11 +161,32 @@ def _require(block: Mapping, key: str, context: str):
     return block[key]
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _json_type(value, json_type: str, what: str, context: str):
+    """``value`` if it is the JSON ``json_type``: "object", "array" or "string"."""
+    if not isinstance(value, _JSON_TYPES[json_type]):
+        raise DescriptorError(
+            f"{context}: {what} must be a JSON {json_type}, got {json.dumps(value)}"
+        )
+    return value
+
+
 def _int(value, what: str, context: str) -> int:
     """A JSON integer; floats, bools and strings are refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DescriptorError(f"{context}: {what} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _generator(item, source: str) -> tuple[str, int]:
+    """A [name, degree] pair from the generators array."""
+    if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
+        raise DescriptorError(
+            f"{source}: generator must be a [name, degree] pair, got {json.dumps(item)}"
+        )
+    return item[0], _int(item[1], f"degree of generator {item[0]!r}", source)
 
 
 def _expected_key(key: str, bundles: Mapping[str, BundleDescriptor], source: str) -> str:
@@ -177,26 +206,26 @@ def _expected_key(key: str, bundles: Mapping[str, BundleDescriptor], source: str
 
 
 def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
+    doc = _json_type(doc, "object", "the descriptor", source)
     version = _require(doc, "schema_version", source)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise DescriptorError(f"{source}: unknown schema_version {version!r}")
-    block = _require(doc, "manifold", source)
-    name = str(_require(block, "name", source))
+    block = _json_type(_require(doc, "manifold", source), "object", "manifold", source)
+    name = _json_type(_require(block, "name", source), "string", "name", source)
     real_dim = _int(_require(block, "real_dim", source), "real_dim", source)
     kind = str(_require(block, "kind", source))
     generators = tuple(
-        (str(g[0]), _int(g[1], f"degree of generator {g[0]!r}", source))
-        for g in _require(block, "generators", source)
+        _generator(g, source)
+        for g in _json_type(_require(block, "generators", source), "array", "generators", source)
     )
     try:
         _checked_generators(generators)  # before any monomial key is parsed with them
     except DescriptorError as exc:
         raise DescriptorError(f"{source}: {exc}") from None
-    evaluation = {
-        _monomial_from_key(generators, key, f"{source} evaluation"):
-            _int(value, f"evaluation of {key!r}", source)
-        for key, value in _require(block, "evaluation", source).items()
-    }
+    evaluation = _monomial_table(
+        generators, block, "evaluation", source,
+        lambda key, value: _int(value, f"evaluation of {key!r}", source),
+    )
     tangent = _poly_from_json(generators, real_dim, block, "tangent_class", source)
     euler = None
     if "euler_class" in block:
@@ -214,8 +243,9 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     except DescriptorError as exc:
         raise DescriptorError(f"{source}: {exc}") from None
     bundles = {}
-    for bname, bblock in doc.get("bundles", {}).items():
+    for bname, bblock in _json_type(doc.get("bundles", {}), "object", "bundles", source).items():
         context = f"{source} bundle {bname!r}"
+        bblock = _json_type(bblock, "object", "the bundle", context)
         rank = _int(_require(bblock, "rank", context), "rank", context)
         total = _poly_from_json(generators, real_dim, bblock, "total_chern", context)
         try:
@@ -224,7 +254,7 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
             raise DescriptorError(f"{context}: {exc}") from None
     expected = {
         _expected_key(str(k), bundles, source): _int(v, f"expected value of {k!r}", source)
-        for k, v in doc.get("expected", {}).items()
+        for k, v in _json_type(doc.get("expected", {}), "object", "expected", source).items()
     }
     return CatalogEntry(manifold=manifold, bundles=bundles, expected=expected)
 
@@ -256,57 +286,35 @@ def save_descriptor(entry: CatalogEntry, path: str | os.PathLike) -> None:
 # -- built-in catalog ---------------------------------------------------
 
 
-def _poly(gens, truncation, terms):
-    return GradedPolynomial(gens, truncation, {k: Fraction(v) for k, v in terms.items()})
-
-
-def _cp(n: int) -> ManifoldDescriptor:
-    """Complex projective space: one degree-2 generator h, h^n evaluates to 1."""
-    gens = (("h", 2),)
-    m = 2 * n
-    # (1 + h)^(n+1) truncated at degree m
-    tangent = _poly(gens, m, {(k,): comb(n + 1, k) for k in range(n + 1)})
+def _projective_product(factors: tuple[tuple[str, int], ...]) -> ManifoldDescriptor:
+    """CP^{n_1} x ... x CP^{n_k} from (generator name, n_i) pairs: c(T) = prod (1 + h_i)^(n_i+1)
+    with h_i^(n_i+1) = 0.  Densities live in the free ring, so every top-degree monomial
+    gets a value: 1 on prod h_i^(n_i), 0 on the others, which contain some h_i^(n_i+1)."""
+    gens = tuple((name, 2) for name, _ in factors)
+    dims = tuple(n for _, n in factors)
+    top = sum(dims)
+    tangent = {
+        exps: prod(comb(n + 1, e) for n, e in zip(dims, exps))
+        for exps in product(*(range(n + 1) for n in dims))
+    }
+    tops = (exps for exps in product(range(top + 1), repeat=len(dims)) if sum(exps) == top)
+    evaluation = {exps: int(exps == dims) for exps in tops}
     return ManifoldDescriptor(
-        name=f"cp{n}",
-        real_dim=m,
-        kind="complex",
-        generators=gens,
-        evaluation={(n,): 1},
-        tangent_class=tangent,
-    )
-
-
-def _cp1_cp1() -> ManifoldDescriptor:
-    gens = (("a", 2), ("b", 2))
-    tangent = _poly(gens, 4, {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 4})
-    return ManifoldDescriptor(
-        name="cp1xcp1",
-        real_dim=4,
-        kind="complex",
-        generators=gens,
-        evaluation={(2, 0): 0, (1, 1): 1, (0, 2): 0},
-        tangent_class=tangent,
-    )
-
-
-def _cp2_cp2() -> ManifoldDescriptor:
-    gens = (("a", 2), ("b", 2))
-    # (1+a)^3 (1+b)^3 with a^3 = b^3 = 0
-    terms = {}
-    for i in range(3):
-        for j in range(3):
-            terms[(i, j)] = comb(3, i) * comb(3, j)
-    # densities live in the free ring, so every degree-8 monomial needs a value;
-    # anything containing a^3 or b^3 pairs to zero
-    evaluation = {(i, 4 - i): (1 if i == 2 else 0) for i in range(5)}
-    return ManifoldDescriptor(
-        name="cp2xcp2",
-        real_dim=8,
+        name="x".join(f"cp{n}" for n in dims),
+        real_dim=2 * top,
         kind="complex",
         generators=gens,
         evaluation=evaluation,
-        tangent_class=_poly(gens, 8, terms),
+        tangent_class=GradedPolynomial(gens, 2 * top, tangent),
     )
+
+
+def _line_bundle(manifold: ManifoldDescriptor, degrees: tuple[int, ...]) -> BundleDescriptor:
+    """O(k_1, ..., k_r) on a projective product: c = 1 + sum k_i h_i."""
+    unit = (0,) * len(degrees)
+    c1 = {unit[:i] + (1,) + unit[i + 1:]: k for i, k in enumerate(degrees)}
+    total = GradedPolynomial(manifold.generators, manifold.real_dim, {unit: 1, **c1})
+    return BundleDescriptor(rank=1, total_chern=total)
 
 
 def _k3() -> ManifoldDescriptor:
@@ -317,7 +325,7 @@ def _k3() -> ManifoldDescriptor:
         kind="complex",
         generators=gens,
         evaluation={(1,): 24},
-        tangent_class=_poly(gens, 4, {(0,): 1, (1,): 1}),
+        tangent_class=GradedPolynomial(gens, 4, {(0,): 1, (1,): 1}),
     )
 
 
@@ -340,27 +348,17 @@ def _s4() -> ManifoldDescriptor:
         kind="oriented_real",
         generators=gens,
         evaluation={(1,): 0},
-        tangent_class=_poly(gens, 4, {(0,): 1}),
+        tangent_class=GradedPolynomial(gens, 4, {(0,): 1}),
     )
-
-
-def _cp1_bundles(manifold: ManifoldDescriptor) -> dict[str, BundleDescriptor]:
-    gens = manifold.generators
-    bundles = {}
-    for k in range(-2, 4):
-        bundles[f"O({k})"] = BundleDescriptor(
-            rank=1, total_chern=_poly(gens, 2, {(0,): 1, (1,): k})
-        )
-    return bundles
 
 
 def builtin_catalog() -> list[CatalogEntry]:
     """The desk-scale manifolds with their recorded expected indices."""
-    cp1 = _cp(1)
-    entries = [
+    cp1 = _projective_product((("h", 1),))
+    return [
         CatalogEntry(
             manifold=cp1,
-            bundles=_cp1_bundles(cp1),
+            bundles={f"O({k})": _line_bundle(cp1, (k,)) for k in range(-2, 4)},
             expected={
                 "signature": 0,
                 "dolbeault": 1,
@@ -369,15 +367,15 @@ def builtin_catalog() -> list[CatalogEntry]:
             },
         ),
         CatalogEntry(
-            manifold=_cp(2),
+            manifold=_projective_product((("h", 2),)),
             expected={"signature": 1, "dolbeault": 1, "euler": 3},
         ),
         CatalogEntry(
-            manifold=_cp(3),
+            manifold=_projective_product((("h", 3),)),
             expected={"signature": 0, "dolbeault": 1, "euler": 4},
         ),
         CatalogEntry(
-            manifold=_cp1_cp1(),
+            manifold=_projective_product((("a", 1), ("b", 1))),
             expected={"signature": 0, "dolbeault": 1, "euler": 4, "spin": 0},
         ),
         CatalogEntry(
@@ -397,11 +395,10 @@ def builtin_catalog() -> list[CatalogEntry]:
             expected={"signature": 0, "spin": 0},
         ),
         CatalogEntry(
-            manifold=_cp2_cp2(),
+            manifold=_projective_product((("a", 2), ("b", 2))),
             expected={"signature": 1, "dolbeault": 1, "euler": 9},
         ),
     ]
-    return entries
 
 
 def effective_catalog() -> list[CatalogEntry]:

@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_det)
 
     p_fermion = sub.add_parser("fermion-checks", help="gamma and Berezin identity table")
-    p_fermion.add_argument("--max-n", type=int, default=5, dest="max_n")
+    # no default here: reading clifford.MAX_HALF_DIM would load numpy for every command
+    p_fermion.add_argument("--max-n", type=int, dest="max_n")
     _add_format(p_fermion)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
@@ -162,11 +163,12 @@ def _cmd_detreg(args, out) -> int:
 
 
 def _cmd_fermion_checks(args, out) -> int:
-    from .clifford import gamma_identities
+    from .clifford import MAX_HALF_DIM, gamma_identities
 
-    if not 1 <= args.max_n <= 5:
-        raise ValueError("--max-n must be between 1 and 5")
-    results = [gamma_identities(n) for n in range(1, args.max_n + 1)]
+    max_n = MAX_HALF_DIM if args.max_n is None else args.max_n
+    if not 1 <= max_n <= MAX_HALF_DIM:
+        raise ValueError(f"--max-n must be between 1 and {MAX_HALF_DIM}, got {max_n}")
+    results = [gamma_identities(n) for n in range(1, max_n + 1)]
     rows = [
         {
             "n": r.n,

@@ -46,12 +46,11 @@ def bernoulli(k: int) -> Fraction:
 class TaylorSeries:
     """Truncated single-variable power series with exact rational coefficients.
 
-    ``coefficients[k]`` is the coefficient of ``variable**k``; the series is
+    ``coefficients[k]`` is the coefficient of ``x**k``; the series is
     truncated at exponent ``order`` (inclusive), so the tuple always has
     length ``order + 1``.
     """
 
-    variable: str
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -75,15 +74,12 @@ class TaylorSeries:
         return all(c == 0 for c in self.coefficients[1::2])
 
     def __add__(self, other: "TaylorSeries") -> "TaylorSeries":
-        self._check_compatible(other)
         n = min(self.order, other.order)
         return TaylorSeries(
-            self.variable,
-            tuple(self.coefficients[k] + other.coefficients[k] for k in range(n + 1)),
+            tuple(self.coefficients[k] + other.coefficients[k] for k in range(n + 1))
         )
 
     def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
-        self._check_compatible(other)
         n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coefficients[: n + 1]):
@@ -93,18 +89,16 @@ class TaylorSeries:
                 b = other.coefficients[j]
                 if b:
                     out[i + j] += a * b
-        return TaylorSeries(self.variable, tuple(out))
+        return TaylorSeries(tuple(out))
 
     def scale(self, c: Fraction) -> "TaylorSeries":
         c = Fraction(c)
-        return TaylorSeries(self.variable, tuple(c * a for a in self.coefficients))
+        return TaylorSeries(tuple(c * a for a in self.coefficients))
 
     def scale_argument(self, c: Fraction) -> "TaylorSeries":
-        """Substitute variable -> c * variable."""
+        """Substitute x -> c * x."""
         c = Fraction(c)
-        return TaylorSeries(
-            self.variable, tuple(a * c**k for k, a in enumerate(self.coefficients))
-        )
+        return TaylorSeries(tuple(a * c**k for k, a in enumerate(self.coefficients)))
 
     def inverse(self) -> "TaylorSeries":
         """Multiplicative inverse mod x^(order+1); requires nonzero constant term."""
@@ -119,19 +113,13 @@ class TaylorSeries:
                 if self.coefficients[k]
             )
             inv.append(-s / a0)
-        return TaylorSeries(self.variable, tuple(inv))
-
-    def _check_compatible(self, other: "TaylorSeries") -> None:
-        if self.variable != other.variable:
-            raise ValueError(
-                f"series variables differ: {self.variable!r} vs {other.variable!r}"
-            )
+        return TaylorSeries(tuple(inv))
 
 
 GENUS_SERIES_KINDS = ("L", "A_hat", "Todd", "Exp")
 
 
-def genus_series(kind: str, order: int, variable: str = "x") -> TaylorSeries:
+def genus_series(kind: str, order: int) -> TaylorSeries:
     """Truncated defining series of a genus.
 
     L      x/tanh(x)         = cosh(x) / (sinh(x)/x)
@@ -148,17 +136,14 @@ def genus_series(kind: str, order: int, variable: str = "x") -> TaylorSeries:
     n = order
     if kind == "Exp":
         coeffs = tuple(Fraction(1, factorial(k)) for k in range(n + 1))
-        return TaylorSeries(variable, coeffs)
+        return TaylorSeries(coeffs)
     if kind == "Todd":
         # (1 - e^(-x))/x has coefficients (-1)^k / (k+1)!
-        base = TaylorSeries(
-            variable, tuple(Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1))
-        )
+        base = TaylorSeries(tuple(Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)))
         return base.inverse()
     if kind == "A_hat":
         # sinh(x/2)/(x/2) = sum x^(2k) / (4^k (2k+1)!)
         base = TaylorSeries(
-            variable,
             tuple(
                 Fraction(1, 4 ** (k // 2) * factorial(k + 1)) if k % 2 == 0 else Fraction(0)
                 for k in range(n + 1)
@@ -167,11 +152,9 @@ def genus_series(kind: str, order: int, variable: str = "x") -> TaylorSeries:
         return base.inverse()
     if kind == "L":
         cosh = TaylorSeries(
-            variable,
             tuple(Fraction(1, factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)),
         )
         sinh_over_x = TaylorSeries(
-            variable,
             tuple(Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)),
         )
         return cosh * sinh_over_x.inverse()

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import catalog as _catalog
 from . import index_engine as engine
 from . import zeta_det
-from .clifford import ComplexRational, gamma_identities
+from .clifford import MAX_HALF_DIM, ComplexRational, gamma_identities
 from .genera import a_hat_class, l_class, signature_integrand_identity_check, todd_class
 
 __all__ = ["VerifyCheck", "VerifyReport", "run_verification"]
@@ -127,7 +127,7 @@ def _exact(ok: bool) -> str:
 
 
 def _check_fermionic(report: VerifyReport) -> None:
-    for n in range(1, 6):
+    for n in range(1, MAX_HALF_DIM + 1):
         ids = gamma_identities(n)
         report.add(f"clifford relations (n={n})", "exact", _exact(ids.clifford), ids.clifford)
         report.add(f"gamma^a hermitian (n={n})", "exact", _exact(ids.hermitian), ids.hermitian)

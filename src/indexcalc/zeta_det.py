@@ -2,7 +2,7 @@
 
 Closed forms for the periodic/antiperiodic spectra
 
-    PBC   nu_n    = 2*pi*n/beta,       n in Z (n = 0 excluded when primed)
+    PBC   nu_n    = 2*pi*n/beta,       n in Z (primed: n = 0 excluded)
     APBC  omega_k = (2k+1)*pi/beta,    k in Z
 
 paired with a truncated-infinite-product oracle.  The oracle regularizes by
@@ -237,27 +237,19 @@ class OperatorSpec:
     """A fluctuation operator: kind, period beta, and spectral parameter.
 
     ``parameter`` is y for the curvature blocks and w for the shifted
-    first-order operator; ``prime`` records whether zero modes at parameter 0
-    are excluded (forced true for the periodic kinds, which have the n = 0
-    mode).
+    first-order operator.  The periodic kinds are primed: the oracle leaves out
+    their n = 0 mode and any mode pair that vanishes at the parameter.
     """
 
     kind: str
     beta: float
     parameter: float = 0.0
-    prime: bool | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {OPERATOR_KINDS}")
         _require_positive_beta(self.beta)
         parameter = _require_finite(self.parameter, "parameter")
-        prime = self.prime
-        if prime is None:
-            prime = self.kind in _PBC_KINDS
-        if self.kind in _PBC_KINDS and not prime:
-            raise ValueError(f"{self.kind} has a zero mode at parameter 0; prime must be true")
-        object.__setattr__(self, "prime", bool(prime))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "parameter", parameter)
 
@@ -345,7 +337,7 @@ def _block_log_ratio(spec: OperatorSpec, start: int, stop: int) -> float:
         zero = np.flatnonzero(freq == p)
         if zero.size:
             mode = start + int(zero[0])
-            if not spec.prime:
+            if spec.kind not in _PBC_KINDS:
                 raise SingularOperatorError(
                     f"exactly-zero eigenvalue in mode pair {mode} at parameter {spec.parameter}",
                     mode_index=mode,

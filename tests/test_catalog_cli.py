@@ -23,6 +23,7 @@ from indexcalc.catalog import (
     save_descriptor,
 )
 from indexcalc.cli import run_cli
+from indexcalc.clifford import MAX_HALF_DIM
 from indexcalc.exact_algebra import GradedPolynomial
 from indexcalc.index_engine import (
     INDEX_FUNCTIONS,
@@ -229,6 +230,33 @@ def catalog_entries(draw):
     return CatalogEntry(manifold=manifold, bundles=bundles, expected=expected)
 
 
+_WRONG_TYPES = [  # (path into a saved cp1 descriptor, JSON value put there, message)
+    ((), [], "cp1.json: the descriptor must be a JSON object, got []"),
+    (("schema_version",), True, "cp1.json: unknown schema_version True"),
+    (("schema_version",), 1.0, "cp1.json: unknown schema_version 1.0"),
+    (("manifold",), [], "cp1.json: manifold must be a JSON object, got []"),
+    (("manifold", "name"), 5, "cp1.json: name must be a JSON string, got 5"),
+    (("manifold", "generators"), {"h": 2},
+     'cp1.json: generators must be a JSON array, got {"h": 2}'),
+    (("manifold", "generators", 0), "h",
+     'cp1.json: generator must be a [name, degree] pair, got "h"'),
+    (("manifold", "generators", 0), [2, 2],
+     "cp1.json: generator must be a [name, degree] pair, got [2, 2]"),
+    (("manifold", "evaluation"), [1], "cp1.json: evaluation must be a JSON object, got [1]"),
+    (("manifold", "tangent_class"), ["1/1"],
+     'cp1.json: tangent_class must be a JSON object, got ["1/1"]'),
+    (("manifold", "euler_class"), "1/1",
+     'cp1.json: euler_class must be a JSON object, got "1/1"'),
+    (("bundles",), [], "cp1.json: bundles must be a JSON object, got []"),
+    (("bundles", "O(1)"), 3,
+     "cp1.json bundle 'O(1)': the bundle must be a JSON object, got 3"),
+    (("bundles", "O(1)", "total_chern"), None,
+     "cp1.json bundle 'O(1)': total_chern must be a JSON object, got null"),
+    (("expected",), ["euler"], 'cp1.json: expected must be a JSON object, got ["euler"]'),
+]
+_WRONG_TYPE_IDS = ["/".join(map(str, path)) or "document" for path, _, _ in _WRONG_TYPES]
+
+
 class TestDescriptorGrammar:
     @settings(max_examples=80, deadline=None)
     @given(entry=catalog_entries())
@@ -281,6 +309,40 @@ class TestDescriptorGrammar:
         code, out, err = run(["index", "--manifold", str(path), "--complex", "euler"])
         assert (code, out) == (2, "")
         assert where + message in err
+
+    @pytest.mark.parametrize("field", ["tangent_class", "evaluation", "euler_class", "total_chern"])
+    def test_monomial_named_twice_exits_2_naming_file_and_field(self, tmp_path, field):
+        path = tmp_path / "cp2.json"
+        save_descriptor(catalog_entry("cp2"), path)
+        doc = json.loads(path.read_text())
+        table = {"1": "1/1", "h^2": "3/1", "h^1·h^1": "5/1"}
+        if field == "total_chern":
+            doc["bundles"] = {"L": {"rank": 2, "total_chern": table}}
+            where = "cp2.json bundle 'L' total_chern"
+        else:
+            doc["manifold"][field] = {"h^2": 1, "h^1·h^1": 5} if field == "evaluation" else table
+            where = f"cp2.json {field}"
+        path.write_text(json.dumps(doc, ensure_ascii=False))
+        code, out, err = run(["index", "--manifold", str(path), "--complex", "euler"])
+        assert (code, out) == (2, "")
+        assert f"{where}: keys 'h^2' and 'h^1·h^1' name one monomial" in err
+
+    @pytest.mark.parametrize("path,value,message", _WRONG_TYPES, ids=_WRONG_TYPE_IDS)
+    def test_wrong_json_type_exits_2_naming_file_and_field(self, tmp_path, path, value, message):
+        file = tmp_path / "cp1.json"
+        save_descriptor(catalog_entry("cp1"), file)
+        doc = json.loads(file.read_text())
+        if path:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            doc = value
+        file.write_text(json.dumps(doc))
+        code, out, err = run(["index", "--manifold", str(file), "--complex", "euler"])
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_chern_class_above_rank_in_file(self, tmp_path):
         path = tmp_path / "cp2.json"
@@ -483,6 +545,18 @@ class TestCliFermionChecks:
         doc = json.loads(out)
         assert code == 0 and doc["passed"] is True
         assert [r["n"] for r in doc["rows"]] == [1, 2]
+
+
+    def test_default_max_n_is_max_half_dim(self):
+        code, out, _ = run(["fermion-checks", "--format", "json"])
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)["rows"]] == list(range(1, MAX_HALF_DIM + 1))
+
+    @pytest.mark.parametrize("max_n", [0, MAX_HALF_DIM + 1])
+    def test_max_n_out_of_range_exits_2_naming_value(self, max_n):
+        code, out, err = run(["fermion-checks", "--max-n", str(max_n)])
+        assert (code, out) == (2, "")
+        assert f"--max-n must be between 1 and {MAX_HALF_DIM}, got {max_n}" in err
 
 
 class TestCliVerify:

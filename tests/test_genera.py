@@ -118,14 +118,14 @@ def formal_ring(prefix, n, d_root, truncation=None):
 
 class TestMultiplicativeSequence:
     def test_constant_series(self):
-        f = TaylorSeries("x", (Fraction(1),))
+        f = TaylorSeries((Fraction(1),))
         for n in (0, 1, 3):
             poly = multiplicative_sequence(f, *formal_ring("p", n, 4))
             assert poly.constant_term() == 1
             assert poly.homogeneous_degrees() == [0]
 
     def test_requires_unit_constant_term(self):
-        f = TaylorSeries("x", (Fraction(2), Fraction(1)))
+        f = TaylorSeries((Fraction(2), Fraction(1)))
         with pytest.raises(ValueError):
             multiplicative_sequence(f, *formal_ring("c", 1, 2))
 
@@ -234,7 +234,7 @@ class TestMultiplicativeSequence:
     def test_one_plus_x_gives_total_class(self, n):
         # prod (1 + x_i) = 1 + c_1 + ... + c_n, and prod (1 + x_i^2) = 1 + p_1 + ... + p_n
         for coefficients, prefix, step in (((1, 1), "c", 2), ((1, 0, 1), "p", 4)):
-            f = TaylorSeries("x", tuple(Fraction(c) for c in coefficients))
+            f = TaylorSeries(tuple(Fraction(c) for c in coefficients))
             poly = multiplicative_sequence(f, *formal_ring(prefix, n, step))
             assert poly.generators == tuple((f"{prefix}{i + 1}", step * (i + 1)) for i in range(n))
             units = [tuple(int(j == i) for j in range(n)) for i in range(n)]

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import factorial, prod
 
 import pytest
 
 from indexcalc import exact_algebra
-from indexcalc.catalog import _cp, builtin_catalog, catalog_entry
+from indexcalc.catalog import _line_bundle, _projective_product, builtin_catalog, catalog_entry
 from indexcalc.exact_algebra import GradedPolynomial
 from indexcalc.genera import a_hat_class, chern_character, l_class, todd_class
 from indexcalc.index_engine import (
@@ -271,6 +272,31 @@ class TestCatalogIntegrality:
                 assert report.integer_value == expected, (entry.name, key)
 
 
+PROJECTIVE_FAMILY = [(("h", n),) for n in range(1, 7)] + [
+    (("a", n1), ("b", n2)) for n1 in range(1, 4) for n2 in range(n1, 7 - n1)
+]
+
+
+class TestProjectiveFamily:
+    """CP^n for n <= 6 and CP^n1 x CP^n2 with n1 + n2 <= 6 against the
+    classical values: sigma(CP^n) = 1 for even n and 0 for odd n, e = n + 1,
+    and chi(CP^n, O(k)) = (k+1)...(k+n)/n! (Hirzebruch), all multiplicative."""
+
+    @pytest.mark.parametrize(
+        "factors", PROJECTIVE_FAMILY, ids=lambda f: "x".join(f"cp{n}" for _, n in f)
+    )
+    def test_indices_are_products_over_factors(self, factors):
+        m = _projective_product(factors)
+        dims = [n for _, n in factors]
+        assert signature_index(m).integer_value == prod(int(n % 2 == 0) for n in dims)
+        assert de_rham_euler(m).integer_value == prod(n + 1 for n in dims)
+        for degrees in product((-2, 1, 3), repeat=len(dims)):
+            want = prod(
+                prod(range(k + 1, k + n + 1)) // factorial(n) for k, n in zip(degrees, dims)
+            )
+            assert dolbeault_index(m, _line_bundle(m, degrees)).integer_value == want, degrees
+
+
 class TestIndexRegistry:
     DIRECT = {
         "signature": signature_index,
@@ -318,26 +344,6 @@ class TestIndexRegistry:
             compute_index(manifold("cp1"), "de_rham")
 
 
-def _cp2_cp3() -> ManifoldDescriptor:
-    gens = (("a", 2), ("b", 2))
-    # (1+a)^3 (1+b)^4 with a^3 = b^4 = 0; a^2 b^3 is the only nonzero top monomial
-    tangent = {(i, j): comb(3, i) * comb(4, j) for i in range(3) for j in range(4)}
-    return ManifoldDescriptor(
-        name="cp2xcp3",
-        real_dim=10,
-        kind="complex",
-        generators=gens,
-        evaluation={(i, 5 - i): int(i == 2) for i in range(6)},
-        tangent_class=GradedPolynomial(gens, 10, tangent),
-    )
-
-
-def _line_bundle(manifold: ManifoldDescriptor, c1: dict) -> BundleDescriptor:
-    zero = (0,) * len(manifold.generators)
-    total = GradedPolynomial(manifold.generators, manifold.real_dim, {zero: 1, **c1})
-    return BundleDescriptor(1, total)
-
-
 def _density_cases():
     """(label, manifold, bundle or None): every built-in entry and bundle,
     CP^n for n <= 10 with two line bundles, and CP^2 x CP^3 with one."""
@@ -347,12 +353,11 @@ def _density_cases():
         cases += [(f"{entry.name}:{name}", entry.manifold, bundle)
                   for name, bundle in sorted(entry.bundles.items())]
     for n in range(1, 11):
-        m = _cp(n)
-        cases += [(f"cp{n}", m, None), (f"cp{n}:O(1)", m, _line_bundle(m, {(1,): 1})),
-                  (f"cp{n}:O(-2)", m, _line_bundle(m, {(1,): -2}))]
-    m = _cp2_cp3()
-    cases += [("cp2xcp3", m, None),
-              ("cp2xcp3:O(1,-1)", m, _line_bundle(m, {(1, 0): 1, (0, 1): -1}))]
+        m = _projective_product((("h", n),))
+        cases += [(f"cp{n}", m, None), (f"cp{n}:O(1)", m, _line_bundle(m, (1,))),
+                  (f"cp{n}:O(-2)", m, _line_bundle(m, (-2,)))]
+    m = _projective_product((("a", 2), ("b", 3)))
+    cases += [("cp2xcp3", m, None), ("cp2xcp3:O(1,-1)", m, _line_bundle(m, (1, -1)))]
     return cases
 
 

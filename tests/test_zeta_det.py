@@ -149,14 +149,6 @@ class TestApbcFirstOrder:
 
 
 class TestOperatorSpec:
-    def test_pbc_requires_prime(self):
-        with pytest.raises(ValueError):
-            OperatorSpec("pbc_laplacian", 1.0, prime=False)
-
-    def test_defaults(self):
-        assert OperatorSpec("pbc_laplacian", 1.0).prime is True
-        assert OperatorSpec("apbc_curvature_block", 1.0, 1.0).prime is False
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             OperatorSpec("dirichlet", 1.0)
