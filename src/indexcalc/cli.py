@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--all",
         action="store_true",
         dest="full",
-        help="use full-size determinant oracles (10^6 modes)",
+        help="use full-size determinant oracles (10^5 modes)",
     )
     _add_format(p_verify)
     return parser

@@ -59,16 +59,18 @@ _NAME_BREAKERS = re.compile(r"[·^\s]")
 
 
 def _checked_generators(generators) -> tuple[tuple[str, int], ...]:
-    """(name, degree) pairs whose names fit monomial keys like "a^2·b^1" and
-    whose degrees are even and positive."""
+    """(name, degree) pairs with distinct names that fit monomial keys like
+    "a^2·b^1", and degrees that are even and positive."""
     gens = tuple((str(n), int(d)) for n, d in generators)
-    for n, d in gens:
+    for i, (n, d) in enumerate(gens):
         if not n or _NAME_BREAKERS.search(n):
             raise DescriptorError(
                 f"generator name {n!r} must be non-empty and contain no '·', '^' or whitespace"
             )
         if d <= 0 or d % 2 != 0:
             raise DescriptorError(f"generator {n!r} has odd generator degree {d}")
+        if any(n == other for other, _ in gens[:i]):
+            raise DescriptorError(f"generator name {n!r} appears more than once in generators")
     return gens
 
 

@@ -2,14 +2,15 @@
 
 Each criterion contributes named checks with an expected and a computed
 value; tolerances are fixed here, not configurable.  The quick mode trims
-the oracle mode counts; --all runs the full-size oracles (10^6 modes) with
-the same tolerances.
+the oracle mode counts; --all runs the full-size ratio oracles (10^5 modes)
+with the same tolerances.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,11 +23,9 @@ from .genera import a_hat_class, l_class, signature_integrand_identity_check, to
 
 __all__ = ["VerifyCheck", "VerifyReport", "run_verification"]
 
-ORACLE_TOL_LAPLACIAN = 1e-5
 ORACLE_TOL_RATIO = 1e-4
 CLOSED_FORM_FLOAT_TOL = 1e-12  # float evaluation of exact identities
 
-FULL_MODES_LAPLACIAN = 10**6
 FULL_MODES_RATIO = 10**5
 QUICK_MODES = 10**4
 
@@ -79,22 +78,19 @@ def _timed(report: VerifyReport, label: str, fn) -> None:
         )
 
 
-def _check_determinants(modes: int):
-    def run(report: VerifyReport) -> None:
-        for beta in (0.5, 1.0, 2.0):
-            closed = zeta_det.det_pbc_laplacian(beta)
-            report.add(
-                f"det_pbc_laplacian(beta={beta:g})", beta * beta, closed, closed == beta * beta
-            )
-            oracle = zeta_det.oracle_product(zeta_det.OperatorSpec("pbc_laplacian", beta), modes)
-            report.add(
-                f"det_pbc_laplacian oracle (beta={beta:g}, N={modes:g})",
-                f"|delta| <= {ORACLE_TOL_LAPLACIAN:g}",
-                f"delta={oracle - closed:.3e}",
-                abs(oracle - closed) <= ORACLE_TOL_LAPLACIAN,
-            )
-
-    return run
+def _check_determinants(report: VerifyReport) -> None:
+    for beta in (0.5, 1.0, 2.0):
+        closed = zeta_det.det_pbc_laplacian(beta)
+        report.add(
+            f"det_pbc_laplacian(beta={beta:g})", beta * beta, closed, closed == beta * beta
+        )
+        via_zeta = math.exp(zeta_det.pbc_laplacian_log_det_zeta(beta))
+        report.add(
+            f"exp(-zeta'(0)) = det_pbc_laplacian (beta={beta:g})",
+            f"|delta| <= {CLOSED_FORM_FLOAT_TOL:g}",
+            f"delta={via_zeta - closed:.3e}",
+            abs(via_zeta - closed) <= CLOSED_FORM_FLOAT_TOL,
+        )
 
 
 def _check_ratio_identity(modes: int):
@@ -258,9 +254,8 @@ def _check_beta_independence(report: VerifyReport) -> None:
 def run_verification(full: bool = False) -> VerifyReport:
     """Run every acceptance criterion; `full` uses the large oracle mode counts."""
     report = VerifyReport()
-    det_modes = FULL_MODES_LAPLACIAN if full else QUICK_MODES
     ratio_modes = FULL_MODES_RATIO if full else QUICK_MODES
-    _timed(report, "determinant-closed-forms", _check_determinants(det_modes))
+    _timed(report, "determinant-closed-forms", _check_determinants)
     _timed(report, "ratio-identity", _check_ratio_identity(ratio_modes))
     _timed(report, "fermionic-identities", _check_fermionic)
     _timed(report, "signature-integrand", _check_signature_integrand)

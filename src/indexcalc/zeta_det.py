@@ -10,8 +10,9 @@ ratio: it divides the partial product at the given parameter by the partial
 product at parameter zero and multiplies by the closed-form reference
 determinant, which is scheme-independent for the ratios that enter indices.
 It sums the log of each mode pair's ratio, log1p(t) or 2 log|1 - t| with
-t = parameter^2 / frequency^2, one fixed-size block of modes at a time, so
-its memory stays bounded whatever the mode count.
+t = c/m^2 = parameter^2 / frequency^2 for mode number m, one fixed-size block
+of modes at a time, so its memory stays bounded whatever the mode count; the
+parameter-free kinds have ratio 1 and walk no modes.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
@@ -57,9 +58,11 @@ _PBC_KINDS = ("pbc_laplacian", "pbc_first_order", "pbc_curvature_block")
 _CURVATURE_KINDS = ("pbc_curvature_block", "apbc_curvature_block")
 # kinds whose eigenvalues do not depend on the parameter
 _LAPLACIAN_KINDS = ("pbc_laplacian", "pbc_first_order")
+# mode number m has frequency m*unit/beta: nu_n = 2*pi*n/beta, omega_k = (2k+1)*pi/beta
+_UNITS = {kind: 2.0 * math.pi if kind in _PBC_KINDS else math.pi for kind in OPERATOR_KINDS}
 
 # Modes per oracle block: one 256 KiB float array, which stays in cache while
-# the block's frequencies become log-ratios in place.
+# the block's mode numbers become log-ratios in place.
 _ORACLE_BLOCK = 1 << 15
 
 # Absolute tolerance of the curvature blocks' singularity test
@@ -106,13 +109,13 @@ def _in_float_range(spec: OperatorSpec, compute: Callable[[], float]) -> float:
     return value
 
 
-def _singular_multiple(kind: str, beta: float, y: float, unit: float) -> int | None:
+def _singular_multiple(kind: str, beta: float, y: float) -> int | None:
     """The integer that beta*y/unit lies within _SINGULAR_TOL of, or None.
 
     From |beta*y/unit| = 2^23 on, every float is that close to an integer, so
     the test would decide nothing there: such a y is refused with a ValueError.
     """
-    x = beta * y / unit
+    x = beta * y / _UNITS[kind]
     if math.ulp(x) > _SINGULAR_TOL:
         raise ValueError(
             f"{kind} parameter {y} at beta={beta} is beyond the float resolution "
@@ -162,7 +165,7 @@ def det_pbc_curvature_block(y: float, beta: float) -> float:
     y = _require_finite(y, "y")
     if y == 0.0:
         return beta * beta
-    n = _singular_multiple("pbc_curvature_block", beta, y, 2.0 * math.pi)
+    n = _singular_multiple("pbc_curvature_block", beta, y)
     if n is not None and n != 0:
         raise SingularOperatorError(
             f"zero eigenvalue: beta*y/2 = {n}*pi (periodic mode n = {n})", mode_index=n
@@ -181,7 +184,7 @@ def det_apbc_curvature_block(y: float, beta: float) -> float:
     """
     beta = _require_positive_beta(beta)
     y = _require_finite(y, "y")
-    m = _singular_multiple("apbc_curvature_block", beta, y, math.pi)
+    m = _singular_multiple("apbc_curvature_block", beta, y)
     if m is not None and m % 2 != 0:
         raise SingularOperatorError(
             f"zero eigenvalue: beta*y/2 = ({m}/2)*pi (antiperiodic mode {m})",
@@ -217,19 +220,16 @@ def det_apbc_first_order(omega: float, beta: float) -> float:
     return 2.0 * math.cosh(beta * _require_finite(omega, "omega") / 2.0)
 
 
-def _mode_frequencies(kind: str, beta: float, start: int, stop: int) -> np.ndarray:
-    """nu_n for n = start+1..stop (periodic kinds) or omega_k for k = start..stop-1.
-
-    Returns a fresh array that callers may overwrite.
-    """
+def _mode_numbers(kind: str, start: int, stop: int) -> np.ndarray:
+    """m = n for n = start+1..stop (periodic kinds) or 2k+1 for k = start..stop-1."""
     if kind in _PBC_KINDS:
-        freq = np.arange(start + 1, stop + 1, dtype=float)  # n
-        freq *= 2.0 * math.pi
-    else:
-        freq = np.arange(2 * start + 1, 2 * stop, 2, dtype=float)  # 2k + 1
-        freq *= math.pi
-    freq /= beta
-    return freq
+        return np.arange(start + 1, stop + 1, dtype=float)
+    return np.arange(2 * start + 1, 2 * stop, 2, dtype=float)
+
+
+def _mode_frequencies(kind: str, beta: float, start: int, stop: int) -> np.ndarray:
+    """nu_n or omega_k = m*unit/beta for the same modes."""
+    return _mode_numbers(kind, start, stop) * _UNITS[kind] / beta
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,8 @@ class OperatorSpec:
     """A fluctuation operator: kind, period beta, and spectral parameter.
 
     ``parameter`` is y for the curvature blocks and w for the shifted
-    first-order operator.  The periodic kinds are primed: the oracle leaves out
-    their n = 0 mode and any mode pair that vanishes at the parameter.
+    first-order operator.  The periodic kinds are primed: only their n = 0 mode
+    is left out, so a vanishing mode pair is singular for oracle and closed form.
     """
 
     kind: str
@@ -306,55 +306,69 @@ def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
     """Ratio-regularized partial eigenvalue product.
 
     prod_{|n| <= N} lambda_n(parameter) / lambda_n(0), times the closed-form
-    reference determinant at parameter 0.  Each mode pair's ratio enters as
-    its log, log1p(t) for the shifted first-order operator and 2 log|1 - t|
-    for the curvature blocks (t = parameter^2 / frequency^2; the Laplacian
-    kinds have t = 0), summed block by block with numpy's pairwise summation
-    and the block sums added with math.fsum.  Memory is bounded by one block
-    whatever N is.  The block size is fixed, so the result is deterministic
-    and does not depend on any parallel split of the modes.
+    reference determinant at parameter 0.  The Laplacian kinds return that
+    reference with no walk: their eigenvalues do not depend on the parameter.
+    For the others each block of modes computes t = c/m^2 in place, with one
+    c = (beta*|parameter|/unit)^2 and m = n or 2k+1, and sums log1p(t)
+    (shifted first-order) or 2 log|1 - t| (curvature blocks) pairwise;
+    math.fsum adds the block sums, so the result does not depend on their order.
     """
     if n_modes < 1:
         raise ValueError("need at least one mode")
     reference = replace(spec, parameter=0.0)
-    # an overflowing t drives the sum to inf, which _in_float_range refuses
-    with np.errstate(over="ignore"):
-        log_ratio = math.fsum(
-            _block_log_ratio(spec, start, min(start + _ORACLE_BLOCK, n_modes))
-            for start in range(0, n_modes, _ORACLE_BLOCK)
-        )
+    if spec.kind in _LAPLACIAN_KINDS:
+        return closed_form(reference)
+    c = _ratio_scale(spec, n_modes)
+    log_ratio = math.fsum(
+        _block_log_ratio(spec.kind, c, start, min(start + _ORACLE_BLOCK, n_modes))
+        for start in range(0, n_modes, _ORACLE_BLOCK)
+    )
+    # an overflowing c drives the sum to inf, which _in_float_range refuses
     return _in_float_range(spec, lambda: closed_form(reference) * math.exp(log_ratio))
 
 
-def _block_log_ratio(spec: OperatorSpec, start: int, stop: int) -> float:
-    """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1."""
-    freq = _mode_frequencies(spec.kind, spec.beta, start, stop)
-    p = 0.0 if spec.kind in _LAPLACIAN_KINDS else abs(spec.parameter)
-    curvature = spec.kind in _CURVATURE_KINDS
-    if curvature and freq[0] <= p <= freq[-1]:
-        # the pair (freq^2 - p^2)^2 vanishes exactly when freq == p: squaring is
-        # one-to-one on normal floats, and this form cannot overflow
-        zero = np.flatnonzero(freq == p)
-        if zero.size:
-            mode = start + int(zero[0])
-            if spec.kind not in _PBC_KINDS:
+def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
+    """c = (beta*|parameter|/unit)^2, after one look for a vanishing curvature pair.
+
+    A pair vanishes when its frequency m*unit/beta equals |parameter|; then
+    x = beta*|parameter|/unit is within m*2^-50 of m, so only the mode nearest
+    x can.  It is compared with the raw route's frequency, so the verdict and
+    mode_index are paired_mode_factors'.  If that route keeps it nonzero but
+    m^2 == c (x == m exactly), c moves one ulp to that route's side of m^2.
+    """
+    p = abs(spec.parameter)
+    x = spec.beta * p / _UNITS[spec.kind]
+    c = x * x
+    if spec.kind in _CURVATURE_KINDS and x <= 2 * n_modes:
+        mode = round(x) - 1 if spec.kind in _PBC_KINDS else round((x - 1.0) / 2.0)
+        if 0 <= mode < n_modes:
+            m = _mode_numbers(spec.kind, mode, mode + 1)[0]
+            freq = _mode_frequencies(spec.kind, spec.beta, mode, mode + 1)[0]
+            if freq == p:
                 raise SingularOperatorError(
                     f"exactly-zero eigenvalue in mode pair {mode} at parameter {spec.parameter}",
                     mode_index=mode,
                 )
-            freq[zero] = math.inf  # primed: the pair leaves the product (t = 0)
-    t = np.divide(p, freq, out=freq)
-    t *= t
-    if not curvature:
+            if m * m == c:
+                c = math.nextafter(c, math.inf if p > freq else 0.0)
+    return c
+
+
+def _block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
+    """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1."""
+    m2 = _mode_numbers(kind, start, stop)
+    m2 *= m2
+    if kind not in _CURVATURE_KINDS:
+        t = np.divide(c, m2, out=m2)
         return float(np.sum(np.log1p(t, out=t)))
-    # t falls as the frequencies rise, so t > 1 on a leading run of modes only
-    above = int(np.count_nonzero(t > 1.0)) if t[0] > 1.0 else 0
-    head, tail = t[:above], t[above:]
-    head -= 1.0
+    minus_t = np.divide(-c, m2, out=m2)  # rises towards 0 with m
+    # t > 1 on a leading run of modes only, where the log is log(t - 1)
+    above = int(np.searchsorted(minus_t, -1.0))
+    head, tail = minus_t[:above], minus_t[above:]
+    np.subtract(-1.0, head, out=head)
     np.log(head, out=head)
-    np.negative(tail, out=tail)
     np.log1p(tail, out=tail)
-    return 2.0 * float(np.sum(t))
+    return 2.0 * float(np.sum(minus_t))
 
 
 def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:

@@ -281,6 +281,16 @@ class TestDescriptorGrammar:
         assert f"generator name {name!r}" in err and "cp1.json" in err
         assert "bad monomial factor" not in err
 
+    def test_duplicate_generator_name_in_file_is_named(self, tmp_path):
+        path = tmp_path / "cp2.json"
+        save_descriptor(catalog_entry("cp2"), path)
+        doc = json.loads(path.read_text())
+        doc["manifold"]["generators"] = [["h", 2], ["h", 2]]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["index", "--manifold", str(path), "--complex", "euler"])
+        assert (code, out) == (2, "")
+        assert f"{path}: generator name 'h' appears more than once in generators" in err
+
     @pytest.mark.parametrize(
         "field,key,value,message",
         [

@@ -260,6 +260,18 @@ class TestDescriptorValidation:
             )
         assert f"generator name {name!r}" in str(info.value)
 
+    def test_duplicate_generator_name(self):
+        gens = (("h", 2), ("g", 2), ("h", 4))
+        with pytest.raises(DescriptorError, match="generator name 'h' appears more than once"):
+            ManifoldDescriptor(
+                name="bad",
+                real_dim=4,
+                kind="complex",
+                generators=gens,
+                evaluation={},
+                tangent_class=GradedPolynomial((("h", 2),), 4, {(0,): 1}),
+            )
+
 
 class TestCatalogIntegrality:
     def test_every_recorded_index_is_integral(self):

@@ -233,11 +233,15 @@ class TestOracle:
         with pytest.raises(SingularOperatorError):
             oracle_product(spec, 100)
 
-    def test_zero_mode_excluded_with_prime_true(self):
-        # nu_1 = 2 pi exactly: the primed product drops that pair
+    def test_vanishing_periodic_pair_refused(self):
+        # nu_1 = 2 pi exactly: only n = 0 is primed away, so the oracle refuses
+        # the operator as the closed form does
         spec = OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi)
-        value = oracle_product(spec, 1000)
-        assert math.isfinite(value) and value != 0.0
+        with pytest.raises(SingularOperatorError) as info:
+            oracle_product(spec, 1000)
+        assert info.value.mode_index == 0
+        with pytest.raises(SingularOperatorError):
+            closed_form(spec)
 
     def test_order_independence_contract(self):
         spec = OperatorSpec("pbc_curvature_block", 1.0, 1.0)
@@ -265,8 +269,7 @@ def raw_oracle(spec, n_modes):
     reference = replace(spec, parameter=0.0)
     num = spec.paired_mode_factors(n_modes)
     den = reference.paired_mode_factors(n_modes)
-    keep = num != 0.0
-    return closed_form(reference) * math.exp(float(np.sum(np.log(num[keep] / den[keep]))))
+    return closed_form(reference) * math.exp(float(np.sum(np.log(num / den))))
 
 
 def fsum_oracle(spec, n_modes):
@@ -282,7 +285,7 @@ def fsum_oracle(spec, n_modes):
         t = (spec.parameter / freq) ** 2
         if spec.kind == "apbc_first_order_shifted":
             terms.append(math.log1p(t))
-        elif freq != abs(spec.parameter):
+        else:
             terms.append(2.0 * (math.log(t - 1.0) if t > 1.0 else math.log1p(-t)))
     return closed_form(replace(spec, parameter=0.0)) * math.exp(math.fsum(terms))
 
@@ -312,13 +315,13 @@ class TestBlockedOracle:
         assert info.value.mode_index == k
         assert np.flatnonzero(spec.paired_mode_factors(2 * B) == 0.0)[0] == k
 
-    def test_primed_zero_pair_dropped_beyond_first_block(self):
+    def test_vanishing_periodic_pair_refused_beyond_first_block(self):
         n = B + 7
         spec = OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * n)
-        assert spec.paired_mode_factors(n)[n - 1] == 0.0
-        # the partial product settles only for N >> n
-        value = oracle_product(spec, 4 * 10**6)
-        assert math.isfinite(value) and value > 0.0
+        with pytest.raises(SingularOperatorError) as info:
+            oracle_product(spec, 2 * B)
+        assert info.value.mode_index == n - 1
+        assert np.flatnonzero(spec.paired_mode_factors(2 * B) == 0.0)[0] == n - 1
 
     @pytest.mark.parametrize(
         "spec",
@@ -367,3 +370,68 @@ class TestBlockedOracle:
             assume(abs(abs(z) / math.pi - round(abs(z) / math.pi) - 0.5) < 0.45)
         spec = OperatorSpec(kind, beta, 2.0 * z / beta)
         assert math.isclose(oracle_product(spec, n_modes), raw_oracle(spec, n_modes), rel_tol=1e-11)
+
+
+class TestRatioWork:
+    @pytest.mark.parametrize("kind", ["pbc_laplacian", "pbc_first_order"])
+    def test_parameter_free_kinds_walk_no_modes(self, kind, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the oracle walked the modes")
+
+        monkeypatch.setattr(zeta_det, "_block_log_ratio", walked)
+        monkeypatch.setattr(zeta_det, "_mode_frequencies", walked)
+        for beta, parameter in ((0.5, 0.0), (1.7, 3.0), (2.0, -1e300)):
+            spec = OperatorSpec(kind, beta, parameter)
+            for n_modes in (1, B, 10**9):
+                assert oracle_product(spec, n_modes) == closed_form(spec)
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_no_modes_refused(self, kind):
+        with pytest.raises(ValueError, match="need at least one mode"):
+            oracle_product(OperatorSpec(kind, 1.0, 0.5), 0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(["pbc_curvature_block", "apbc_curvature_block"]),
+        beta=st.floats(0.2, 5.0),
+        k=st.integers(0, 3 * B),
+        extra=st.integers(1, B),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_vanishing_pair_found_where_the_raw_route_has_it(self, kind, beta, k, extra, sign):
+        n_modes = k + extra
+        freq = zeta_det._mode_frequencies(kind, beta, k, k + 1)[0]
+        spec = OperatorSpec(kind, beta, sign * freq)
+        with pytest.raises(SingularOperatorError) as info:
+            oracle_product(spec, n_modes)
+        assert info.value.mode_index == k
+        assert np.flatnonzero(spec.paired_mode_factors(n_modes) == 0.0)[0] == k
+        for neighbour in (math.nextafter(freq, 0.0), math.nextafter(freq, math.inf)):
+            # the raw route keeps these pairs nonzero, and so does the oracle
+            try:
+                value = oracle_product(OperatorSpec(kind, beta, sign * neighbour), n_modes)
+            except SingularOperatorError:
+                raise AssertionError(f"neighbour {neighbour!r} of a zero refused as singular")
+            except ValueError as exc:  # N close to the zero: the partial product is huge
+                assert "leaves the float range" in str(exc)
+            else:
+                assert value > 0.0
+
+    @pytest.mark.parametrize("spec", REGULAR_SPECS[2:], ids=lambda spec: spec.kind)
+    def test_agrees_with_30_digit_sum(self, spec):
+        mpmath = pytest.importorskip("mpmath")
+        n_modes = 2 * 10**4
+        with mpmath.workdps(30):
+            beta, p = mpmath.mpf(spec.beta), mpmath.mpf(spec.parameter)
+            log_ratio = mpmath.mpf(0)
+            for k in range(n_modes):
+                m = k + 1 if spec.kind.startswith("pbc") else 2 * k + 1
+                unit = 2 * mpmath.pi if spec.kind.startswith("pbc") else mpmath.pi
+                t = (beta * p / (m * unit)) ** 2
+                if spec.kind == "apbc_first_order_shifted":
+                    log_ratio += mpmath.log1p(t)
+                else:
+                    log_ratio += 2 * mpmath.log(abs(1 - t))
+            exact = closed_form(replace(spec, parameter=0.0)) * mpmath.exp(log_ratio)
+            error = abs((oracle_product(spec, n_modes) - exact) / exact)
+        assert error <= 5e-15
