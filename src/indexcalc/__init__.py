@@ -27,7 +27,7 @@ _EXPORTS = {
         "oracle_product", "regularized_det",
     ),
     "clifford": (
-        "ComplexRational", "GrassmannElement", "GammaRep", "build_gamma", "chirality",
+        "ComplexRational", "GrassmannElement", "PauliString", "build_gamma", "chirality",
         "berezin_integrate", "normalization_psi2",
     ),
     "index_engine": (

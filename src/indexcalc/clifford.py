@@ -1,9 +1,8 @@
 """Finite-dimensional fermionic normalization checks.
 
-Gamma matrices are built by recursive Pauli tensoring with entries in
-{0, +-1, +-i}; since those are Gaussian integers of tiny magnitude, every
-matrix product, anticommutator and trace below is exact in complex128 and
-all identity checks are literal equalities.  Grassmann coefficients use an
+Every gamma matrix here is a Pauli string i^k X^x Z^z, kept as the integers
+(k mod 4, x, z), so products, adjoints and traces are bit operations and all
+identity checks are exact integer equalities.  Grassmann coefficients use an
 exact complex-rational type so the Berezin bookkeeping is exact as well.
 
 Berezin measure convention: the iterated integral d(psi^1)...d(psi^2n)
@@ -14,22 +13,20 @@ normalization solves to exactly i^n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Mapping
 
-import numpy as np
-
 __all__ = [
     "ComplexRational",
     "GrassmannElement",
-    "GammaRep",
+    "PauliString",
     "build_gamma",
     "chirality",
     "berezin_integrate",
     "normalization_psi2",
-    "anticommutator",
     "GammaIdentities",
     "gamma_identities",
 ]
@@ -227,57 +224,65 @@ def berezin_integrate(e: GrassmannElement, n_gen: int) -> ComplexRational:
     return e.coefficient(tuple(range(1, n_gen + 1))) * reversal
 
 
-_PAULI_1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_PAULI_3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 MAX_HALF_DIM = 5
 
 
 @dataclass(frozen=True)
-class GammaRep:
-    """2n Hermitian anticommuting matrices of size 2^n, entries in {0, +-1, +-i}."""
+class PauliString:
+    """The 2^n x 2^n matrix i^phase X^x Z^z: the Kronecker product over qubits j of
+    X^(x_j) Z^(z_j), qubit j the j-th factor from the left and bit j of x and z
+    its exponents (Aaronson and Gottesman, Phys. Rev. A 70 (2004) 052328).
+    """
 
-    n: int
-    matrices: tuple[np.ndarray, ...]
+    phase: int  # mod 4
+    x: int
+    z: int
+
+    def __mul__(self, other: "PauliString") -> "PauliString":
+        # moving Z^z right of X^x' flips the sign once per qubit with z_j = x'_j = 1
+        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
+        return PauliString(phase % 4, self.x ^ other.x, self.z ^ other.z)
+
+    def adjoint(self) -> "PauliString":
+        """(i^k X^x Z^z)^dagger = i^-k Z^z X^x = i^(2 popcount(x & z) - k) X^x Z^z."""
+        return PauliString((2 * (self.x & self.z).bit_count() - self.phase) % 4, self.x, self.z)
+
+    def anticommutes(self, other: "PauliString") -> bool:
+        """p q = -q p: the two products share their bits, and their phases differ by 0 or 2."""
+        return (self * other).phase != (other * self).phase
+
+    def trace(self, n: int) -> complex:
+        """Trace over the 2^n-dimensional space: 2^n i^phase on the identity string, else 0."""
+        if self.x or self.z:
+            return 0j
+        return 2**n * _I_POWERS[self.phase]
 
 
-def build_gamma(n: int) -> GammaRep:
-    """Euclidean gamma matrices for real dimension 2n, built recursively.
+def build_gamma(n: int) -> tuple[PauliString, ...]:
+    """Euclidean gamma matrices for real dimension 2n, Hermitian and anticommuting.
 
-    Level n extends level n-1 by tensoring the old matrices with sigma_3 and
-    appending I (x) sigma_1 and I (x) sigma_2; Clifford relations
-    {gamma^a, gamma^b} = 2 delta^ab hold exactly.
+    Pair j is X and Y = iXZ on qubit j times Z on every later qubit, as tensoring
+    level n-1 with sigma_3 and appending I (x) sigma_1, I (x) sigma_2 builds them.
     """
     if not 1 <= n <= MAX_HALF_DIM:
         raise ValueError(f"n must be between 1 and {MAX_HALF_DIM}, got {n}")
-    mats = [_PAULI_1.copy(), _PAULI_2.copy()]
-    for level in range(2, n + 1):
-        eye = np.eye(2 ** (level - 1), dtype=np.complex128)
-        mats = [np.kron(m, _PAULI_3) for m in mats]
-        mats.append(np.kron(eye, _PAULI_1))
-        mats.append(np.kron(eye, _PAULI_2))
-    for m in mats:
-        m.setflags(write=False)
-    return GammaRep(n=n, matrices=tuple(mats))
+    gammas = []
+    for j in range(n):
+        later = (1 << n) - (1 << (j + 1))
+        gammas.append(PauliString(0, 1 << j, later))
+        gammas.append(PauliString(1, 1 << j, later | (1 << j)))
+    return tuple(gammas)
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
-def chirality(rep: GammaRep) -> np.ndarray:
+def chirality(gammas: tuple[PauliString, ...]) -> PauliString:
     """gamma_{2n+1} = i^n gamma^1 ... gamma^2n.
 
     Squares to the identity, anticommutes with every gamma^a, and is
     traceless with Tr(gamma_{2n+1}^2) = 2^n.
     """
-    product = reduce(np.matmul, rep.matrices)
-    out = _I_POWERS[rep.n % 4] * product
-    out.setflags(write=False)
-    return out
+    return reduce(operator.mul, gammas, PauliString(len(gammas) // 2 % 4, 0, 0))
 
 
 def normalization_psi2(n: int) -> ComplexRational:
@@ -301,7 +306,7 @@ class GammaIdentities:
 
     n: int
     clifford: bool  # {gamma^a, gamma^b} = 2 delta^ab
-    hermitian: bool  # every gamma^a equals its conjugate transpose
+    hermitian: bool  # every gamma^a equals its adjoint
     grading: bool  # gamma_(2n+1)^2 = 1 and {gamma_(2n+1), gamma^a} = 0 for every a
     trace: complex  # Tr gamma_(2n+1), expected 0
     square_trace: complex  # Tr gamma_(2n+1)^2, expected 2^n
@@ -318,22 +323,17 @@ class GammaIdentities:
 
 def gamma_identities(n: int) -> GammaIdentities:
     """Check the Clifford, Hermiticity, chirality and i^n identities for build_gamma(n)."""
-    rep = build_gamma(n)
-    eye = np.eye(2**n, dtype=np.complex128)
-    zero = np.zeros_like(eye)
-    gamma = chirality(rep)
-    square = gamma @ gamma
+    gammas = build_gamma(n)
+    one = PauliString(0, 0, 0)
+    gamma = chirality(gammas)
+    square = gamma * gamma
     return GammaIdentities(
         n=n,
-        clifford=all(
-            np.array_equal(anticommutator(g, h), 2 * eye if a == b else zero)
-            for a, g in enumerate(rep.matrices)
-            for b, h in enumerate(rep.matrices)
-        ),
-        hermitian=all(np.array_equal(g, g.conj().T) for g in rep.matrices),
-        grading=np.array_equal(square, eye)
-        and all(np.array_equal(anticommutator(gamma, g), zero) for g in rep.matrices),
-        trace=complex(gamma.trace()),
-        square_trace=complex(square.trace()),
+        clifford=all(g * g == one for g in gammas)
+        and all(g.anticommutes(h) for a, g in enumerate(gammas) for h in gammas[a + 1 :]),
+        hermitian=all(g.adjoint() == g for g in gammas),
+        grading=square == one and all(gamma.anticommutes(g) for g in gammas),
+        trace=gamma.trace(n),
+        square_trace=square.trace(n),
         normalization=normalization_psi2(n),
     )

@@ -74,7 +74,12 @@ _ZETA_R_PRIME_AT_0 = -0.5 * math.log(2.0 * math.pi)
 
 
 class SingularOperatorError(ValueError):
-    """The operator has an exactly vanishing eigenvalue at these parameters."""
+    """The operator has an exactly vanishing eigenvalue at these parameters.
+
+    ``mode_index`` is the positive mode number m of the vanishing pair, whose
+    frequency m*unit/beta is |parameter|: n for the periodic pair (n, -n) and
+    2k+1 for the antiperiodic pair (k, -k-1), from closed form and oracle alike.
+    """
 
     def __init__(self, message: str, mode_index: int | None = None):
         super().__init__(message)
@@ -168,7 +173,7 @@ def det_pbc_curvature_block(y: float, beta: float) -> float:
     n = _singular_multiple("pbc_curvature_block", beta, y)
     if n is not None and n != 0:
         raise SingularOperatorError(
-            f"zero eigenvalue: beta*y/2 = {n}*pi (periodic mode n = {n})", mode_index=n
+            f"zero eigenvalue: beta*y/2 = {n}*pi (periodic mode n = {n})", mode_index=abs(n)
         )
     s = math.sin(beta * y / 2.0) / (y / 2.0)
     return s * s
@@ -188,7 +193,7 @@ def det_apbc_curvature_block(y: float, beta: float) -> float:
     if m is not None and m % 2 != 0:
         raise SingularOperatorError(
             f"zero eigenvalue: beta*y/2 = ({m}/2)*pi (antiperiodic mode {m})",
-            mode_index=m,
+            mode_index=abs(m),
         )
     c = 2.0 * math.cos(beta * y / 2.0)
     return c * c
@@ -237,8 +242,9 @@ class OperatorSpec:
     """A fluctuation operator: kind, period beta, and spectral parameter.
 
     ``parameter`` is y for the curvature blocks and w for the shifted
-    first-order operator.  The periodic kinds are primed: only their n = 0 mode
-    is left out, so a vanishing mode pair is singular for oracle and closed form.
+    first-order operator; the Laplacian kinds do not depend on it and refuse a
+    nonzero one.  The periodic kinds are primed: only their n = 0 mode is left
+    out, so a vanishing mode pair is singular for oracle and closed form.
     """
 
     kind: str
@@ -250,6 +256,8 @@ class OperatorSpec:
             raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {OPERATOR_KINDS}")
         _require_positive_beta(self.beta)
         parameter = _require_finite(self.parameter, "parameter")
+        if parameter and self.kind in _LAPLACIAN_KINDS:
+            raise ValueError(f"{self.kind} takes no parameter, got parameter={parameter}")
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "parameter", parameter)
 
@@ -332,9 +340,9 @@ def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
 
     A pair vanishes when its frequency m*unit/beta equals |parameter|; then
     x = beta*|parameter|/unit is within m*2^-50 of m, so only the mode nearest
-    x can.  It is compared with the raw route's frequency, so the verdict and
-    mode_index are paired_mode_factors'.  If that route keeps it nonzero but
-    m^2 == c (x == m exactly), c moves one ulp to that route's side of m^2.
+    x can.  It is compared with the raw route's frequency, so the verdict is
+    paired_mode_factors'.  If that route keeps it nonzero but m^2 == c
+    (x == m exactly), c moves one ulp to that route's side of m^2.
     """
     p = abs(spec.parameter)
     x = spec.beta * p / _UNITS[spec.kind]
@@ -346,8 +354,8 @@ def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
             freq = _mode_frequencies(spec.kind, spec.beta, mode, mode + 1)[0]
             if freq == p:
                 raise SingularOperatorError(
-                    f"exactly-zero eigenvalue in mode pair {mode} at parameter {spec.parameter}",
-                    mode_index=mode,
+                    f"exactly-zero eigenvalue in mode pair m = {int(m)}, parameter {spec.parameter}",
+                    mode_index=int(m),
                 )
             if m * m == c:
                 c = math.nextafter(c, math.inf if p > freq else 0.0)

@@ -5,6 +5,10 @@ series coefficients taken from the Bernoulli closed forms; none of it uses
 the package's series division or symmetric reduction.  `reduced_root_product`
 is the other reference: the root expansion of prod f(x_i) rewritten by the
 package's Gauss elimination (`symmetric_reduce`), with no power sums.
+
+`dense` expands a Pauli string into its complex matrix with `np.kron`, and
+`kron_gammas` is the recursive Kronecker build of the gamma matrices that the
+Pauli strings replaced: the dense reference for the Clifford tests.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+
+import numpy as np
 
 from indexcalc.exact_algebra import GradedPolynomial, TaylorSeries, bernoulli, symmetric_reduce
 
@@ -125,3 +131,32 @@ def reduced_root_product(f: TaylorSeries, n_roots: int, class_names) -> GradedPo
                 terms[tuple(e)] = f.coefficient(src)
         product = product * GradedPolynomial(basis, truncation, terms)
     return symmetric_reduce(product, n_roots, list(class_names))
+
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_EYE_2 = np.eye(2, dtype=np.complex128)
+
+
+def dense(p, n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix i^phase X^x Z^z of a Pauli string, qubit j the j-th kron factor."""
+    assert p.x >> n == 0 and p.z >> n == 0, "string acts beyond n qubits"
+    out = np.array([[(1, 1j, -1, -1j)[p.phase]]], dtype=np.complex128)
+    for j in range(n):
+        x = _PAULI_X if p.x >> j & 1 else _EYE_2
+        z = _PAULI_Z if p.z >> j & 1 else _EYE_2
+        out = np.kron(out, x @ z)
+    return out
+
+
+def kron_gammas(n: int) -> list[np.ndarray]:
+    """Gamma matrices built level by level: the level n-1 matrices (x) sigma_3,
+    then I (x) sigma_1 and I (x) sigma_2."""
+    mats = [_PAULI_X, _PAULI_Y]
+    for level in range(2, n + 1):
+        eye = np.eye(2 ** (level - 1), dtype=np.complex128)
+        mats = [np.kron(m, _PAULI_Z) for m in mats]
+        mats.append(np.kron(eye, _PAULI_X))
+        mats.append(np.kron(eye, _PAULI_Y))
+    return mats

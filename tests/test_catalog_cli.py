@@ -506,6 +506,19 @@ class TestCliDetreg:
         assert (code, out) == (2, "")
         assert all(name in err for name in names)
 
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["--op", "pbc_laplacian", "--beta", "1", "--param", "0.7"], ("pbc_laplacian", "0.7")),
+            (["--op", "pbc_first_order", "--beta", "2", "--param", "-5"], ("pbc_first_order", "-5")),
+        ],
+    )
+    def test_parameter_on_parameter_free_kind_exits_2(self, argv, names):
+        # the eigenvalues of these kinds do not depend on the parameter
+        code, out, err = run(["detreg", *argv])
+        assert (code, out) == (2, "")
+        assert all(name in err for name in names)
+
     @pytest.mark.parametrize("modes", ["0", "-3"])
     def test_oracle_modes_below_one_exits_2(self, modes):
         code, out, err = run(["detreg", "--op", "pbc_laplacian", "--beta", "1",

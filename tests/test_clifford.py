@@ -4,20 +4,31 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from oracle_helpers import dense, kron_gammas
+
 from indexcalc.clifford import (
     ComplexRational,
     GrassmannElement,
-    anticommutator,
+    PauliString,
     berezin_integrate,
     build_gamma,
     chirality,
     gamma_identities,
     normalization_psi2,
 )
+
+
+def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b + b @ a
+
+
+def dense_gammas(n: int) -> list[np.ndarray]:
+    return [dense(g, n) for g in build_gamma(n)]
 
 
 class TestComplexRational:
@@ -41,22 +52,27 @@ class TestComplexRational:
 class TestGammaConstruction:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_clifford_relations_exact(self, n):
-        rep = build_gamma(n)
+        mats = dense_gammas(n)
         dim = 2**n
-        assert len(rep.matrices) == 2 * n
+        assert len(mats) == 2 * n
         eye = np.eye(dim, dtype=np.complex128)
         zero = np.zeros((dim, dim), dtype=np.complex128)
         for a in range(2 * n):
             for b in range(2 * n):
                 expected = 2 * eye if a == b else zero
-                assert np.array_equal(
-                    anticommutator(rep.matrices[a], rep.matrices[b]), expected
-                )
+                assert np.array_equal(anticommutator(mats[a], mats[b]), expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_hermitian(self, n):
-        for g in build_gamma(n).matrices:
+        for g in dense_gammas(n):
             assert np.array_equal(g, g.conj().T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_expansion_equals_recursive_kron_build(self, n):
+        mats = dense_gammas(n)
+        reference = kron_gammas(n)
+        assert len(mats) == len(reference) == 2 * n
+        assert all(np.array_equal(m, r) for m, r in zip(mats, reference))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -68,23 +84,49 @@ class TestGammaConstruction:
 class TestChirality:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_squares_to_identity(self, n):
-        rep = build_gamma(n)
-        g = chirality(rep)
+        g = dense(chirality(build_gamma(n)), n)
         assert np.array_equal(g @ g, np.eye(2**n, dtype=np.complex128))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_traceless_and_trace_of_square(self, n):
-        g = chirality(build_gamma(n))
+        g = dense(chirality(build_gamma(n)), n)
         assert g.trace() == 0
         assert (g @ g).trace() == 2**n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_anticommutes_with_all_gammas(self, n):
-        rep = build_gamma(n)
-        g = chirality(rep)
+        g = dense(chirality(build_gamma(n)), n)
         zero = np.zeros((2**n, 2**n), dtype=np.complex128)
-        for a in rep.matrices:
+        for a in dense_gammas(n):
             assert np.array_equal(anticommutator(g, a), zero)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_i_to_n_times_the_kron_product(self, n):
+        product = reduce(np.matmul, kron_gammas(n))
+        assert np.array_equal(dense(chirality(build_gamma(n)), n), 1j**n * product)
+
+
+class TestPauliString:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_product_adjoint_and_trace_match_dense(self, n):
+        gammas = build_gamma(n)
+        strings = [*gammas, chirality(gammas)]
+        for p in strings:
+            for q in strings:
+                pq = p * q
+                product = dense(p, n) @ dense(q, n)
+                assert np.array_equal(dense(pq, n), product)
+                assert np.array_equal(dense(pq.adjoint(), n), product.conj().T)
+                assert pq.trace(n) == product.trace()
+                anticommute = not anticommutator(dense(p, n), dense(q, n)).any()
+                assert p.anticommutes(q) == anticommute
+
+    def test_phase_is_the_power_of_i(self):
+        assert [PauliString(k, 1, 0).trace(1) for k in range(4)] == [0j] * 4
+        assert [PauliString(k, 0, 0).trace(2) for k in range(4)] == [4, 4j, -4, -4j]
+        assert PauliString(0, 1, 0) * PauliString(0, 1, 0) == PauliString(0, 0, 0)
+        assert PauliString(1, 1, 1).adjoint() == PauliString(1, 1, 1)  # Y
+        assert PauliString(1, 1, 0).adjoint() == PauliString(3, 1, 0)  # (iX)^dagger = -iX
 
 
 class TestBerezin:
@@ -159,13 +201,20 @@ class TestNormalization:
 
 class TestGammaIdentities:
     def test_non_hermitian_representation_detected(self, monkeypatch):
-        # conjugating by the non-unitary S = diag(2, 1) keeps the Clifford
-        # relations and the chirality but breaks Hermiticity
-        s = np.diag([2.0, 1.0]).astype(np.complex128)
-        s_inv = np.diag([0.5, 1.0]).astype(np.complex128)
-        real = build_gamma(1)
-        skewed = type(real)(n=1, matrices=tuple(s @ g @ s_inv for g in real.matrices))
+        # i gamma^1 is anti-Hermitian and squares to -1: for Pauli strings g^2 = 1
+        # holds exactly when g is Hermitian, so both checks fail together
+        g1, g2 = build_gamma(1)
+        skewed = (PauliString(g1.phase + 1, g1.x, g1.z), g2)
         monkeypatch.setattr("indexcalc.clifford.build_gamma", lambda n: skewed)
         ids = gamma_identities(1)
-        assert ids.clifford and ids.grading and ids.chirality_ok
         assert not ids.hermitian
+        assert not ids.clifford
+        assert ids.normalization_ok
+
+    def test_commuting_pair_detected(self, monkeypatch):
+        # gamma^1 twice: Hermitian and squaring to 1, but the pair commutes
+        g1, _ = build_gamma(1)
+        monkeypatch.setattr("indexcalc.clifford.build_gamma", lambda n: (g1, g1))
+        ids = gamma_identities(1)
+        assert ids.hermitian
+        assert not ids.clifford

@@ -14,6 +14,7 @@ import indexcalc
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _CHILD = """
+import io
 import sys
 import indexcalc
 loaded = sorted(m for m in sys.modules if m.startswith("indexcalc.") or m == "numpy")
@@ -21,7 +22,8 @@ assert loaded == [], loaded
 from indexcalc.cli import run_cli
 assert run_cli(["index", "--manifold", "k3", "--complex", "spin"]) == 0
 assert run_cli(["genus", "--kind", "Todd", "--half-dim", "3"]) == 0
-assert "numpy" not in sys.modules, "index or genus imported numpy"
+assert run_cli(["fermion-checks"], io.StringIO()) == 0
+assert "numpy" not in sys.modules, "index, genus or fermion-checks imported numpy"
 """
 
 

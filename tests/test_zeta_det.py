@@ -32,6 +32,10 @@ from indexcalc.zeta_det import (
 )
 
 
+# the kinds whose eigenvalues do not depend on the parameter
+LAPLACIAN_KINDS = ("pbc_laplacian", "pbc_first_order")
+
+
 class TestPbcLaplacian:
     @pytest.mark.parametrize("beta,expected", [(1.0, 1.0), (2.0, 4.0), (0.5, 0.25)])
     def test_closed_form_exact(self, beta, expected):
@@ -169,6 +173,15 @@ class TestOperatorSpec:
         with pytest.raises(ValueError, match=f"beta .*{beta}"):
             det_apbc_first_order(1.0, beta)
 
+    @pytest.mark.parametrize("kind", LAPLACIAN_KINDS)
+    @pytest.mark.parametrize("parameter", [0.7, -5.0, 5e-324, 1e300])
+    def test_parameter_free_kinds_refuse_a_parameter(self, kind, parameter):
+        with pytest.raises(ValueError, match=rf"{kind} .*parameter={re.escape(str(parameter))}"):
+            OperatorSpec(kind, 1.0, parameter)
+        # both zeros pass
+        for zero in (0.0, -0.0):
+            assert closed_form(OperatorSpec(kind, 2.0, zero)) == closed_form(OperatorSpec(kind, 2.0))
+
     @pytest.mark.parametrize("kind", ["apbc_first_order_shifted", "pbc_curvature_block"])
     @pytest.mark.parametrize("parameter", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_parameter(self, kind, parameter):
@@ -239,9 +252,25 @@ class TestOracle:
         spec = OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi)
         with pytest.raises(SingularOperatorError) as info:
             oracle_product(spec, 1000)
-        assert info.value.mode_index == 0
+        assert info.value.mode_index == 1
+        assert np.flatnonzero(spec.paired_mode_factors(1000) == 0.0)[0] == 0
         with pytest.raises(SingularOperatorError):
             closed_form(spec)
+
+    @pytest.mark.parametrize(
+        "kind,m",
+        [("pbc_curvature_block", 1), ("pbc_curvature_block", 2),
+         ("apbc_curvature_block", 1), ("apbc_curvature_block", 3)],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mode_index_is_the_positive_mode_number(self, kind, m, sign):
+        # m = n for the periodic pair (n, -n), 2k+1 for the antiperiodic pair (k, -k-1)
+        unit = 2.0 * math.pi if kind == "pbc_curvature_block" else math.pi
+        spec = OperatorSpec(kind, 1.0, sign * m * unit)
+        for route in (closed_form, lambda spec: oracle_product(spec, 100)):
+            with pytest.raises(SingularOperatorError) as info:
+                route(spec)
+            assert info.value.mode_index == m
 
     def test_order_independence_contract(self):
         spec = OperatorSpec("pbc_curvature_block", 1.0, 1.0)
@@ -274,7 +303,7 @@ def raw_oracle(spec, n_modes):
 
 def fsum_oracle(spec, n_modes):
     """The oracle from one math.log1p per mode pair, summed exactly by math.fsum."""
-    if spec.kind in ("pbc_laplacian", "pbc_first_order"):
+    if spec.kind in LAPLACIAN_KINDS:
         return closed_form(spec)  # the parameter does not enter these eigenvalues
     terms = []
     for k in range(n_modes):
@@ -312,7 +341,7 @@ class TestBlockedOracle:
         spec = OperatorSpec("apbc_curvature_block", 1.0, (2 * k + 1) * math.pi)
         with pytest.raises(SingularOperatorError) as info:
             oracle_product(spec, 2 * B)
-        assert info.value.mode_index == k
+        assert info.value.mode_index == 2 * k + 1
         assert np.flatnonzero(spec.paired_mode_factors(2 * B) == 0.0)[0] == k
 
     def test_vanishing_periodic_pair_refused_beyond_first_block(self):
@@ -320,7 +349,7 @@ class TestBlockedOracle:
         spec = OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * n)
         with pytest.raises(SingularOperatorError) as info:
             oracle_product(spec, 2 * B)
-        assert info.value.mode_index == n - 1
+        assert info.value.mode_index == n
         assert np.flatnonzero(spec.paired_mode_factors(2 * B) == 0.0)[0] == n - 1
 
     @pytest.mark.parametrize(
@@ -364,7 +393,9 @@ class TestBlockedOracle:
     )
     def test_matches_raw_route(self, kind, beta, z, n_modes):
         # z = beta*parameter/2, kept 0.05 away from every zero eigenvalue
-        if kind == "pbc_curvature_block":
+        if kind in LAPLACIAN_KINDS:
+            z = 0.0
+        elif kind == "pbc_curvature_block":
             assume(abs(z) < 0.5 or abs(abs(z) / math.pi - round(abs(z) / math.pi)) > 0.05)
         elif kind == "apbc_curvature_block":
             assume(abs(abs(z) / math.pi - round(abs(z) / math.pi) - 0.5) < 0.45)
@@ -373,14 +404,14 @@ class TestBlockedOracle:
 
 
 class TestRatioWork:
-    @pytest.mark.parametrize("kind", ["pbc_laplacian", "pbc_first_order"])
+    @pytest.mark.parametrize("kind", LAPLACIAN_KINDS)
     def test_parameter_free_kinds_walk_no_modes(self, kind, monkeypatch):
         def walked(*args):
             raise AssertionError("the oracle walked the modes")
 
         monkeypatch.setattr(zeta_det, "_block_log_ratio", walked)
         monkeypatch.setattr(zeta_det, "_mode_frequencies", walked)
-        for beta, parameter in ((0.5, 0.0), (1.7, 3.0), (2.0, -1e300)):
+        for beta, parameter in ((0.5, 0.0), (1.7, 0.0), (2.0, 0.0)):
             spec = OperatorSpec(kind, beta, parameter)
             for n_modes in (1, B, 10**9):
                 assert oracle_product(spec, n_modes) == closed_form(spec)
@@ -388,7 +419,7 @@ class TestRatioWork:
     @pytest.mark.parametrize("kind", OPERATOR_KINDS)
     def test_no_modes_refused(self, kind):
         with pytest.raises(ValueError, match="need at least one mode"):
-            oracle_product(OperatorSpec(kind, 1.0, 0.5), 0)
+            oracle_product(OperatorSpec(kind, 1.0, 0.0 if kind in LAPLACIAN_KINDS else 0.5), 0)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -404,7 +435,7 @@ class TestRatioWork:
         spec = OperatorSpec(kind, beta, sign * freq)
         with pytest.raises(SingularOperatorError) as info:
             oracle_product(spec, n_modes)
-        assert info.value.mode_index == k
+        assert info.value.mode_index == (k + 1 if kind == "pbc_curvature_block" else 2 * k + 1)
         assert np.flatnonzero(spec.paired_mode_factors(n_modes) == 0.0)[0] == k
         for neighbour in (math.nextafter(freq, 0.0), math.nextafter(freq, math.inf)):
             # the raw route keeps these pairs nonzero, and so does the oracle
