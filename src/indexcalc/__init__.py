@@ -17,9 +17,8 @@ _EXPORTS = {
         "bernoulli", "TaylorSeries", "genus_series", "GradedPolynomial", "symmetric_reduce",
     ),
     "genera": (
-        "GenusClass", "ChernCharacter", "multiplicative_sequence", "l_class", "a_hat_class",
-        "todd_class", "chern_character", "chern_to_pontryagin",
-        "signature_integrand_identity_check",
+        "GenusClass", "multiplicative_sequence", "l_class", "a_hat_class", "todd_class",
+        "chern_character", "chern_to_pontryagin", "signature_integrand_identity_check",
     ),
     "zeta_det": (
         "OperatorSpec", "RegularizedDet", "det_pbc_laplacian", "det_pbc_curvature_block",

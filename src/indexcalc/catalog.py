@@ -27,10 +27,13 @@ from typing import Mapping
 from .exact_algebra import GradedPolynomial
 from .index_engine import (
     INDEX_FUNCTIONS,
+    TWISTABLE,
     BundleDescriptor,
     DescriptorError,
+    IndexReport,
     ManifoldDescriptor,
     _checked_generators,
+    compute_index,
 )
 
 __all__ = [
@@ -57,7 +60,8 @@ class CatalogEntry:
     """A manifold descriptor, its named bundles, and the indices expected on it.
 
     Expected keys are either a complex name (a key of
-    index_engine.INDEX_FUNCTIONS) or "<complex>:<bundle>" for a twisted index.
+    index_engine.INDEX_FUNCTIONS) or "<complex>:<bundle>" for a twisted index of
+    an index_engine.TWISTABLE complex.
     """
 
     manifold: ManifoldDescriptor
@@ -67,6 +71,16 @@ class CatalogEntry:
     @property
     def name(self) -> str:
         return self.manifold.name
+
+    def index(self, kind: str, bundle_name: str | None = None) -> IndexReport:
+        """The named complex's index, twisted by the bundle of that name if one is given."""
+        if bundle_name is not None and bundle_name not in self.bundles:
+            raise DescriptorError(
+                f"{self.name}: no bundle named {bundle_name!r}; "
+                f"available: {', '.join(sorted(self.bundles)) or 'none'}"
+            )
+        bundle = None if bundle_name is None else self.bundles[bundle_name]
+        return compute_index(self.manifold, kind, bundle)
 
 
 # -- serialization helpers ---------------------------------------------
@@ -190,12 +204,18 @@ def _generator(item, source: str) -> tuple[str, int]:
 
 
 def _expected_key(key: str, bundles: Mapping[str, BundleDescriptor], source: str) -> str:
-    """An expected key: a complex name, or "<complex>:<bundle>" naming a bundle here."""
+    """An expected key: a complex name, or "<complex>:<bundle>" naming a twistable complex
+    and a bundle here."""
     kind, sep, bundle = key.partition(":")
     if kind not in INDEX_FUNCTIONS:
         raise DescriptorError(
             f"{source}: expected key {key!r} names no complex; "
             f"expected one of {', '.join(INDEX_FUNCTIONS)}"
+        )
+    if sep and kind not in TWISTABLE:
+        raise DescriptorError(
+            f"{source}: expected key {key!r} twists the {kind} complex, which takes no bundle; "
+            f"twistable: {', '.join(TWISTABLE)}"
         )
     if sep and bundle not in bundles:
         raise DescriptorError(

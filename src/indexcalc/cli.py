@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -117,15 +118,7 @@ def _cmd_genus(args, out) -> int:
 
 def _cmd_index(args, out) -> int:
     entry = _catalog.resolve_manifold(args.manifold)
-    bundle = None
-    if args.bundle is not None:
-        if args.bundle not in entry.bundles:
-            raise engine.DescriptorError(
-                f"{entry.name}: no bundle named {args.bundle!r}; "
-                f"available: {', '.join(sorted(entry.bundles)) or 'none'}"
-            )
-        bundle = entry.bundles[args.bundle]
-    report = engine.compute_index(entry.manifold, args.complex_kind, bundle)
+    report = entry.index(args.complex_kind, args.bundle)
     payload = {
         "manifold": entry.name,
         "complex": report.complex_kind,
@@ -257,4 +250,11 @@ def run_cli(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+    except BrokenPipeError:
+        # as the signal module docs advise: send the flush at exit to devnull, exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

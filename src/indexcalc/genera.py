@@ -26,7 +26,6 @@ from .exact_algebra import GradedPolynomial, TaylorSeries, genus_series
 
 __all__ = [
     "GenusClass",
-    "ChernCharacter",
     "multiplicative_sequence",
     "l_class",
     "a_hat_class",
@@ -48,14 +47,6 @@ class GenusClass:
 
     kind: str
     half_dim: int
-    polynomial: GradedPolynomial
-
-
-@dataclass(frozen=True)
-class ChernCharacter:
-    """rank + ch_1 + ch_2 + ... as a polynomial in the ambient generators."""
-
-    rank: int
     polynomial: GradedPolynomial
 
 
@@ -161,7 +152,7 @@ def _validate_pure_degree(classes: Sequence[GradedPolynomial], step: int) -> Non
             )
 
 
-def chern_character(rank: int, chern_classes: Sequence[GradedPolynomial]) -> ChernCharacter:
+def chern_character(rank: int, chern_classes: Sequence[GradedPolynomial]) -> GradedPolynomial:
     """Chern character rank + sum_m s_m/m! via Newton's identities.
 
     ``chern_classes[i]`` is c_{i+1} of the bundle, a pure-degree-2(i+1)
@@ -183,7 +174,7 @@ def chern_character(rank: int, chern_classes: Sequence[GradedPolynomial]) -> Che
     ch = GradedPolynomial.constant(model.generators, model.truncation, Fraction(rank))
     for m, sm in enumerate(_power_sums(chern_classes, model.truncation // 2), start=1):
         ch = ch + Fraction(1, factorial(m)) * sm
-    return ChernCharacter(rank, ch)
+    return ch
 
 
 def chern_to_pontryagin(

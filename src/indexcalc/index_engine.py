@@ -7,10 +7,13 @@ cohomology ring is needed.  Every index must come out an exact integer;
 anything else flags an inconsistent descriptor (for the spin complex this is
 precisely what betrays a non-spin input).
 
-Each density is built in the manifold's own ring, truncated at its real
-dimension: the genus is `multiplicative_sequence` fed the manifold's
-Pontryagin or Chern classes, times the Chern character of the twisting
-bundle.  No genus in formal generators is built and substituted.
+The signature, Dolbeault and spin complexes are rows of one recipe table,
+GENUS_COMPLEXES: complex -> (genus series, tangent-class source, takes a
+bundle).  One builder reads it: `multiplicative_sequence` of the series fed
+the manifold's Pontryagin or Chern classes, in the manifold's own ring
+truncated at its real dimension, times ch(V) only when a bundle V is given.
+No formal genus is substituted; the Euler class is no genus, so
+`de_rham_euler` keeps its own body.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "dolbeault_index",
     "spin_index",
     "de_rham_euler",
+    "TWISTABLE",
     "INDEX_FUNCTIONS",
     "compute_index",
 ]
@@ -128,9 +132,10 @@ class ManifoldDescriptor:
         return GradedPolynomial.constant(self.generators, self.real_dim, Fraction(1))
 
     def chern_parts(self) -> list[GradedPolynomial]:
-        """c_1..c_n of a complex descriptor's tangent bundle."""
+        """c_1..c_n of a complex descriptor's tangent bundle.  Of the GENUS_COMPLEXES rows only
+        Dolbeault reads them directly, so a real descriptor is refused in its terms."""
         if self.kind != "complex":
-            raise DescriptorError(f"{self.name}: chern classes only exist on complex descriptors")
+            raise DescriptorError(f"{self.name}: the Dolbeault complex needs a complex descriptor")
         n = self.real_dim // 2
         return [self.tangent_class.degree_part(2 * i) for i in range(1, n + 1)]
 
@@ -163,10 +168,6 @@ class BundleDescriptor:
                     f"a rank-{self.rank} bundle has c_k = 0 for k > {self.rank}, but its "
                     f"c_{degree // 2} = {self.total_chern.degree_part(degree)} is nonzero"
                 )
-
-    @classmethod
-    def trivial(cls, manifold: ManifoldDescriptor, rank: int = 1) -> "BundleDescriptor":
-        return cls(rank=rank, total_chern=manifold.one())
 
     def chern_parts(self, real_dim: int) -> list[GradedPolynomial]:
         n = max(real_dim // 2, 1)
@@ -222,31 +223,45 @@ def _report(kind: str, density: GradedPolynomial, manifold: ManifoldDescriptor, 
     )
 
 
+# complex -> (genus series, tangent-class source, takes a bundle)
+GENUS_COMPLEXES = {
+    "signature": ("L", ManifoldDescriptor.pontryagin_parts, False),
+    "dolbeault": ("Todd", ManifoldDescriptor.chern_parts, True),
+    "spin": ("A_hat", ManifoldDescriptor.pontryagin_parts, True),
+}
+TWISTABLE = tuple(kind for kind, (_, _, twistable) in GENUS_COMPLEXES.items() if twistable)
+
+
+def _genus_index(
+    kind: str, manifold: ManifoldDescriptor, bundle: BundleDescriptor | None = None
+) -> IndexReport:
+    """The index of a GENUS_COMPLEXES row: <genus(TM) ch(V), [M]>, with no ch for no V."""
+    series, tangent_classes, _ = GENUS_COMPLEXES[kind]
+    f = genus_series(series, manifold.real_dim // 2)
+    density = multiplicative_sequence(f, tangent_classes(manifold), manifold.one())
+    if bundle is not None:
+        density = density * chern_character(bundle.rank, bundle.chern_parts(manifold.real_dim))
+    if kind != "spin":
+        return _report(kind, density, manifold)
+    if bundle is not None and (bundle.rank, bundle.total_chern) != (1, manifold.one()):
+        kind = "spin_twisted"
+    return _report(kind, density, manifold, hint="is the descriptor actually spin?")
+
+
 def signature_index(manifold: ManifoldDescriptor) -> IndexReport:
     """Hirzebruch signature: the L-genus paired with the fundamental class.
 
     The L-polynomial has no components of degree 2 mod 4, so the index
     vanishes identically on manifolds with real_dim = 2 mod 4.
     """
-    f = genus_series("L", manifold.real_dim // 2)
-    density = multiplicative_sequence(f, manifold.pontryagin_parts(), manifold.one())
-    return _report("signature", density, manifold)
+    return _genus_index("signature", manifold)
 
 
 def dolbeault_index(
     manifold: ManifoldDescriptor, bundle: BundleDescriptor | None = None
 ) -> IndexReport:
     """Holomorphic index of the twisted Dolbeault complex: <Td(TM) ch(V), [M]>."""
-    if manifold.kind != "complex":
-        raise DescriptorError(
-            f"{manifold.name}: the Dolbeault complex needs a complex descriptor"
-        )
-    if bundle is None:
-        bundle = BundleDescriptor.trivial(manifold)
-    f = genus_series("Todd", manifold.real_dim // 2)
-    td = multiplicative_sequence(f, manifold.chern_parts(), manifold.one())
-    ch = chern_character(bundle.rank, bundle.chern_parts(manifold.real_dim)).polynomial
-    return _report("dolbeault", td * ch, manifold)
+    return _genus_index("dolbeault", manifold, bundle)
 
 
 def spin_index(
@@ -258,13 +273,7 @@ def spin_index(
     non-integer value, which is raised as InconsistentIndexError.  Complex
     descriptors are converted to Pontryagin data automatically.
     """
-    if bundle is None:
-        bundle = BundleDescriptor.trivial(manifold)
-    f = genus_series("A_hat", manifold.real_dim // 2)
-    a_hat = multiplicative_sequence(f, manifold.pontryagin_parts(), manifold.one())
-    ch = chern_character(bundle.rank, bundle.chern_parts(manifold.real_dim)).polynomial
-    kind = "spin" if bundle.total_chern == manifold.one() and bundle.rank == 1 else "spin_twisted"
-    return _report(kind, a_hat * ch, manifold, hint="is the descriptor actually spin?")
+    return _genus_index("spin", manifold, bundle)
 
 
 def de_rham_euler(manifold: ManifoldDescriptor) -> IndexReport:
@@ -293,14 +302,14 @@ INDEX_FUNCTIONS = {
 def compute_index(
     manifold: ManifoldDescriptor, kind: str, bundle: BundleDescriptor | None = None
 ) -> IndexReport:
-    """Evaluate the named complex's index; only dolbeault and spin take a bundle."""
+    """Evaluate the named complex's index; only the TWISTABLE complexes take a bundle."""
     if kind not in INDEX_FUNCTIONS:
         raise DescriptorError(
             f"unknown complex {kind!r}; expected one of {', '.join(INDEX_FUNCTIONS)}"
         )
     if bundle is None:
         return INDEX_FUNCTIONS[kind](manifold)
-    if kind not in ("dolbeault", "spin"):
+    if kind not in TWISTABLE:
         raise DescriptorError(
             f"{manifold.name}: the {kind} complex cannot be twisted, but a rank-{bundle.rank} "
             f"bundle with total Chern class {bundle.total_chern} was given"

@@ -266,10 +266,8 @@ def run_verification(full: bool = False) -> VerifyReport:
 
     @functools.cache
     def index(name: str, key: str) -> engine.IndexReport:
-        entry = entries[name]
         kind, _, bundle_name = key.partition(":")
-        bundle = entry.bundles[bundle_name] if bundle_name else None
-        return engine.compute_index(entry.manifold, kind, bundle)
+        return entries[name].index(kind, bundle_name or None)
 
     _timed(report, "catalog-indices", lambda r: _check_catalog_indices(r, catalog, index))
     _check_mod4_vanishing(report, catalog, index)

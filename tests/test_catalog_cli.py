@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -27,10 +30,13 @@ from indexcalc.clifford import MAX_HALF_DIM
 from indexcalc.exact_algebra import GradedPolynomial
 from indexcalc.index_engine import (
     INDEX_FUNCTIONS,
+    TWISTABLE,
     BundleDescriptor,
     DescriptorError,
     ManifoldDescriptor,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -225,7 +231,7 @@ def catalog_entries(draw):
     for bname in draw(st.lists(st.sampled_from(["O(1)", "E", "V_2", "L(-3)"]), unique=True)):
         rank = draw(st.integers(0, 3))
         bundles[bname] = BundleDescriptor(rank=rank, total_chern=poly(2 * rank, 1))
-    keys = [*INDEX_FUNCTIONS, *(f"{c}:{b}" for c in ("dolbeault", "spin") for b in bundles)]
+    keys = [*INDEX_FUNCTIONS, *(f"{c}:{b}" for c in TWISTABLE for b in bundles)]
     expected = draw(st.dictionaries(st.sampled_from(keys), st.integers(-99, 99)))
     return CatalogEntry(manifold=manifold, bundles=bundles, expected=expected)
 
@@ -435,6 +441,16 @@ class TestCliIndex:
         assert code == 2
         assert "O(9)" in err
 
+    def test_bundle_lookup_is_the_catalog_entry_s(self):
+        cp1 = catalog_entry("cp1")
+        assert cp1.index("dolbeault", "O(2)").integer_value == 3
+        assert cp1.index("spin").complex_kind == "spin"
+        assert cp1.index("spin", "O(2)").complex_kind == "spin_twisted"
+        with pytest.raises(DescriptorError, match=r"^cp1: no bundle named 'E'; available: O\(-1\)"):
+            cp1.index("spin", "E")
+        with pytest.raises(DescriptorError, match="the euler complex cannot be twisted"):
+            cp1.index("euler", "O(1)")
+
     @pytest.mark.parametrize("kind", ["signature", "euler"])
     def test_bundle_on_untwisted_complex_exits_2(self, kind):
         code, out, err = run(
@@ -618,10 +634,20 @@ class TestCliVerify:
         assert "FAIL" in out
 
 
-class TestCatalogDirExpectedKeys:
-    """A catalog-dir descriptor whose expected key names no complex or bundle."""
+_BAD_KEY_MESSAGES = {  # bad expected key -> what the refusal says about it
+    "dolbeault:O(9)": "names no bundle of the descriptor; available: O(-1), O(-2), O(0), O(1)",
+    "hodge": "names no complex; expected one of signature, dolbeault, spin, euler",
+    "signature:O(1)":
+        "twists the signature complex, which takes no bundle; twistable: dolbeault, spin",
+    "euler:O(1)": "twists the euler complex, which takes no bundle; twistable: dolbeault, spin",
+}
 
-    @pytest.fixture(params=["dolbeault:O(9)", "hodge"])
+
+class TestCatalogDirExpectedKeys:
+    """A catalog-dir descriptor whose expected key names no complex or bundle, or twists
+    a complex that takes no bundle."""
+
+    @pytest.fixture(params=list(_BAD_KEY_MESSAGES))
     def bad_key(self, request, tmp_path, monkeypatch):
         entry = catalog_entry("cp1")
         save_descriptor(
@@ -638,13 +664,37 @@ class TestCatalogDirExpectedKeys:
         code, out, err = run(argv)
         assert (code, out) == (2, "")
         assert "cp1.json" in err and repr(bad_key) in err
-        assert ("no bundle" if ":" in bad_key else "no complex") in err
+        assert _BAD_KEY_MESSAGES[bad_key] in err
+
+    def test_verify_on_a_cp1_without_bundles_exits_2(self, tmp_path, monkeypatch):
+        # verify's frozen dolbeault:O(k) checks on cp1 name bundles this override lacks
+        entry = catalog_entry("cp1")
+        untwisted = {key: value for key, value in entry.expected.items() if ":" not in key}
+        save_descriptor(CatalogEntry(entry.manifold, {}, untwisted), tmp_path / "cp1.json")
+        monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
+        assert run(["verify"]) == (2, "", "error: cp1: no bundle named 'O(-2)'; available: none\n")
 
 
 class TestCliMisc:
     def test_usage_error(self):
         code, _, _ = run([])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["genus", "--kind", "L", "--half-dim", "2"],  # fails in the flush at exit
+        ["genus", "--kind", "Todd", "--half-dim", "11", "--format", "json"],  # past the buffer
+    ])
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-B", "-c", "from indexcalc.cli import main; main()", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env={"PYTHONPATH": str(SRC)}, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_version(self):
         code, _, _ = run(["--version"])

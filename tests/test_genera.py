@@ -265,17 +265,17 @@ class TestChernCharacter:
     def test_trivial_bundle(self):
         zero = self.poly(6, {})
         ch = chern_character(3, [zero, zero, zero])
-        assert ch.polynomial.terms == {(0, 0): Fraction(3)}
+        assert ch.terms == {(0, 0): Fraction(3)}
 
     def test_line_bundle(self):
         c1 = self.poly(2, {(1, 0): 5})
         ch = chern_character(1, [c1])
-        assert ch.polynomial.terms == {(0, 0): Fraction(1), (1, 0): Fraction(5)}
+        assert ch.terms == {(0, 0): Fraction(1), (1, 0): Fraction(5)}
 
     def test_rank2_degree4_term(self):
         c1 = self.poly(4, {(1, 0): 1, (0, 1): 1})
         c2 = self.poly(4, {(1, 1): 1})
-        ch = chern_character(2, [c1, c2]).polynomial
+        ch = chern_character(2, [c1, c2])
         # (c1^2 - 2 c2)/2 = (x^2 + y^2)/2
         assert ch.degree_part(4).terms == {
             (2, 0): Fraction(1, 2),
@@ -286,18 +286,18 @@ class TestChernCharacter:
         x = GradedPolynomial.generator(self.BASIS, 6, "x")
         y = GradedPolynomial.generator(self.BASIS, 6, "y")
         zero = GradedPolynomial(self.BASIS, 6, {})
-        ch_v = chern_character(1, [x, zero, zero]).polynomial
-        ch_w = chern_character(1, [y, zero, zero]).polynomial
-        ch_sum = chern_character(2, [x + y, x * y, zero]).polynomial
+        ch_v = chern_character(1, [x, zero, zero])
+        ch_w = chern_character(1, [y, zero, zero])
+        ch_sum = chern_character(2, [x + y, x * y, zero])
         assert ch_sum == ch_v + ch_w
 
     def test_tensor_of_line_bundles_is_exp_sum(self):
         x = GradedPolynomial.generator(self.BASIS, 6, "x")
         y = GradedPolynomial.generator(self.BASIS, 6, "y")
         zero = GradedPolynomial(self.BASIS, 6, {})
-        ch_tensor = chern_character(1, [x + y, zero, zero]).polynomial
-        ch_v = chern_character(1, [x, zero, zero]).polynomial
-        ch_w = chern_character(1, [y, zero, zero]).polynomial
+        ch_tensor = chern_character(1, [x + y, zero, zero])
+        ch_v = chern_character(1, [x, zero, zero])
+        ch_w = chern_character(1, [y, zero, zero])
         assert ch_tensor == ch_v * ch_w
         # e^(x+y), expanded locally
         expected = GradedPolynomial(self.BASIS, 6, {})
@@ -346,3 +346,46 @@ class TestSignatureIntegrandIdentity:
         f = genus_series("L", 2)
         g = f.scale_argument(Fraction(1, 2)).scale(Fraction(2))
         assert g.coefficient(0) == 2 != f.coefficient(0)
+
+
+class TestTwistedDiracIdentities:
+    """Each genus is the Dirac genus A-hat times the Chern character of a twist,
+    as exact classes in formal generators."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_todd_is_a_hat_times_exp_half_c1(self, n):
+        # spin^c: Td = e^(c1/2) A-hat, with A-hat fed the Pontryagin classes of c_1..c_n
+        classes, one = formal_ring("c", n, 2)
+        a_hat = multiplicative_sequence(
+            genus_series("A_hat", n), chern_to_pontryagin(classes, 2 * n), one
+        )
+        zero = GradedPolynomial(one.generators, one.truncation, {})
+        exp_half_c1 = chern_character(1, [Fraction(1, 2) * classes[0], *[zero] * (n - 1)])
+        assert todd_class(n).polynomial == exp_half_c1 * a_hat
+
+    @staticmethod
+    def msq(series, l):
+        """The multiplicative sequence of ``series`` in formal p_1..p_l."""
+        return multiplicative_sequence(series, *formal_ring("p", l, 4))
+
+    @staticmethod
+    def even_series(l, coefficient):
+        """sum_m coefficient(m) x^m over even m <= 2l."""
+        return TaylorSeries(
+            tuple(Fraction(coefficient(m)) if m % 2 == 0 else 0 for m in range(2 * l + 1))
+        )
+
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_a_hat_times_cosh_is_half_l(self, l):
+        # signature: A-hat prod cosh(x_i/2) = prod (x_i/2)/tanh(x_i/2)
+        cosh = self.even_series(l, lambda m: Fraction(1, 2**m * factorial(m)))
+        half_l = genus_series("L", 2 * l).scale_argument(Fraction(1, 2))
+        a_hat = genus_series("A_hat", 2 * l)
+        assert self.msq(a_hat, l) * self.msq(cosh, l) == self.msq(half_l, l)
+
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_a_hat_times_sinh_over_x_is_one(self, l):
+        # euler: A-hat prod sinh(x_i/2)/(x_i/2) = 1
+        sinh_over_x = self.even_series(l, lambda m: Fraction(1, 2**m * factorial(m + 1)))
+        a_hat = genus_series("A_hat", 2 * l)
+        assert self.msq(a_hat, l) * self.msq(sinh_over_x, l) == formal_ring("p", l, 4)[1]

@@ -8,7 +8,7 @@ from math import factorial, prod
 
 import pytest
 
-from indexcalc import exact_algebra
+from indexcalc import exact_algebra, index_engine
 from indexcalc.catalog import _line_bundle, _projective_product, builtin_catalog, catalog_entry
 from indexcalc.exact_algebra import GradedPolynomial
 from indexcalc.genera import a_hat_class, chern_character, l_class, todd_class
@@ -17,6 +17,7 @@ from indexcalc.index_engine import (
     DescriptorError,
     InconsistentIndexError,
     INDEX_FUNCTIONS,
+    TWISTABLE,
     ManifoldDescriptor,
     compute_index,
     de_rham_euler,
@@ -116,12 +117,13 @@ class TestDolbeault:
         assert dolbeault_index(manifold("k3")).integer_value == 2
 
     def test_needs_complex(self):
-        with pytest.raises(DescriptorError):
+        message = "^s4: the Dolbeault complex needs a complex descriptor$"
+        with pytest.raises(DescriptorError, match=message):
             dolbeault_index(manifold("s4"))
 
     def test_trivial_bundle_rank_scales(self):
         cp1 = manifold("cp1")
-        r3 = dolbeault_index(cp1, BundleDescriptor.trivial(cp1, rank=3))
+        r3 = dolbeault_index(cp1, BundleDescriptor(rank=3, total_chern=cp1.one()))
         assert r3.integer_value == 3 * dolbeault_index(cp1).integer_value
 
 
@@ -144,9 +146,10 @@ class TestSpin:
         # a trivial rank-1 twist changes nothing
         k3 = manifold("k3")
         plain = spin_index(k3)
-        twisted = spin_index(k3, BundleDescriptor.trivial(k3))
+        twisted = spin_index(k3, BundleDescriptor(rank=1, total_chern=k3.one()))
         assert plain.value == twisted.value
         assert plain.density == twisted.density
+        assert plain.complex_kind == twisted.complex_kind == "spin"
 
     def test_twisted_kind_label(self):
         entry = catalog_entry("cp1")
@@ -344,7 +347,7 @@ class TestIndexRegistry:
             for kind, direct in self.DIRECT.items():
                 want = self._outcome(direct, entry.manifold)
                 assert self._outcome(compute_index, entry.manifold, kind) == want, (entry.name, kind)
-                if kind not in ("dolbeault", "spin"):
+                if kind not in TWISTABLE:
                     continue
                 for name, bundle in entry.bundles.items():
                     want = self._outcome(direct, entry.manifold, bundle)
@@ -354,6 +357,38 @@ class TestIndexRegistry:
     def test_unknown_complex(self):
         with pytest.raises(DescriptorError, match="unknown complex 'de_rham'"):
             compute_index(manifold("cp1"), "de_rham")
+
+    def test_twistable_complexes(self):
+        assert TWISTABLE == ("dolbeault", "spin")
+
+    def test_untwisted_index_builds_no_chern_character(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an untwisted index needs no Chern character")
+
+        monkeypatch.setattr(index_engine, "chern_character", refuse)
+        assert dolbeault_index(manifold("k3")).integer_value == 2
+        assert spin_index(manifold("k3")).integer_value == 2
+        assert dolbeault_index(manifold("cp3")).integer_value == 1
+
+
+class TestSpinAsTwistedDolbeault:
+    """On CP^(2k+1), K = O(-2k-2) has the square root O(-k-1), and A-hat ch(V) =
+    Td ch(V (x) K^(1/2)): the spin densities are Dolbeault densities twisted by O(-k-1)."""
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_spin_index_vanishes(self, k):
+        # Lichnerowicz/Hitchin: CP^(2k+1) carries positive scalar curvature
+        m = _projective_product((("h", 2 * k + 1),))
+        assert spin_index(m).integer_value == 0
+        assert dolbeault_index(m, _line_bundle(m, (-(k + 1),))).integer_value == 0
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("j", [-3, 0, 2])
+    def test_twisted_spin_density_is_shifted_dolbeault_density(self, k, j):
+        m = _projective_product((("h", 2 * k + 1),))
+        spin = spin_index(m, _line_bundle(m, (j,)))
+        dolbeault = dolbeault_index(m, _line_bundle(m, (j - k - 1,)))
+        assert spin.density == dolbeault.density
 
 
 def _density_cases():
@@ -390,8 +425,8 @@ class TestDensityAgainstSubstitution:
 
     @pytest.mark.parametrize("label,m,bundle", DENSITY_CASES, ids=CASE_IDS)
     def test_density_equals_substituted_genus(self, label, m, bundle):
-        twist = bundle or BundleDescriptor.trivial(m)
-        ch = chern_character(twist.rank, twist.chern_parts(m.real_dim)).polynomial
+        twist = bundle or BundleDescriptor(rank=1, total_chern=m.one())
+        ch = chern_character(twist.rank, twist.chern_parts(m.real_dim))
         if bundle is None:
             want = self.substituted(l_class, "p", m.pontryagin_parts(), m)
             assert signature_index(m).density == want
@@ -413,7 +448,7 @@ class TestDensityAgainstSubstitution:
         monkeypatch.setattr(exact_algebra, "symmetric_reduce", refuse)
         for label, m, bundle in DENSITY_CASES:
             for kind in INDEX_FUNCTIONS:
-                if bundle is not None and kind not in ("dolbeault", "spin"):
+                if bundle is not None and kind not in TWISTABLE:
                     continue
                 try:
                     compute_index(m, kind, bundle)

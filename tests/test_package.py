@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,41 @@ def test_cold_index_and_genus_never_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["2", "1 + 1/2·c1 + 1/12·c2 + 1/12·c1^2 + 1/24·c1·c2"]
+
+
+_TRACED_CHILD = """
+import io
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+spans = tracer.Tracer()
+spans.install()
+from indexcalc.cli import run_cli
+for argv in (["index", "--manifold", "cp1", "--complex", "dolbeault", "--bundle", "O(1)"],
+             ["index", "--manifold", "k3", "--complex", "spin"]):
+    assert run_cli(argv, io.StringIO()) == 0, argv
+print(json.dumps(spans.export()["calls"]))
+"""
+
+
+def test_benchmark_tracer_still_finds_the_index_functions():
+    """perfbench/tracer.py wraps the index functions, their registry and chern_character
+    by name; one twisted and one untwisted index must show up in its spans."""
+    perfbench = SRC.parent / "perfbench"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_CHILD, str(perfbench)],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls["cli.run_cli"] == 2
+    assert calls["index_engine.dolbeault_index"] == calls["index_engine.spin_index"] == 1
+    assert calls["index_engine.evaluate"] == 2
+    assert calls["genera.chern_character"] == 1  # the twisted index only
 
 
 @pytest.mark.parametrize("name", [n for n in indexcalc.__all__ if n != "__version__"])
