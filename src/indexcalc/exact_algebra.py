@@ -5,6 +5,10 @@ Everything here is exact: coefficients are `fractions.Fraction` throughout,
 and all equalities asserted downstream are literal equalities, never
 tolerances.  Values are immutable after construction and safe to share
 between threads.
+
+GradedPolynomial checks outside input once, in its constructor.  Its
+arithmetic builds results from terms that are already clean and checks
+nothing again; substitute expands powers term by term, with no cache.
 """
 
 from __future__ import annotations
@@ -183,6 +187,8 @@ class GradedPolynomial:
     cohomological degree of a term is sum(exponent * generator degree).  Any
     term above ``truncation`` is discarded eagerly, on construction and
     during multiplication.  Instances are never mutated after construction.
+    Outside input is checked once, by this constructor; arithmetic builds its
+    results from terms that are already clean and checks nothing again.
     """
 
     __slots__ = ("generators", "truncation", "terms")
@@ -217,14 +223,19 @@ class GradedPolynomial:
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
                 c = Fraction(coeff)
-                if c == 0 or self._degree_of(exps) > self.truncation:
+                if c == 0 or self.degree_of_term(exps) > self.truncation:
                     continue
-                acc = clean.get(exps, Fraction(0)) + c
-                if acc:
-                    clean[exps] = acc
-                else:
-                    clean.pop(exps, None)
-        self.terms = clean
+                clean[exps] = clean.get(exps, 0) + c
+        self.terms = {e: c for e, c in clean.items() if c}
+
+    def _new(self, terms: dict[tuple[int, ...], Fraction]) -> "GradedPolynomial":
+        """``terms`` in self's basis, unchecked: the caller guarantees exponent tuples
+        of the right length and nonzero Fractions, none above the truncation."""
+        out = object.__new__(GradedPolynomial)
+        out.generators = self.generators
+        out.truncation = self.truncation
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -248,22 +259,20 @@ class GradedPolynomial:
 
     # -- inspection ---------------------------------------------------
 
-    def _degree_of(self, exps: Sequence[int]) -> int:
-        return sum(e * d for e, (_, d) in zip(exps, self.generators))
-
     def degree_of_term(self, exps: Sequence[int]) -> int:
-        return self._degree_of(exps)
+        return sum(e * d for e, (_, d) in zip(exps, self.generators))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.generators), Fraction(0))
 
     def degree_part(self, degree: int) -> "GradedPolynomial":
         """The homogeneous component of the given cohomological degree."""
-        part = {e: c for e, c in self.terms.items() if self._degree_of(e) == degree}
-        return GradedPolynomial(self.generators, self.truncation, part)
+        return self._new(
+            {e: c for e, c in self.terms.items() if self.degree_of_term(e) == degree}
+        )
 
     def homogeneous_degrees(self) -> list[int]:
-        return sorted({self._degree_of(e) for e in self.terms})
+        return sorted({self.degree_of_term(e) for e in self.terms})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -284,24 +293,18 @@ class GradedPolynomial:
         self._check_basis(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return GradedPolynomial(self.generators, self.truncation, out)
+            out[e] = out.get(e, 0) + c
+        return self._new({e: c for e, c in out.items() if c})
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        self._check_basis(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return GradedPolynomial(self.generators, self.truncation, out)
+        return self + -other
 
     def __neg__(self) -> "GradedPolynomial":
         return self.scaled(Fraction(-1))
 
     def scaled(self, c: Fraction) -> "GradedPolynomial":
         c = Fraction(c)
-        return GradedPolynomial(
-            self.generators, self.truncation, {e: c * v for e, v in self.terms.items()}
-        )
+        return self._new({e: c * v for e, v in self.terms.items()} if c else {})
 
     def __rmul__(self, c) -> "GradedPolynomial":
         if isinstance(c, (int, Fraction)):
@@ -312,20 +315,22 @@ class GradedPolynomial:
         if isinstance(other, (int, Fraction)):
             return self.scaled(Fraction(other))
         self._check_basis(other)
+        # each right-hand degree once; sorted, so the truncation ends the inner loop
+        right = sorted((other.degree_of_term(e), e, c) for e, c in other.terms.items())
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in self.terms.items():
-            da = self._degree_of(ea)
-            for eb, cb in other.terms.items():
-                if da + other._degree_of(eb) > self.truncation:
-                    continue
+            room = self.truncation - self.degree_of_term(ea)
+            for db, eb, cb in right:
+                if db > room:
+                    break
                 e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return GradedPolynomial(self.generators, self.truncation, out)
+                out[e] = out.get(e, 0) + ca * cb
+        return self._new({e: c for e, c in out.items() if c})
 
     def __pow__(self, n: int) -> "GradedPolynomial":
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = GradedPolynomial.constant(self.generators, self.truncation, Fraction(1))
+        result = self._new({(0,) * len(self.generators): Fraction(1)})
         base = self
         while n:
             if n & 1:
@@ -356,6 +361,7 @@ class GradedPolynomial:
 
         All assigned polynomials must share one basis and truncation; the
         result lives in that basis.  Every generator of self must be assigned.
+        Each term expands as coeff * prod target**e, with no power cache.
 
         This is a reference route that nothing in the package calls: index
         densities are built in the manifold's ring by power sums.  It stays
@@ -366,30 +372,18 @@ class GradedPolynomial:
         if missing:
             raise ValueError(f"no substitution given for generators {missing}")
         targets = [assignments[n] for n, _ in self.generators]
-        if targets:
-            model = targets[0]
-            for t in targets[1:]:
-                model._check_basis(t)
-        else:
+        if not targets:
             raise ValueError("substitute needs at least one generator; use constant()")
-        out = GradedPolynomial(model.generators, model.truncation, {})
-        # cache powers per generator position
-        powers: list[dict[int, GradedPolynomial]] = [
-            {0: GradedPolynomial.constant(model.generators, model.truncation, Fraction(1))}
-            for _ in targets
-        ]
-
-        def power(i: int, e: int) -> GradedPolynomial:
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * targets[i]
-            return cache[e]
-
+        model = targets[0]
+        for t in targets[1:]:
+            model._check_basis(t)
+        unit = (0,) * len(model.generators)
+        out = model._new({})
         for exps, coeff in self.terms.items():
-            term = GradedPolynomial.constant(model.generators, model.truncation, coeff)
-            for i, e in enumerate(exps):
+            term = model._new({unit: coeff})
+            for target, e in zip(targets, exps):
                 if e:
-                    term = term * power(i, e)
+                    term = term * target**e
             out = out + term
         return out
 
@@ -397,7 +391,7 @@ class GradedPolynomial:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical order: ascending degree, then lexicographic exponents."""
-        return sorted(self.terms.items(), key=lambda item: (self._degree_of(item[0]), item[0]))
+        return sorted(self.terms.items(), key=lambda item: (self.degree_of_term(item[0]), item[0]))
 
     def monomial_name(self, exps: Sequence[int], with_unit_exponent: bool = True) -> str:
         """Render an exponent vector as 'gen^k·gen^k', factors sorted by name."""

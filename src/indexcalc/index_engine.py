@@ -104,12 +104,15 @@ class ManifoldDescriptor:
             raise DescriptorError(f"kind must be oriented_real or complex, got {self.kind!r}")
         gens = _checked_generators(self.generators)
         object.__setattr__(self, "generators", gens)
+        # checked first: evaluation keys are measured and named in this basis
+        if self.tangent_class.generators != gens:
+            raise DescriptorError("tangent_class is not expressed in the manifold generators")
         table = {}
         for exps, value in dict(self.evaluation).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(gens):
                 raise DescriptorError(f"evaluation key {exps} does not match generator count")
-            deg = sum(e * d for e, (_, d) in zip(exps, gens))
+            deg = self.tangent_class.degree_of_term(exps)
             if deg != self.real_dim:
                 raise DescriptorError(
                     f"evaluation key {self.monomial_name(exps)} has degree {deg}, "
@@ -117,16 +120,13 @@ class ManifoldDescriptor:
                 )
             table[exps] = int(value)
         object.__setattr__(self, "evaluation", table)
-        if self.tangent_class.generators != gens:
-            raise DescriptorError("tangent_class is not expressed in the manifold generators")
         if self.tangent_class.constant_term() != 1:
             raise DescriptorError("tangent_class must have degree-0 term 1")
 
     # -- helpers -------------------------------------------------------
 
     def monomial_name(self, exps: Sequence[int]) -> str:
-        zero = GradedPolynomial(self.generators, self.real_dim, {})
-        return zero.monomial_name(exps)
+        return self.tangent_class.monomial_name(exps)
 
     def one(self) -> GradedPolynomial:
         return GradedPolynomial.constant(self.generators, self.real_dim, Fraction(1))

@@ -101,12 +101,13 @@ def _require_finite(value: float, what: str) -> float:
 
 
 def _in_float_range(spec: OperatorSpec, compute: Callable[[], float]) -> float:
-    """compute(), refused with a ValueError naming the operator if it leaves the float range."""
+    """compute(), refused with a ValueError naming the operator if it leaves the float range:
+    overflows, or falls below sys.float_info.min = 2**-1022, where no regular determinant lies."""
     try:
         value = compute()
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if not math.isfinite(value) or abs(value) < 2.0**-1022:
         raise ValueError(
             f"{spec.kind} determinant at beta={spec.beta}, parameter={spec.parameter} "
             "leaves the float range"

@@ -550,6 +550,21 @@ class TestCliDetreg:
         assert "apbc_first_order_shifted" in err and "beta=1000" in err and "parameter=10" in err
         assert "float range" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--op", "pbc_laplacian", "--beta", "1e-200"],
+            ["--op", "pbc_laplacian", "--beta", "1e-160"],
+            ["--op", "pbc_curvature_block", "--beta", "1e-170", "--param", "1e-170"],
+        ],
+    )
+    def test_float_underflow_exits_2(self, argv):
+        # these printed closed=0 oracle=0, or a subnormal, and exited 0
+        code, out, err = run(["detreg", *argv])
+        assert (code, out) == (2, "")
+        assert argv[1] in err and f"beta={argv[3]}" in err
+        assert "leaves the float range" in err
+
     @pytest.mark.parametrize("kind", ["pbc_curvature_block", "apbc_curvature_block"])
     @pytest.mark.parametrize("param", ["1e17", "1e200"])
     def test_parameter_beyond_float_resolution_exits_2(self, kind, param):

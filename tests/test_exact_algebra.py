@@ -208,6 +208,62 @@ class TestGradedPolynomial:
         assert image == expected
 
 
+class TestTrustedArithmetic:
+    """Arithmetic builds its results without the validating constructor, so each
+    result must already be what that constructor would make of its terms."""
+
+    MIXED = (("a", 2), ("b", 4), ("c", 6))
+
+    @staticmethod
+    def results(p, q):
+        """Every kind of arithmetic result on p and q, named."""
+        out = {
+            "p + q": p + q,
+            "p - q": p - q,
+            "p - p": p - p,
+            "p + -p": p + -p,
+            "p * q": p * q,
+            "p * p * q": p * p * q,
+            "3 * p": 3 * p,
+            "p * -2/3": p * Fraction(-2, 3),
+            "0 * p": 0 * p,
+            "-p": -p,
+            "p ** 0": p**0,
+            "p ** 1": p**1,
+            "q ** 3": q**3,
+        }
+        for d in range(0, p.truncation + 2, 2):
+            out[f"degree_part({d}) of p * q"] = (p * q).degree_part(d)
+        return out
+
+    def test_results_are_clean(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            p = random_poly(rng, self.MIXED, 12, n_terms=6)
+            q = random_poly(rng, self.MIXED, 12, n_terms=4)
+            results = self.results(p, q)
+            for name, r in results.items():
+                assert r == GradedPolynomial(r.generators, r.truncation, r.terms), name
+                assert all(type(c) is Fraction and c != 0 for c in r.terms.values()), name
+                assert all(r.degree_of_term(e) <= r.truncation for e in r.terms), name
+            assert results["p - p"].terms == results["p + -p"].terms == {}
+
+    def test_arithmetic_never_calls_the_validating_constructor(self, monkeypatch):
+        rng = random.Random(5)
+        p = random_poly(rng, self.MIXED, 12, n_terms=6)
+        q = random_poly(rng, self.MIXED, 12, n_terms=4)
+        a = GradedPolynomial.generator(self.MIXED, 12, "a")
+        expected = self.results(p, q)
+        image = p.substitute({"a": a, "b": a * a, "c": q})
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("arithmetic re-checked an already-built polynomial")
+
+        monkeypatch.setattr(GradedPolynomial, "__init__", refuse)
+        assert self.results(p, q) == expected
+        assert p.substitute({"a": a, "b": a * a, "c": q}) == image
+
+
 def elementary_symmetric_exps(n, k):
     """Exponent vectors of e_k(x_1..x_n)."""
     from itertools import combinations

@@ -30,7 +30,7 @@ assert "numpy" not in sys.modules, "index, genus or fermion-checks imported nump
 
 def test_cold_index_and_genus_never_import_numpy():
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD],
+        [sys.executable, "-B", "-c", _CHILD],
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,

@@ -208,6 +208,28 @@ class TestOracle:
         with pytest.raises(ValueError, match="float range"):
             closed_form(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OperatorSpec("pbc_laplacian", 1e-200),  # beta^2 underflows to 0
+            OperatorSpec("pbc_laplacian", 1e-160),  # beta^2 is the subnormal 1e-320
+            OperatorSpec("pbc_curvature_block", 1e-170, 1e-170),  # (2 sin(beta y/2))^2 -> 0
+        ],
+        ids=["zero", "subnormal", "curvature-zero"],
+    )
+    def test_underflow_leaves_the_float_range(self, spec):
+        # no regular operator's determinant is zero, so a 0 or subnormal value is an underflow
+        named = f"{spec.kind} determinant at beta={spec.beta}.* leaves the float range"
+        with pytest.raises(ValueError, match=named):
+            closed_form(spec)
+        with pytest.raises(ValueError, match=named):
+            oracle_product(spec, 100)
+
+    def test_smallest_normal_determinant_is_kept(self):
+        # beta^2 = 2**-1022 exactly, sys.float_info.min: the last value inside the range
+        spec = OperatorSpec("pbc_laplacian", 2.0**-511)
+        assert closed_form(spec) == oracle_product(spec, 10) == 2.0**-1022
+
     def test_laplacian_oracle_exact_ratio(self):
         for beta in (0.5, 1.0, 2.0):
             spec = OperatorSpec("pbc_laplacian", beta)
