@@ -9,7 +9,7 @@ reader refuses two keys that name one monomial, such as "h^2" and "h^1·h^1".
 Each catalog entry records the indices expected on it, which keeps the
 `verify` subcommand self-contained.  The INDEXCALC_CATALOG_DIR environment
 variable may point at a directory of extra descriptor files; entries there
-shadow built-ins of the same name.
+shadow built-ins of the same name, and a value naming no directory is an error.
 """
 
 from __future__ import annotations
@@ -426,6 +426,8 @@ def effective_catalog() -> list[CatalogEntry]:
     directory = os.environ.get(CATALOG_DIR_ENV)
     overrides = {}
     if directory:
+        if not Path(directory).is_dir():
+            raise DescriptorError(f"{CATALOG_DIR_ENV}={directory} is not a directory")
         for path in sorted(Path(directory).glob("*.json")):
             entry = load_descriptor(path)
             overrides[entry.name] = entry

@@ -18,6 +18,7 @@ it runs, so genus, index and fermion-checks start without it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -206,15 +207,7 @@ def _cmd_verify(args, out) -> int:
         )
     lines.append(f"{report.n_pass}/{len(report.checks)} checks passed")
     payload = {
-        "checks": [
-            {
-                "name": c.name,
-                "expected": c.expected,
-                "computed": c.computed,
-                "status": c.status,
-            }
-            for c in report.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in report.checks],
         "passed": report.passed,
         "n_pass": report.n_pass,
         "n_fail": report.n_fail,

@@ -4,6 +4,9 @@ Every gamma matrix here is a Pauli string i^k X^x Z^z, kept as the integers
 (k mod 4, x, z), so products, adjoints and traces are bit operations and all
 identity checks are exact integer equalities.  Grassmann coefficients use an
 exact complex-rational type so the Berezin bookkeeping is exact as well.
+Grassmann monomials are increasing index tuples; the product of a and b is
+zero when they share an index, else (-1)^(number of pairs i in a, j in b with
+i > j) times sorted(a + b).
 
 Berezin measure convention: the iterated integral d(psi^1)...d(psi^2n)
 extracts the coefficient of the descending monomial psi^2n...psi^1
@@ -104,36 +107,18 @@ def _coerce(value) -> ComplexRational:
 
 
 def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Merge two strictly increasing index tuples, tracking the swap sign.
-
-    Returns (sign, merged) or None when an index repeats (the square of a
-    generator vanishes).
-    """
+    """(sign, sorted(a + b)) for the monomial product a b, or None if a and b share an index."""
     if set(a) & set(b):
         return None
-    merged: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a) - i factors of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
+    return (-1) ** sum(i > j for i in a for j in b), tuple(sorted(a + b))
 
 
 class GrassmannElement:
     """Element of the Grassmann algebra on generators psi^1..psi^m.
 
-    Coefficients are stored against strictly increasing index tuples; the
-    anticommutation signs are tracked on multiplication.
+    Coefficients are stored against strictly increasing index tuples.  A product
+    of two monomials a, b sharing no index is (-1)^#{(i, j) : i in a, j in b, i > j}
+    times the monomial sorted(a + b); one sharing an index vanishes.
     """
 
     __slots__ = ("coefficients",)
@@ -166,11 +151,7 @@ class GrassmannElement:
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
         out = dict(self.coefficients)
         for idx, c in other.coefficients.items():
-            s = out.get(idx, ComplexRational()) + c
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
+            out[idx] = out.get(idx, ComplexRational()) + c
         return GrassmannElement(out)
 
     def __mul__(self, other) -> "GrassmannElement":
@@ -181,14 +162,9 @@ class GrassmannElement:
         for ia, ca in self.coefficients.items():
             for ib, cb in other.coefficients.items():
                 merged = _merge_indices(ia, ib)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                s = out.get(idx, ComplexRational()) + ca * cb * sign
-                if s:
-                    out[idx] = s
-                else:
-                    out.pop(idx, None)
+                if merged is not None:
+                    sign, idx = merged
+                    out[idx] = out.get(idx, ComplexRational()) + ca * cb * sign
         return GrassmannElement(out)
 
     def __rmul__(self, other) -> "GrassmannElement":
@@ -293,9 +269,8 @@ def normalization_psi2(n: int) -> ComplexRational:
     """
     if not 1 <= n <= MAX_HALF_DIM:
         raise ValueError(f"n must be between 1 and {MAX_HALF_DIM}, got {n}")
-    top = GrassmannElement.scalar(ComplexRational.i_power(n) * Fraction(2**n))
-    for k in range(1, 2 * n + 1):
-        top = top * GrassmannElement.generator(k)
+    coefficient = GrassmannElement.scalar(ComplexRational.i_power(n) * Fraction(2**n))
+    top = reduce(operator.mul, map(GrassmannElement.generator, range(1, 2 * n + 1)), coefficient)
     integral = berezin_integrate(top, 2 * n)
     return ComplexRational(Fraction(2**n)) / integral
 

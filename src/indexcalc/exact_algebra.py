@@ -77,12 +77,6 @@ class TaylorSeries:
         """True when every odd-exponent coefficient vanishes."""
         return all(c == 0 for c in self.coefficients[1::2])
 
-    def __add__(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = min(self.order, other.order)
-        return TaylorSeries(
-            tuple(self.coefficients[k] + other.coefficients[k] for k in range(n + 1))
-        )
-
     def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
         n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)

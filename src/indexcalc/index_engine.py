@@ -19,7 +19,7 @@ No formal genus is substituted; the Euler class is no genus, so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -183,8 +183,6 @@ class IndexReport:
     integer_value: int
     density: GradedPolynomial
 
-    manifold: str = field(default="", compare=False)
-
 
 def evaluate(poly: GradedPolynomial, manifold: ManifoldDescriptor) -> Fraction:
     """Pair the top-degree component of a polynomial with the fundamental class.
@@ -219,7 +217,6 @@ def _report(kind: str, density: GradedPolynomial, manifold: ManifoldDescriptor, 
         value=value,
         integer_value=int(value),
         density=density,
-        manifold=manifold.name,
     )
 
 

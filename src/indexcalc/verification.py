@@ -143,49 +143,26 @@ def _check_signature_integrand(report: VerifyReport) -> None:
         report.add(f"2^l prod f(x/2) = prod f(x) at volume degree (l={l})", True, ok, ok)
 
 
+# frozen classical expansions (the tests recompute them by brute force); shown=None prints all
+_GENUS_ROWS = (
+    ("L_1 = p1/3", l_class, 2, 4, {(1, 0): Fraction(1, 3)}, (1, 0)),
+    ("L_2 = (7 p2 - p1^2)/45", l_class, 2, 8,
+     {(0, 1): Fraction(7, 45), (2, 0): Fraction(-1, 45)}, None),
+    ("A_1 = -p1/24", a_hat_class, 2, 4, {(1, 0): Fraction(-1, 24)}, (1, 0)),
+    ("A_2 = (7 p1^2 - 4 p2)/5760", a_hat_class, 2, 8,
+     {(2, 0): Fraction(7, 5760), (0, 1): Fraction(-1, 1440)}, None),
+    ("Td_2 = (c1^2 + c2)/12", todd_class, 2, 4,
+     {(2, 0): Fraction(1, 12), (0, 1): Fraction(1, 12)}, None),
+    ("Td_3 = c1 c2 / 24", todd_class, 3, 6, {(1, 1, 0): Fraction(1, 24)}, None),
+)
+
+
 def _check_genus_coefficients(report: VerifyReport) -> None:
-    # classical expansions, frozen; the acceptance test recomputes them by brute force
-    l2 = l_class(2).polynomial
-    report.add(
-        "L_1 = p1/3",
-        "1/3",
-        str(l2.degree_part(4).terms.get((1, 0), 0)),
-        l2.degree_part(4).terms == {(1, 0): Fraction(1, 3)},
-    )
-    report.add(
-        "L_2 = (7 p2 - p1^2)/45",
-        "7/45, -1/45",
-        str(sorted(l2.degree_part(8).terms.items())),
-        l2.degree_part(8).terms == {(0, 1): Fraction(7, 45), (2, 0): Fraction(-1, 45)},
-    )
-    a2 = a_hat_class(2).polynomial
-    report.add(
-        "A_1 = -p1/24",
-        "-1/24",
-        str(a2.degree_part(4).terms.get((1, 0), 0)),
-        a2.degree_part(4).terms == {(1, 0): Fraction(-1, 24)},
-    )
-    report.add(
-        "A_2 = (7 p1^2 - 4 p2)/5760",
-        "7/5760, -1/1440",
-        str(sorted(a2.degree_part(8).terms.items())),
-        a2.degree_part(8).terms
-        == {(2, 0): Fraction(7, 5760), (0, 1): Fraction(-1, 1440)},
-    )
-    td2 = todd_class(2).polynomial
-    report.add(
-        "Td_2 = (c1^2 + c2)/12",
-        "1/12, 1/12",
-        str(sorted(td2.degree_part(4).terms.items())),
-        td2.degree_part(4).terms == {(2, 0): Fraction(1, 12), (0, 1): Fraction(1, 12)},
-    )
-    td3 = todd_class(3).polynomial
-    report.add(
-        "Td_3 = c1 c2 / 24",
-        "1/24",
-        str(sorted(td3.degree_part(6).terms.items())),
-        td3.degree_part(6).terms == {(1, 1, 0): Fraction(1, 24)},
-    )
+    polynomial = functools.cache(lambda build, half_dim: build(half_dim).polynomial)
+    for name, build, half_dim, degree, frozen, shown in _GENUS_ROWS:
+        terms = polynomial(build, half_dim).degree_part(degree).terms
+        computed = sorted(terms.items()) if shown is None else terms.get(shown, 0)
+        report.add(name, ", ".join(map(str, frozen.values())), computed, terms == frozen)
 
 
 # frozen reference values, independent of the catalog's own expected tables

@@ -635,6 +635,35 @@ class TestCliVerify:
             assert status[f"gamma^a hermitian (n={n})"] is True
             assert status[f"gamma_(2n+1)^2 = 1, anticommutes with gamma^a (n={n})"] is True
 
+    def test_genus_coefficient_rows(self):
+        code, out, _ = run(["verify", "--format", "json"])
+        rows = [
+            (c["name"], c["expected"], c["computed"])
+            for c in json.loads(out)["checks"]
+            if c["name"].split(" = ")[0] in {"L_1", "L_2", "A_1", "A_2", "Td_2", "Td_3"}
+        ]
+        assert code == 0
+        assert rows == [
+            ("L_1 = p1/3", "1/3", "1/3"),
+            (
+                "L_2 = (7 p2 - p1^2)/45",
+                "7/45, -1/45",
+                "[((0, 1), Fraction(7, 45)), ((2, 0), Fraction(-1, 45))]",
+            ),
+            ("A_1 = -p1/24", "-1/24", "-1/24"),
+            (
+                "A_2 = (7 p1^2 - 4 p2)/5760",
+                "7/5760, -1/1440",
+                "[((0, 1), Fraction(-1, 1440)), ((2, 0), Fraction(7, 5760))]",
+            ),
+            (
+                "Td_2 = (c1^2 + c2)/12",
+                "1/12, 1/12",
+                "[((0, 1), Fraction(1, 12)), ((2, 0), Fraction(1, 12))]",
+            ),
+            ("Td_3 = c1 c2 / 24", "1/24", "[((1, 1, 0), Fraction(1, 24))]"),
+        ]
+
     def test_catalog_override_failure_exits_1(self, tmp_path, monkeypatch):
         entry = catalog_entry("k3")
         wrong = CatalogEntry(
@@ -688,6 +717,28 @@ class TestCatalogDirExpectedKeys:
         save_descriptor(CatalogEntry(entry.manifold, {}, untwisted), tmp_path / "cp1.json")
         monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
         assert run(["verify"]) == (2, "", "error: cp1: no bundle named 'O(-2)'; available: none\n")
+
+
+class TestCatalogDirMustBeADirectory:
+    """INDEXCALC_CATALOG_DIR naming a missing path or a regular file is refused."""
+
+    @pytest.fixture(params=["missing", "file"])
+    def bad_dir(self, request, tmp_path, monkeypatch):
+        path = tmp_path / "catalog"
+        if request.param == "file":
+            path.write_text("{}")
+        monkeypatch.setenv(CATALOG_DIR_ENV, str(path))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["index", "--manifold", "k3", "--complex", "spin"]]
+    )
+    def test_exits_2_naming_variable_and_path(self, bad_dir, argv):
+        assert run(argv) == (2, "", f"error: {CATALOG_DIR_ENV}={bad_dir} is not a directory\n")
+
+    def test_empty_value_means_unset(self, monkeypatch):
+        monkeypatch.setenv(CATALOG_DIR_ENV, "")
+        assert run(["index", "--manifold", "k3", "--complex", "spin"]) == (0, "2\n", "")
 
 
 class TestCliMisc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
@@ -171,6 +172,71 @@ class TestBerezin:
         ascending = psi[0] * psi[1] * psi[2] * psi[3]
         swapped = psi[1] * psi[0] * psi[2] * psi[3]
         assert berezin_integrate(ascending, 4) == -berezin_integrate(swapped, 4)
+
+
+def bubble_sort_swaps(seq) -> int:
+    """The adjacent swaps bubble sort makes to order seq."""
+    items, swaps = list(seq), 0
+    for end in range(len(items) - 1, 0, -1):
+        for k in range(end):
+            if items[k] > items[k + 1]:
+                items[k], items[k + 1] = items[k + 1], items[k]
+                swaps += 1
+    return swaps
+
+
+def random_element(rng, n_gen: int = 5) -> GrassmannElement:
+    """Up to six terms on psi^1..psi^n_gen with random ComplexRational coefficients."""
+    coefficients = {}
+    for _ in range(rng.randint(0, 6)):
+        idx = tuple(sorted(rng.sample(range(1, n_gen + 1), rng.randint(0, n_gen))))
+        coefficients[idx] = ComplexRational(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        )
+    return GrassmannElement(coefficients)
+
+
+class TestGrassmannSignRule:
+    """Products against the parity of a bubble sort, counted without the sign rule."""
+
+    @staticmethod
+    def disjoint_pair(rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        chosen = rng.sample(range(1, 11), rng.randint(0, 10))
+        cut = rng.randint(0, len(chosen))
+        return tuple(sorted(chosen[:cut])), tuple(sorted(chosen[cut:]))
+
+    def test_disjoint_product_carries_the_bubble_sort_parity(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            a, b = self.disjoint_pair(rng)
+            sign = (-1) ** bubble_sort_swaps(a + b)
+            want = GrassmannElement({tuple(sorted(a + b)): sign})
+            in_order = reduce(
+                operator.mul, map(GrassmannElement.generator, a + b), GrassmannElement.scalar(1)
+            )
+            assert in_order == want, (a, b)
+            assert GrassmannElement({a: 1}) * GrassmannElement({b: 1}) == want, (a, b)
+
+    def test_overlapping_monomials_multiply_to_zero(self):
+        rng = random.Random(15)
+        for _ in range(100):
+            a, b = self.disjoint_pair(rng)
+            shared = rng.randint(1, 10)
+            a, b = tuple(sorted({*a, shared})), tuple(sorted({*b, shared}))
+            assert (GrassmannElement({a: 1}) * GrassmannElement({b: 1})).coefficients == {}
+
+    def test_product_is_associative(self):
+        rng = random.Random(16)
+        for _ in range(100):
+            x, y, z = (random_element(rng) for _ in range(3))
+            assert (x * y) * z == x * (y * z)
+
+    def test_sum_with_its_negative_stores_no_coefficient(self):
+        rng = random.Random(17)
+        for _ in range(50):
+            x = random_element(rng)
+            assert (x + (-1) * x).coefficients == {}
 
 
 class TestNormalization:
