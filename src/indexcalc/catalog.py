@@ -225,6 +225,14 @@ def _expected_key(key: str, bundles: Mapping[str, BundleDescriptor], source: str
     return key
 
 
+def _in_context(context: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a DescriptorError it raises gets ``context`` as prefix."""
+    try:
+        return build(*args, **kwargs)
+    except DescriptorError as exc:
+        raise DescriptorError(f"{context}: {exc}") from None
+
+
 def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     doc = _json_type(doc, "object", "the descriptor", source)
     version = _require(doc, "schema_version", source)
@@ -238,10 +246,7 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
         _generator(g, source)
         for g in _json_type(_require(block, "generators", source), "array", "generators", source)
     )
-    try:
-        _checked_generators(generators)  # before any monomial key is parsed with them
-    except DescriptorError as exc:
-        raise DescriptorError(f"{source}: {exc}") from None
+    _in_context(source, _checked_generators, generators)  # before any monomial key uses them
     evaluation = _monomial_table(
         generators, block, "evaluation", source,
         lambda key, value: _int(value, f"evaluation of {key!r}", source),
@@ -250,28 +255,17 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     euler = None
     if "euler_class" in block:
         euler = _poly_from_json(generators, real_dim, block, "euler_class", source)
-    try:
-        manifold = ManifoldDescriptor(
-            name=name,
-            real_dim=real_dim,
-            kind=kind,
-            generators=generators,
-            evaluation=evaluation,
-            tangent_class=tangent,
-            euler_class=euler,
-        )
-    except DescriptorError as exc:
-        raise DescriptorError(f"{source}: {exc}") from None
+    manifold = _in_context(
+        source, ManifoldDescriptor, name=name, real_dim=real_dim, kind=kind,
+        generators=generators, evaluation=evaluation, tangent_class=tangent, euler_class=euler,
+    )
     bundles = {}
     for bname, bblock in _json_type(doc.get("bundles", {}), "object", "bundles", source).items():
         context = f"{source} bundle {bname!r}"
         bblock = _json_type(bblock, "object", "the bundle", context)
         rank = _int(_require(bblock, "rank", context), "rank", context)
         total = _poly_from_json(generators, real_dim, bblock, "total_chern", context)
-        try:
-            bundles[str(bname)] = BundleDescriptor(rank=rank, total_chern=total)
-        except DescriptorError as exc:
-            raise DescriptorError(f"{context}: {exc}") from None
+        bundles[str(bname)] = _in_context(context, BundleDescriptor, rank=rank, total_chern=total)
     expected = {
         _expected_key(str(k), bundles, source): _int(v, f"expected value of {k!r}", source)
         for k, v in _json_type(doc.get("expected", {}), "object", "expected", source).items()

@@ -108,10 +108,7 @@ def _cmd_genus(args, out) -> int:
         "half_dim": genus.half_dim,
         "truncation": poly.truncation,
         "polynomial": str(poly),
-        "terms": {
-            poly.monomial_name(exps): f"{c.numerator}/{c.denominator}"
-            for exps, c in poly.sorted_terms()
-        },
+        "terms": _catalog._poly_to_json(poly),
     }
     _emit(payload, [str(poly)], args.format, out)
     return 0

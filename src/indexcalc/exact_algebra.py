@@ -89,10 +89,6 @@ class TaylorSeries:
                     out[i + j] += a * b
         return TaylorSeries(tuple(out))
 
-    def scale(self, c: Fraction) -> "TaylorSeries":
-        c = Fraction(c)
-        return TaylorSeries(tuple(c * a for a in self.coefficients))
-
     def scale_argument(self, c: Fraction) -> "TaylorSeries":
         """Substitute x -> c * x."""
         c = Fraction(c)

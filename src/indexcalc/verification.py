@@ -3,7 +3,8 @@
 Each criterion contributes named checks with an expected and a computed
 value; tolerances are fixed here, not configurable.  The quick mode trims
 the oracle mode counts; --all runs the full-size ratio oracles (10^5 modes)
-with the same tolerances.
+with the same tolerances.  The catalog is read before any criterion runs, and
+an index that comes out non-integer fails its row ("non-integer <v>").
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ def _timed(report: VerifyReport, label: str, fn) -> None:
         )
 
 
+def _within(report: VerifyReport, name: str, delta: float, tol: float) -> None:
+    """A row that passes when |delta| <= tol."""
+    report.add(name, f"|delta| <= {tol:g}", f"delta={delta:.3e}", abs(delta) <= tol)
+
+
 def _check_determinants(report: VerifyReport) -> None:
     for beta in (0.5, 1.0, 2.0):
         closed = zeta_det.det_pbc_laplacian(beta)
@@ -85,12 +91,8 @@ def _check_determinants(report: VerifyReport) -> None:
             f"det_pbc_laplacian(beta={beta:g})", beta * beta, closed, closed == beta * beta
         )
         via_zeta = math.exp(zeta_det.pbc_laplacian_log_det_zeta(beta))
-        report.add(
-            f"exp(-zeta'(0)) = det_pbc_laplacian (beta={beta:g})",
-            f"|delta| <= {CLOSED_FORM_FLOAT_TOL:g}",
-            f"delta={via_zeta - closed:.3e}",
-            abs(via_zeta - closed) <= CLOSED_FORM_FLOAT_TOL,
-        )
+        _within(report, f"exp(-zeta'(0)) = det_pbc_laplacian (beta={beta:g})",
+                via_zeta - closed, CLOSED_FORM_FLOAT_TOL)
 
 
 def _check_ratio_identity(modes: int):
@@ -99,21 +101,12 @@ def _check_ratio_identity(modes: int):
         for y in (0.3, 1.0, 2.0):
             closed = zeta_det.det_apbc_curvature_block(y, beta)
             ratio = zeta_det.det_apbc_curvature_block_via_ratio(y, beta)
-            report.add(
-                f"I(2b)/I(b) = (2cos(b y/2))^2 at y={y:g}",
-                f"|delta| <= {CLOSED_FORM_FLOAT_TOL:g}",
-                f"delta={ratio - closed:.3e}",
-                abs(ratio - closed) <= CLOSED_FORM_FLOAT_TOL,
-            )
-            oracle = zeta_det.oracle_product(
-                zeta_det.OperatorSpec("apbc_curvature_block", beta, y), modes
-            )
-            report.add(
-                f"apbc block oracle (y={y:g}, N={modes:g})",
-                f"|delta| <= {ORACLE_TOL_RATIO:g}",
-                f"delta={oracle - closed:.3e}",
-                abs(oracle - closed) <= ORACLE_TOL_RATIO,
-            )
+            _within(report, f"I(2b)/I(b) = (2cos(b y/2))^2 at y={y:g}",
+                    ratio - closed, CLOSED_FORM_FLOAT_TOL)
+            spec = zeta_det.OperatorSpec("apbc_curvature_block", beta, y)
+            oracle = zeta_det.oracle_product(spec, modes)
+            _within(report, f"apbc block oracle (y={y:g}, N={modes:g})",
+                    oracle - closed, ORACLE_TOL_RATIO)
 
     return run
 
@@ -180,27 +173,24 @@ _CRITERION_6 = (
 )
 
 
+def _index_row(report: VerifyReport, index, label: str, name: str, key: str, expected: int):
+    """A row comparing ``index(name, key)`` with ``expected``; a non-integer index fails it."""
+    try:
+        value = index(name, key).value
+        report.add(label, expected, value, value == expected)
+    except engine.InconsistentIndexError as exc:
+        report.add(label, expected, f"non-integer {exc.value}", False)
+
+
 def _check_catalog_indices(report: VerifyReport, catalog, index) -> None:
     for name, key, expected in _CRITERION_6:
         kind, _, bundle_name = key.partition(":")
         label = f"{kind}({name}{', ' + bundle_name if bundle_name else ''})"
-        try:
-            rep = index(name, key)
-        except engine.InconsistentIndexError as exc:
-            report.add(label, expected, f"non-integer {exc.value}", False)
-            continue
-        integral = rep.value.denominator == 1
-        report.add(label, expected, rep.value, integral and rep.integer_value == expected)
+        _index_row(report, index, label, name, key, expected)
     # every recorded expectation across the catalog, as an integrality sweep
     for entry in catalog:
         for key, expected in sorted(entry.expected.items()):
-            rep = index(entry.name, key)
-            report.add(
-                f"catalog {entry.name}: {key}",
-                expected,
-                rep.value,
-                rep.value == Fraction(expected),
-            )
+            _index_row(report, index, f"catalog {entry.name}: {key}", entry.name, key, expected)
 
 
 def _check_mod4_vanishing(report: VerifyReport, catalog, index) -> None:
@@ -208,13 +198,8 @@ def _check_mod4_vanishing(report: VerifyReport, catalog, index) -> None:
     for entry in catalog:
         if entry.manifold.real_dim % 4 == 2:
             hit = True
-            rep = index(entry.name, "signature")
-            report.add(
-                f"signature vanishes on {entry.name} (dim {entry.manifold.real_dim})",
-                0,
-                rep.value,
-                rep.value == 0,
-            )
+            label = f"signature vanishes on {entry.name} (dim {entry.manifold.real_dim})"
+            _index_row(report, index, label, entry.name, "signature", 0)
     report.add("catalog contains dim = 2 mod 4 descriptors", True, hit, hit)
 
 
@@ -230,14 +215,7 @@ def _check_beta_independence(report: VerifyReport) -> None:
 
 def run_verification(full: bool = False) -> VerifyReport:
     """Run every acceptance criterion; `full` uses the large oracle mode counts."""
-    report = VerifyReport()
-    ratio_modes = FULL_MODES_RATIO if full else QUICK_MODES
-    _timed(report, "determinant-closed-forms", _check_determinants)
-    _timed(report, "ratio-identity", _check_ratio_identity(ratio_modes))
-    _timed(report, "fermionic-identities", _check_fermionic)
-    _timed(report, "signature-integrand", _check_signature_integrand)
-    _timed(report, "genus-coefficients", _check_genus_coefficients)
-    # one catalog snapshot per run; each of its indices is computed at most once
+    # one catalog snapshot per run, read before any criterion; each index computed at most once
     catalog = _catalog.effective_catalog()
     entries = {entry.name: entry for entry in catalog}
 
@@ -246,6 +224,13 @@ def run_verification(full: bool = False) -> VerifyReport:
         kind, _, bundle_name = key.partition(":")
         return entries[name].index(kind, bundle_name or None)
 
+    report = VerifyReport()
+    ratio_modes = FULL_MODES_RATIO if full else QUICK_MODES
+    _timed(report, "determinant-closed-forms", _check_determinants)
+    _timed(report, "ratio-identity", _check_ratio_identity(ratio_modes))
+    _timed(report, "fermionic-identities", _check_fermionic)
+    _timed(report, "signature-integrand", _check_signature_integrand)
+    _timed(report, "genus-coefficients", _check_genus_coefficients)
     _timed(report, "catalog-indices", lambda r: _check_catalog_indices(r, catalog, index))
     _check_mod4_vanishing(report, catalog, index)
     _check_beta_independence(report)

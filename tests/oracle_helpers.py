@@ -5,6 +5,8 @@ series coefficients taken from the Bernoulli closed forms; none of it uses
 the package's series division or symmetric reduction.  `reduced_root_product`
 is the other reference: the root expansion of prod f(x_i) rewritten by the
 package's Gauss elimination (`symmetric_reduce`), with no power sums.
+`pontryagin_pair_sum` is the textbook pair sum for Pontryagin classes in
+the same dict arithmetic.
 
 `dense` expands a Pauli string into its complex matrix with `np.kron`, and
 `kron_gammas` is the recursive Kronecker build of the gamma matrices that the
@@ -131,6 +133,24 @@ def reduced_root_product(f: TaylorSeries, n_roots: int, class_names) -> GradedPo
                 terms[tuple(e)] = f.coefficient(src)
         product = product * GradedPolynomial(basis, truncation, terms)
     return symmetric_reduce(product, n_roots, list(class_names))
+
+
+def pontryagin_pair_sum(chern_classes, real_dim: int) -> list[dict]:
+    """p_1..p_{real_dim//4} of the underlying real bundle as term dicts, by the pair sum
+    p_k = (-1)^k sum_{i=0}^{2k} (-1)^i c_i c_{2k-i} (c_0 = 1, zero past the list),
+    multiplied with the local dict arithmetic and cut at the classes' truncation."""
+    c1 = chern_classes[0]
+    weights = [d for _, d in c1.generators]
+    c = [{(0,) * len(weights): Fraction(1)}, *(cl.terms for cl in chern_classes)]
+    c += [{}] * (real_dim // 2)
+    out = []
+    for k in range(1, real_dim // 4 + 1):
+        pk = {}
+        for i in range(2 * k + 1):
+            pair = d_mul(c[i], c[2 * k - i], c1.truncation, weights)
+            pk = d_add(pk, {e: (-1) ** (k + i) * v for e, v in pair.items()})
+        out.append(pk)
+    return out
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indexcalc import verification
 from indexcalc.catalog import (
     CATALOG_DIR_ENV,
     CatalogEntry,
@@ -676,6 +678,31 @@ class TestCliVerify:
         code, out, _ = run(["verify"])
         assert code == 1
         assert "FAIL" in out
+
+    def test_non_integer_catalog_index_is_a_failing_row(self, tmp_path, monkeypatch):
+        # cp2 is not spin: its spin index is the non-integer -1/8
+        entry = catalog_entry("cp2")
+        renamed = dataclasses.replace(entry.manifold, name="cp2b")
+        save_descriptor(
+            CatalogEntry(renamed, entry.bundles, {**entry.expected, "spin": 0}),
+            tmp_path / "cp2b.json",
+        )
+        monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
+        code, out, err = run(["verify"])
+        assert (code, err) == (1, "")
+        rows = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert rows == ["FAIL  catalog cp2b: spin  expected=0  computed=non-integer -1/8"]
+        code, out, _ = run(["verify", "--format", "json"])
+        assert (code, json.loads(out)["n_fail"]) == (1, 1)
+
+    def test_bad_catalog_dir_refused_before_any_criterion(self, tmp_path, monkeypatch):
+        def unreachable(report):
+            raise AssertionError("a criterion ran before the catalog was read")
+
+        monkeypatch.setattr(verification, "_check_determinants", unreachable)
+        missing = tmp_path / "missing"
+        monkeypatch.setenv(CATALOG_DIR_ENV, str(missing))
+        assert run(["verify"]) == (2, "", f"error: {CATALOG_DIR_ENV}={missing} is not a directory\n")
 
 
 _BAD_KEY_MESSAGES = {  # bad expected key -> what the refusal says about it

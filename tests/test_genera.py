@@ -11,11 +11,19 @@ reduces the root product with symmetric_reduce (Gauss elimination).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_helpers import brute_force_product, expand_class_poly, reduced_root_product
+from oracle_helpers import (
+    brute_force_product,
+    expand_class_poly,
+    pontryagin_pair_sum,
+    reduced_root_product,
+)
 
 from indexcalc.catalog import catalog_entry
 from indexcalc.exact_algebra import GradedPolynomial, TaylorSeries, bernoulli, genus_series
@@ -332,6 +340,28 @@ class TestChernToPontryagin:
         parts = chern_to_pontryagin([zero, zero], 8)
         assert all(p.is_zero() for p in parts)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_pair_sum(self, data):
+        # 0-3 generators of degree 2 or 4, truncation below, at or above real_dim, and
+        # up to 2 more Chern classes than real_dim/2, so more than the real_dim/4 asked for
+        degrees = data.draw(st.lists(st.sampled_from((2, 4)), max_size=3))
+        basis = tuple((f"g{i}", d) for i, d in enumerate(degrees))
+        real_dim = data.draw(st.integers(0, 6)) * 2
+        truncation = real_dim + data.draw(st.sampled_from((-4, -2, 0, 2, 4)))
+        truncation = max(truncation, 0)
+        n_classes = data.draw(st.integers(1, real_dim // 2 + 2))
+        classes = []
+        for k in range(1, n_classes + 1):
+            # every monomial of degree 2k in the basis, each with a small coefficient
+            monomials = [e for e in product(range(k + 1), repeat=len(basis))
+                         if sum(x * d for x, (_, d) in zip(e, basis)) == 2 * k]
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(monomials),
+                                        max_size=len(monomials)))
+            classes.append(GradedPolynomial(basis, truncation, dict(zip(monomials, coeffs))))
+        got = chern_to_pontryagin(classes, real_dim)
+        assert [p.terms for p in got] == pontryagin_pair_sum(classes, real_dim)
+
 
 class TestSignatureIntegrandIdentity:
     @pytest.mark.parametrize("l", range(0, 7))
@@ -344,7 +374,7 @@ class TestSignatureIntegrandIdentity:
         from indexcalc.exact_algebra import genus_series
 
         f = genus_series("L", 2)
-        g = f.scale_argument(Fraction(1, 2)).scale(Fraction(2))
+        g = TaylorSeries(tuple(2 * a for a in f.scale_argument(Fraction(1, 2)).coefficients))
         assert g.coefficient(0) == 2 != f.coefficient(0)
 
 
