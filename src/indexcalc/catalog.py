@@ -33,6 +33,7 @@ from .index_engine import (
     IndexReport,
     ManifoldDescriptor,
     _checked_generators,
+    _check_real_dim,
     compute_index,
 )
 
@@ -241,6 +242,7 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     block = _json_type(_require(doc, "manifold", source), "object", "manifold", source)
     name = _json_type(_require(block, "name", source), "string", "name", source)
     real_dim = _int(_require(block, "real_dim", source), "real_dim", source)
+    _in_context(source, _check_real_dim, real_dim)  # before any polynomial is truncated at it
     kind = str(_require(block, "kind", source))
     generators = tuple(
         _generator(g, source)

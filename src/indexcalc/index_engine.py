@@ -78,6 +78,11 @@ def _checked_generators(generators) -> tuple[tuple[str, int], ...]:
     return gens
 
 
+def _check_real_dim(real_dim: int) -> None:
+    if real_dim <= 0 or real_dim % 2 != 0:
+        raise DescriptorError(f"real_dim must be even and positive, got {real_dim}")
+
+
 @dataclass(frozen=True)
 class ManifoldDescriptor:
     """Characteristic data of a closed even-dimensional manifold.
@@ -86,7 +91,9 @@ class ManifoldDescriptor:
     total Pontryagin class for kind 'oriented_real', expressed in the listed
     generators.  ``evaluation`` maps each top-degree exponent vector to the
     integer it pairs to against the fundamental class.  ``euler_class`` is
-    only needed on oriented_real descriptors that want a de Rham index.
+    only needed on oriented_real descriptors that want a de Rham index.  Both
+    classes, and any bundle's total Chern class, live in the manifold's ring:
+    its generators, truncated at real_dim.
     """
 
     name: str
@@ -98,15 +105,15 @@ class ManifoldDescriptor:
     euler_class: GradedPolynomial | None = None
 
     def __post_init__(self) -> None:
-        if self.real_dim <= 0 or self.real_dim % 2 != 0:
-            raise DescriptorError(f"real_dim must be even and positive, got {self.real_dim}")
+        _check_real_dim(self.real_dim)
         if self.kind not in ("oriented_real", "complex"):
             raise DescriptorError(f"kind must be oriented_real or complex, got {self.kind!r}")
         gens = _checked_generators(self.generators)
         object.__setattr__(self, "generators", gens)
         # checked first: evaluation keys are measured and named in this basis
-        if self.tangent_class.generators != gens:
-            raise DescriptorError("tangent_class is not expressed in the manifold generators")
+        self._require_in_ring(self.tangent_class, "tangent_class")
+        if self.euler_class is not None:
+            self._require_in_ring(self.euler_class, "euler_class")
         table = {}
         for exps, value in dict(self.evaluation).items():
             exps = tuple(int(e) for e in exps)
@@ -124,6 +131,13 @@ class ManifoldDescriptor:
             raise DescriptorError("tangent_class must have degree-0 term 1")
 
     # -- helpers -------------------------------------------------------
+
+    def _require_in_ring(self, poly: GradedPolynomial, field: str) -> None:
+        if (poly.generators, poly.truncation) != (self.generators, self.real_dim):
+            raise DescriptorError(
+                f"{self.name}: {field} must be over the generators {self.generators} truncated "
+                f"at real_dim {self.real_dim}, got {poly.generators} truncated at {poly.truncation}"
+            )
 
     def monomial_name(self, exps: Sequence[int]) -> str:
         return self.tangent_class.monomial_name(exps)
@@ -187,14 +201,11 @@ class IndexReport:
 def evaluate(poly: GradedPolynomial, manifold: ManifoldDescriptor) -> Fraction:
     """Pair the top-degree component of a polynomial with the fundamental class.
 
-    Lower-degree terms contribute nothing; a top-degree monomial missing from
-    the evaluation table is an error naming that monomial.
+    The polynomial must lie in the manifold's ring: truncated below real_dim it
+    would have lost its top degree.  Lower-degree terms contribute nothing; a
+    top-degree monomial missing from the evaluation table is an error naming it.
     """
-    if poly.generators != manifold.generators:
-        raise DescriptorError(
-            f"polynomial basis {poly.generators} does not match manifold "
-            f"{manifold.name!r} generators {manifold.generators}"
-        )
+    manifold._require_in_ring(poly, "the evaluated polynomial")
     total = Fraction(0)
     for exps, coeff in poly.terms.items():
         if poly.degree_of_term(exps) != manifold.real_dim:
@@ -234,6 +245,8 @@ def _genus_index(
 ) -> IndexReport:
     """The index of a GENUS_COMPLEXES row: <genus(TM) ch(V), [M]>, with no ch for no V."""
     series, tangent_classes, _ = GENUS_COMPLEXES[kind]
+    if bundle is not None:
+        manifold._require_in_ring(bundle.total_chern, "bundle total_chern")
     f = genus_series(series, manifold.real_dim // 2)
     density = multiplicative_sequence(f, tangent_classes(manifold), manifold.one())
     if bundle is not None:

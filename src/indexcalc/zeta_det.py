@@ -5,14 +5,11 @@ Closed forms for the periodic/antiperiodic spectra
     PBC   nu_n    = 2*pi*n/beta,       n in Z (primed: n = 0 excluded)
     APBC  omega_k = (2k+1)*pi/beta,    k in Z
 
-paired with a truncated-infinite-product oracle.  The oracle regularizes by
-ratio: it divides the partial product at the given parameter by the partial
-product at parameter zero and multiplies by the closed-form reference
-determinant, which is scheme-independent for the ratios that enter indices.
-It sums the log of each mode pair's ratio, log1p(t) or 2 log|1 - t| with
-t = c/m^2 = parameter^2 / frequency^2 for mode number m, one fixed-size block
-of modes at a time, so its memory stays bounded whatever the mode count; the
-parameter-free kinds have ratio 1 and walk no modes.
+paired with a truncated-infinite-product oracle, which regularizes by ratio
+to parameter zero (see oracle_product); that reference is scheme-independent
+for the ratios that enter indices.  One table, _KINDS, gives each kind's mode
+numbers and unit, its pair rule and its closed form; closed form and oracle
+ask one _nearest_mode which curvature pair may vanish.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
@@ -24,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,21 +42,6 @@ __all__ = [
     "oracle_product",
     "regularized_det",
 ]
-
-OPERATOR_KINDS = (
-    "pbc_laplacian",
-    "pbc_first_order",
-    "apbc_first_order_shifted",
-    "pbc_curvature_block",
-    "apbc_curvature_block",
-)
-
-_PBC_KINDS = ("pbc_laplacian", "pbc_first_order", "pbc_curvature_block")
-_CURVATURE_KINDS = ("pbc_curvature_block", "apbc_curvature_block")
-# kinds whose eigenvalues do not depend on the parameter
-_LAPLACIAN_KINDS = ("pbc_laplacian", "pbc_first_order")
-# mode number m has frequency m*unit/beta: nu_n = 2*pi*n/beta, omega_k = (2k+1)*pi/beta
-_UNITS = {kind: 2.0 * math.pi if kind in _PBC_KINDS else math.pi for kind in OPERATOR_KINDS}
 
 # Modes per oracle block: one 256 KiB float array, which stays in cache while
 # the block's mode numbers become log-ratios in place.
@@ -115,22 +97,25 @@ def _in_float_range(spec: OperatorSpec, compute: Callable[[], float]) -> float:
     return value
 
 
-def _singular_multiple(kind: str, beta: float, y: float) -> int | None:
-    """The integer that beta*y/unit lies within _SINGULAR_TOL of, or None.
+def _nearest_mode(kind: str, x: float) -> int:
+    """The mode number n (periodic) or 2k+1 nearest x = beta*parameter/unit, signed as x."""
+    return round(x) if _KINDS[kind].periodic else 2 * round((x - 1.0) / 2.0) + 1
 
-    From |beta*y/unit| = 2^23 on, every float is that close to an integer, so
-    the test would decide nothing there: such a y is refused with a ValueError.
-    """
-    x = beta * y / _UNITS[kind]
+
+def _refuse_vanishing_pair(kind: str, beta: float, y: float) -> None:
+    """Refuse y if beta*y/unit is within _SINGULAR_TOL of a mode number m != 0.  From
+    |beta*y/unit| = 2^23 on every float is that close to an integer: a ValueError then."""
+    x = beta * y / _KINDS[kind].unit
     if math.ulp(x) > _SINGULAR_TOL:
         raise ValueError(
             f"{kind} parameter {y} at beta={beta} is beyond the float resolution "
             "of the singularity test"
         )
-    n = round(x)
-    if abs(x - n) <= _SINGULAR_TOL:
-        return int(n)
-    return None
+    m = _nearest_mode(kind, x)
+    if m != 0 and abs(x - m) <= _SINGULAR_TOL:
+        where = (f"{m}*pi (periodic mode n = {m})" if _KINDS[kind].periodic
+                 else f"({m}/2)*pi (antiperiodic mode {m})")
+        raise SingularOperatorError(f"zero eigenvalue: beta*y/2 = {where}", mode_index=abs(m))
 
 
 def pbc_laplacian_log_det_zeta(beta: float) -> float:
@@ -171,11 +156,7 @@ def det_pbc_curvature_block(y: float, beta: float) -> float:
     y = _require_finite(y, "y")
     if y == 0.0:
         return beta * beta
-    n = _singular_multiple("pbc_curvature_block", beta, y)
-    if n is not None and n != 0:
-        raise SingularOperatorError(
-            f"zero eigenvalue: beta*y/2 = {n}*pi (periodic mode n = {n})", mode_index=abs(n)
-        )
+    _refuse_vanishing_pair("pbc_curvature_block", beta, y)
     s = math.sin(beta * y / 2.0) / (y / 2.0)
     return s * s
 
@@ -190,12 +171,7 @@ def det_apbc_curvature_block(y: float, beta: float) -> float:
     """
     beta = _require_positive_beta(beta)
     y = _require_finite(y, "y")
-    m = _singular_multiple("apbc_curvature_block", beta, y)
-    if m is not None and m % 2 != 0:
-        raise SingularOperatorError(
-            f"zero eigenvalue: beta*y/2 = ({m}/2)*pi (antiperiodic mode {m})",
-            mode_index=abs(m),
-        )
+    _refuse_vanishing_pair("apbc_curvature_block", beta, y)
     c = 2.0 * math.cos(beta * y / 2.0)
     return c * c
 
@@ -226,16 +202,36 @@ def det_apbc_first_order(omega: float, beta: float) -> float:
     return 2.0 * math.cosh(beta * _require_finite(omega, "omega") / 2.0)
 
 
+class _Kind(NamedTuple):
+    periodic: bool  # mode number m = n at unit 2pi, else m = 2k+1 at unit pi
+    pairs: str | None  # pair rule: None (no parameter), "shifted" or "curvature"
+    closed: Callable[..., float]  # of (beta) if pairs is None, else of (parameter, beta)
+
+    @property
+    def unit(self) -> float:
+        return 2.0 * math.pi if self.periodic else math.pi
+
+
+_KINDS = {
+    "pbc_laplacian": _Kind(True, None, det_pbc_laplacian),
+    "pbc_first_order": _Kind(True, None, det_pbc_first_order),
+    "apbc_first_order_shifted": _Kind(False, "shifted", det_apbc_first_order),
+    "pbc_curvature_block": _Kind(True, "curvature", det_pbc_curvature_block),
+    "apbc_curvature_block": _Kind(False, "curvature", det_apbc_curvature_block),
+}
+OPERATOR_KINDS = tuple(_KINDS)
+
+
 def _mode_numbers(kind: str, start: int, stop: int) -> np.ndarray:
     """m = n for n = start+1..stop (periodic kinds) or 2k+1 for k = start..stop-1."""
-    if kind in _PBC_KINDS:
+    if _KINDS[kind].periodic:
         return np.arange(start + 1, stop + 1, dtype=float)
     return np.arange(2 * start + 1, 2 * stop, 2, dtype=float)
 
 
 def _mode_frequencies(kind: str, beta: float, start: int, stop: int) -> np.ndarray:
     """nu_n or omega_k = m*unit/beta for the same modes."""
-    return _mode_numbers(kind, start, stop) * _UNITS[kind] / beta
+    return _mode_numbers(kind, start, stop) * _KINDS[kind].unit / beta
 
 
 @dataclass(frozen=True)
@@ -253,13 +249,12 @@ class OperatorSpec:
     parameter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in OPERATOR_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {OPERATOR_KINDS}")
-        _require_positive_beta(self.beta)
+        object.__setattr__(self, "beta", _require_positive_beta(self.beta))
         parameter = _require_finite(self.parameter, "parameter")
-        if parameter and self.kind in _LAPLACIAN_KINDS:
+        if parameter and _KINDS[self.kind].pairs is None:
             raise ValueError(f"{self.kind} takes no parameter, got parameter={parameter}")
-        object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "parameter", parameter)
 
     def paired_mode_factors(self, n_modes: int) -> np.ndarray:
@@ -272,14 +267,14 @@ class OperatorSpec:
             raise ValueError("need at least one mode")
         freq = _mode_frequencies(self.kind, self.beta, 0, n_modes)
         sq = freq * freq
-        if self.kind == "pbc_laplacian":
-            return sq * sq  # lambda_n = nu_n^2 at both n and -n
-        if self.kind == "pbc_first_order":
-            return sq  # (i nu_n)(-i nu_n)
+        pairs = _KINDS[self.kind].pairs
+        if pairs is None:
+            # lambda_n = nu_n^2 at both n and -n, or (i nu_n)(-i nu_n)
+            return sq * sq if self.kind == "pbc_laplacian" else sq
         p2 = self.parameter * self.parameter  # inf, not OverflowError, past the float range
-        if self.kind == "apbc_first_order_shifted":
+        if pairs == "shifted":
             return sq + p2
-        d = sq - p2  # pbc_curvature_block and apbc_curvature_block
+        d = sq - p2
         return d * d
 
 
@@ -288,7 +283,6 @@ class RegularizedDet:
     """Closed-form determinant together with its truncated-product oracle."""
 
     closed_form: float
-    spec: OperatorSpec
     oracle_value: float
     oracle_modes: int
 
@@ -297,18 +291,11 @@ class RegularizedDet:
         return self.oracle_value - self.closed_form
 
 
-_CLOSED_FORMS: dict[str, Callable[[OperatorSpec], float]] = {
-    "pbc_laplacian": lambda s: det_pbc_laplacian(s.beta),
-    "pbc_first_order": lambda s: det_pbc_first_order(s.beta),
-    "apbc_first_order_shifted": lambda s: det_apbc_first_order(s.parameter, s.beta),
-    "pbc_curvature_block": lambda s: det_pbc_curvature_block(s.parameter, s.beta),
-    "apbc_curvature_block": lambda s: det_apbc_curvature_block(s.parameter, s.beta),
-}
-
-
 def closed_form(spec: OperatorSpec) -> float:
     """Zeta-regularized closed-form determinant for the given operator."""
-    return _in_float_range(spec, lambda: _CLOSED_FORMS[spec.kind](spec))
+    kind = _KINDS[spec.kind]
+    args = (spec.beta,) if kind.pairs is None else (spec.parameter, spec.beta)
+    return _in_float_range(spec, lambda: kind.closed(*args))
 
 
 def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
@@ -325,7 +312,7 @@ def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
     if n_modes < 1:
         raise ValueError("need at least one mode")
     reference = replace(spec, parameter=0.0)
-    if spec.kind in _LAPLACIAN_KINDS:
+    if _KINDS[spec.kind].pairs is None:
         return closed_form(reference)
     c = _ratio_scale(spec, n_modes)
     log_ratio = math.fsum(
@@ -339,24 +326,23 @@ def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
 def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
     """c = (beta*|parameter|/unit)^2, after one look for a vanishing curvature pair.
 
-    A pair vanishes when its frequency m*unit/beta equals |parameter|; then
-    x = beta*|parameter|/unit is within m*2^-50 of m, so only the mode nearest
-    x can.  It is compared with the raw route's frequency, so the verdict is
-    paired_mode_factors'.  If that route keeps it nonzero but m^2 == c
+    A pair vanishes when its frequency m*unit/beta equals |parameter|, so only the
+    mode nearest x = beta*|parameter|/unit can, and the raw route's frequency decides,
+    as in paired_mode_factors.  If that route keeps it nonzero but m^2 == c
     (x == m exactly), c moves one ulp to that route's side of m^2.
     """
+    kind = _KINDS[spec.kind]
     p = abs(spec.parameter)
-    x = spec.beta * p / _UNITS[spec.kind]
+    x = spec.beta * p / kind.unit
     c = x * x
-    if spec.kind in _CURVATURE_KINDS and x <= 2 * n_modes:
-        mode = round(x) - 1 if spec.kind in _PBC_KINDS else round((x - 1.0) / 2.0)
-        if 0 <= mode < n_modes:
-            m = _mode_numbers(spec.kind, mode, mode + 1)[0]
-            freq = _mode_frequencies(spec.kind, spec.beta, mode, mode + 1)[0]
+    if kind.pairs == "curvature" and x <= 2 * n_modes:
+        m = _nearest_mode(spec.kind, x)
+        if 1 <= m <= (n_modes if kind.periodic else 2 * n_modes - 1):
+            freq = m * kind.unit / spec.beta
             if freq == p:
                 raise SingularOperatorError(
-                    f"exactly-zero eigenvalue in mode pair m = {int(m)}, parameter {spec.parameter}",
-                    mode_index=int(m),
+                    f"exactly-zero eigenvalue in mode pair m = {m}, parameter {spec.parameter}",
+                    mode_index=m,
                 )
             if m * m == c:
                 c = math.nextafter(c, math.inf if p > freq else 0.0)
@@ -367,7 +353,7 @@ def _block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1."""
     m2 = _mode_numbers(kind, start, stop)
     m2 *= m2
-    if kind not in _CURVATURE_KINDS:
+    if _KINDS[kind].pairs != "curvature":
         t = np.divide(c, m2, out=m2)
         return float(np.sum(np.log1p(t, out=t)))
     minus_t = np.divide(-c, m2, out=m2)  # rises towards 0 with m
@@ -382,9 +368,4 @@ def _block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
 
 def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:
     """Closed form and oracle in one record, for reports and the CLI."""
-    return RegularizedDet(
-        closed_form=closed_form(spec),
-        spec=spec,
-        oracle_value=oracle_product(spec, n_modes),
-        oracle_modes=n_modes,
-    )
+    return RegularizedDet(closed_form(spec), oracle_product(spec, n_modes), n_modes)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indexcalc import verification
+from indexcalc import catalog, verification
 from indexcalc.catalog import (
     CATALOG_DIR_ENV,
     CatalogEntry,
@@ -36,6 +36,7 @@ from indexcalc.index_engine import (
     BundleDescriptor,
     DescriptorError,
     ManifoldDescriptor,
+    compute_index,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -185,6 +186,18 @@ class TestDescriptorFiles:
         with pytest.raises(DescriptorError) as info:
             load_descriptor(tmp_path / "cp1.json")
         assert f"{field} must be an integer, got {json.dumps(bad)}" in str(info.value)
+
+    @pytest.mark.parametrize("real_dim", [-4, 0, 3])
+    def test_bad_real_dim_names_the_file(self, tmp_path, real_dim):
+        # refused before any polynomial is truncated at it
+        path = tmp_path / "cp2.json"
+        save_descriptor(catalog_entry("cp2"), path)
+        doc = json.loads(path.read_text())
+        doc["manifold"]["real_dim"] = real_dim
+        path.write_text(json.dumps(doc))
+        assert run(["index", "--manifold", str(path), "--complex", "euler"]) == (
+            2, "", f"error: {path}: real_dim must be even and positive, got {real_dim}\n"
+        )
 
     def test_resolve_path_or_name(self, tmp_path):
         path = tmp_path / "cp2.json"
@@ -694,6 +707,25 @@ class TestCliVerify:
         assert rows == ["FAIL  catalog cp2b: spin  expected=0  computed=non-integer -1/8"]
         code, out, _ = run(["verify", "--format", "json"])
         assert (code, json.loads(out)["n_fail"]) == (1, 1)
+
+    def test_non_integer_index_computed_once_per_run(self, tmp_path, monkeypatch):
+        # k3 with c2 evaluating to 20: its signature, dolbeault and spin come out
+        # non-integer, and the frozen rows and the catalog sweep both ask for them
+        entry = catalog_entry("k3")
+        wrong = dataclasses.replace(entry.manifold, evaluation={(1,): 20})
+        save_descriptor(CatalogEntry(wrong, entry.bundles, entry.expected), tmp_path / "k3.json")
+        monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
+        calls = []
+
+        def counted(manifold, kind, bundle=None):
+            calls.append((manifold.name, kind, bundle))
+            return compute_index(manifold, kind, bundle)
+
+        monkeypatch.setattr(catalog, "compute_index", counted)
+        code, out, _ = run(["verify"])
+        assert code == 1
+        assert "computed=non-integer" in out
+        assert len(calls) == len(set(calls))
 
     def test_bad_catalog_dir_refused_before_any_criterion(self, tmp_path, monkeypatch):
         def unreachable(report):

@@ -3,8 +3,9 @@
 `cli_golden.json` maps each command line (its argv joined by spaces) to the
 sha256 of its exit code, stdout and stderr, so a refactor that changes any
 byte of an exact output fails here.  `verify` prints wall-clock readings and
-float deltas; both are masked before hashing.  `detreg` is left out: its
-floats depend on the platform's libm.
+float deltas; both are masked before hashing.  `detreg` appears only with
+inputs it refuses: its values depend on the platform's libm, its refusals
+print no computed float.
 
 After a deliberate output change, rewrite the table from the root of a
 checkout with
@@ -33,6 +34,23 @@ _RUNTIME = re.compile(r"\b\d+\.\d{3} s\b")
 _DELTA = re.compile(r"delta=[-+0-9.e]+")
 
 
+# singular curvature blocks (y = n*2pi/beta, (2k+1)*pi/beta), a parameter on a Laplacian
+# kind, an unknown kind, no modes, a parameter past the float resolution, an infinite beta
+_DETREG_REFUSALS = (
+    ("pbc_curvature_block", "1", "--param", "6.283185307179586"),
+    ("pbc_curvature_block", "1", "--param", "-12.566370614359172"),
+    ("apbc_curvature_block", "1", "--param", "3.141592653589793"),
+    ("apbc_curvature_block", "2", "--param", "-4.71238898038469"),
+    ("pbc_laplacian", "1", "--param", "0.7"),
+    ("pbc_first_order", "2", "--param", "-3"),
+    ("dirichlet", "1"),
+    ("pbc_laplacian", "1", "--oracle-modes", "0"),
+    ("pbc_curvature_block", "1", "--param", "1e17"),
+    ("apbc_curvature_block", "1", "--param=-1e17"),
+    ("pbc_laplacian", "inf"),
+)
+
+
 def _commands() -> list[list[str]]:
     base = [["genus", "--kind", kind, "--half-dim", str(n)]
             for kind in ("L", "Ahat", "Todd") for n in range(6)]
@@ -41,6 +59,7 @@ def _commands() -> list[list[str]]:
     base += [["index", "--manifold", "cp1", "--complex", kind, "--bundle", bundle]
              for bundle in sorted(catalog_entry("cp1").bundles) for kind in ("dolbeault", "spin")]
     base += [["fermion-checks"], ["verify"], ["verify", "--all"]]
+    base += [["detreg", "--op", op, "--beta", beta, *rest] for op, beta, *rest in _DETREG_REFUSALS]
     return [argv + ["--format", fmt] for argv in base for fmt in ("text", "json")]
 
 

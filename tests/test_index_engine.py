@@ -69,11 +69,12 @@ class TestEvaluate:
         a, b = Fraction(3), Fraction(-1, 2)
         assert evaluate(a * p + b * q, cp2) == a * evaluate(p, cp2) + b * evaluate(q, cp2)
 
-    def test_basis_mismatch(self):
-        cp2 = manifold("cp2")
-        alien = GradedPolynomial((("z", 2),), 4, {(2,): 1})
-        with pytest.raises(DescriptorError):
-            evaluate(alien, cp2)
+    @pytest.mark.parametrize("generators,truncation", [((("z", 2),), 4), ((("h", 2),), 2)])
+    def test_polynomial_outside_the_ring(self, generators, truncation):
+        # truncated at 2, h^2 is gone and the pairing would read 0 in place of 1
+        alien = GradedPolynomial(generators, truncation, {(1,): 1})
+        with pytest.raises(DescriptorError, match="cp2: the evaluated polynomial must be over"):
+            evaluate(alien, manifold("cp2"))
 
 
 class TestSignature:
@@ -229,6 +230,35 @@ class TestDescriptorValidation:
                 evaluation={(2,): 1},
                 tangent_class=GradedPolynomial(gens, 4, {(1,): 3}),
             )
+
+    @pytest.mark.parametrize("field", ["tangent_class", "euler_class"])
+    @pytest.mark.parametrize(
+        "generators,truncation", [((("p1", 4),), 8), ((("q", 4),), 4), ((), 4)]
+    )
+    def test_classes_outside_the_manifold_ring(self, field, generators, truncation):
+        s4 = manifold("s4")
+        outside = GradedPolynomial(generators, truncation, {(0,) * len(generators): 1})
+        classes = {"tangent_class": s4.tangent_class, "euler_class": None, field: outside}
+        with pytest.raises(DescriptorError) as info:
+            ManifoldDescriptor(
+                name="s4x", real_dim=4, kind="oriented_real", generators=s4.generators,
+                evaluation={(1,): 0}, **classes,
+            )
+        assert str(info.value) == (
+            f"s4x: {field} must be over the generators (('p1', 4),) truncated at real_dim 4, "
+            f"got {generators} truncated at {truncation}"
+        )
+
+    @pytest.mark.parametrize("kind", TWISTABLE)
+    @pytest.mark.parametrize("generators,truncation", [((("h", 2),), 8), ((("g", 2),), 2)])
+    def test_bundle_outside_the_manifold_ring(self, kind, generators, truncation):
+        bundle = BundleDescriptor(1, GradedPolynomial(generators, truncation, {(0,): 1, (1,): 1}))
+        with pytest.raises(DescriptorError) as info:
+            compute_index(manifold("cp1"), kind, bundle)
+        assert str(info.value) == (
+            "cp1: bundle total_chern must be over the generators (('h', 2),) truncated at "
+            f"real_dim 2, got {generators} truncated at {truncation}"
+        )
 
     def test_bundle_rank(self):
         cp1 = manifold("cp1")

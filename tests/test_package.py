@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import subprocess
@@ -96,3 +97,17 @@ def test_submodule_attribute_and_unknown_attribute():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         indexcalc.no_such_name
+
+
+def test_benchmark_operator_kinds_match_zeta_det():
+    """perfbench/workloads.py keeps its own copy of the kinds, read here as source text
+    (not imported), so a kind added or renamed in zeta_det cannot drop out of det-oracle."""
+    tree = ast.parse((SRC.parent / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    (kinds,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["OPERATOR_KINDS"]
+    ]
+    from indexcalc.zeta_det import OPERATOR_KINDS
+
+    assert kinds == OPERATOR_KINDS

@@ -126,6 +126,71 @@ def test_curvature_block_beyond_float_resolution(det, y):
     assert not isinstance(info.value, SingularOperatorError)
 
 
+# (closed form, k, beta, message, mode_index) at y = k*unit/beta: the sign of n (or of
+# the odd multiple) follows y, mode_index does not
+_SINGULAR_CLOSED_FORMS = [
+    (det_pbc_curvature_block, 1, 1.0, "beta*y/2 = 1*pi (periodic mode n = 1)", 1),
+    (det_pbc_curvature_block, -1, 1.0, "beta*y/2 = -1*pi (periodic mode n = -1)", 1),
+    (det_pbc_curvature_block, 2, 0.5, "beta*y/2 = 2*pi (periodic mode n = 2)", 2),
+    (det_pbc_curvature_block, -7, 3.0, "beta*y/2 = -7*pi (periodic mode n = -7)", 7),
+    (det_pbc_curvature_block, 8388607, 2.0 * math.pi,
+     "beta*y/2 = 8388607*pi (periodic mode n = 8388607)", 8388607),
+    (det_apbc_curvature_block, 1, 1.0, "beta*y/2 = (1/2)*pi (antiperiodic mode 1)", 1),
+    (det_apbc_curvature_block, -1, 1.0, "beta*y/2 = (-1/2)*pi (antiperiodic mode -1)", 1),
+    (det_apbc_curvature_block, 3, 2.0, "beta*y/2 = (3/2)*pi (antiperiodic mode 3)", 3),
+    (det_apbc_curvature_block, -5, 0.5, "beta*y/2 = (-5/2)*pi (antiperiodic mode -5)", 5),
+    (det_apbc_curvature_block, 8388607, math.pi,
+     "beta*y/2 = (8388607/2)*pi (antiperiodic mode 8388607)", 8388607),
+]
+
+
+@pytest.mark.parametrize("det,k,beta,message,mode_index", _SINGULAR_CLOSED_FORMS)
+def test_singular_closed_form_message(det, k, beta, message, mode_index):
+    unit = 2.0 * math.pi if det is det_pbc_curvature_block else math.pi
+    with pytest.raises(SingularOperatorError) as info:
+        det(k * unit / beta, beta)
+    assert str(info.value) == f"zero eigenvalue: {message}"
+    assert info.value.mode_index == mode_index
+
+
+@pytest.mark.parametrize("k", [0, 2, -2, 4, -10])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_apbc_block_even_multiples_are_regular(k, beta):
+    # beta*y/2 = (k/2)*pi with k even puts cos(beta*y/2) at +-1: no vanishing pair
+    assert math.isclose(det_apbc_curvature_block(k * math.pi / beta, beta), 4.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kind,det", [("pbc_curvature_block", det_pbc_curvature_block),
+                                      ("apbc_curvature_block", det_apbc_curvature_block)])
+@pytest.mark.parametrize("y,beta,shown", [(1e17, 1.0, "1e+17 at beta=1.0"),
+                                          (-1e17, 1.0, "-1e+17 at beta=1.0"),
+                                          (8388608.0, None, "8388608.0 at beta={beta}")])
+def test_float_resolution_message(kind, det, y, beta, shown):
+    # from beta*y/unit = 2^23 on, a float's ulp exceeds the 1e-9 tolerance
+    if beta is None:
+        beta = 2.0 * math.pi if kind == "pbc_curvature_block" else math.pi
+    with pytest.raises(ValueError) as info:
+        det(y, beta)
+    assert str(info.value) == (
+        f"{kind} parameter {shown.format(beta=beta)} is beyond the float resolution "
+        "of the singularity test"
+    )
+    assert not isinstance(info.value, SingularOperatorError)
+
+
+@pytest.mark.parametrize("kind,k,beta,m", [("pbc_curvature_block", -2, 1.0, 2),
+                                           ("apbc_curvature_block", 3, 0.5, 3)])
+def test_singular_oracle_message(kind, k, beta, m):
+    unit = 2.0 * math.pi if kind == "pbc_curvature_block" else math.pi
+    spec = OperatorSpec(kind, beta, k * unit / beta)
+    with pytest.raises(SingularOperatorError) as info:
+        oracle_product(spec, 100)
+    assert str(info.value) == (
+        f"exactly-zero eigenvalue in mode pair m = {m}, parameter {spec.parameter}"
+    )
+    assert info.value.mode_index == m
+
+
 class TestApbcFirstOrder:
     def test_omega_zero_is_two(self):
         assert det_apbc_first_order(0.0, 1.0) == 2.0
