@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from pathlib import Path
 from typing import Mapping
 
-from .exact_algebra import GradedPolynomial
+from .exact_algebra import GradedPolynomial, _Value
 from .index_engine import (
     INDEX_FUNCTIONS,
     TWISTABLE,
@@ -56,8 +55,7 @@ CATALOG_DIR_ENV = "INDEXCALC_CATALOG_DIR"
 _MONOMIAL_FACTOR = re.compile(r"^(?P<name>[^\^·]+)\^(?P<power>[0-9]+)$")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Value):
     """A manifold descriptor, its named bundles, and the indices expected on it.
 
     Expected keys are either a complex name (a key of
@@ -65,9 +63,17 @@ class CatalogEntry:
     an index_engine.TWISTABLE complex.
     """
 
-    manifold: ManifoldDescriptor
-    bundles: dict[str, BundleDescriptor] = field(default_factory=dict)
-    expected: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("manifold", "bundles", "expected")
+
+    def __init__(
+        self,
+        manifold: ManifoldDescriptor,
+        bundles: dict[str, BundleDescriptor] | None = None,
+        expected: dict[str, int] | None = None,
+    ):
+        self.manifold = manifold
+        self.bundles = {} if bundles is None else bundles
+        self.expected = {} if expected is None else expected
 
     @property
     def name(self) -> str:

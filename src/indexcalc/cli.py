@@ -18,9 +18,9 @@ it runs, so genus, index and fermion-checks start without it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -63,6 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--beta", required=True, type=float)
     p_det.add_argument("--param", type=float, default=0.0)
     p_det.add_argument("--oracle-modes", type=int, default=10**5, dest="oracle_modes")
+    # argparse takes only -<digits>[.<digits>] for a negative number and would end --beta or
+    # --param at -1e17 or -inf; as values they reach float() and OperatorSpec's own refusals
+    p_det._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     _add_format(p_det)
 
     p_fermion = sub.add_parser("fermion-checks", help="gamma and Berezin identity table")
@@ -193,6 +196,8 @@ def _cmd_fermion_checks(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from dataclasses import asdict
+
     from .verification import run_verification
 
     report = run_verification(full=args.full)
@@ -204,7 +209,7 @@ def _cmd_verify(args, out) -> int:
         )
     lines.append(f"{report.n_pass}/{len(report.checks)} checks passed")
     payload = {
-        "checks": [dataclasses.asdict(c) for c in report.checks],
+        "checks": [asdict(c) for c in report.checks],
         "passed": report.passed,
         "n_pass": report.n_pass,
         "n_fail": report.n_fail,

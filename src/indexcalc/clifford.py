@@ -17,10 +17,11 @@ normalization solves to exactly i^n.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping
+from typing import Mapping, NamedTuple
+
+from .exact_algebra import _Value
 
 __all__ = [
     "ComplexRational",
@@ -35,16 +36,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComplexRational:
+class ComplexRational(_Value):
     """Exact complex number with Fraction real and imaginary parts."""
 
-    real: Fraction = Fraction(0)
-    imag: Fraction = Fraction(0)
+    __slots__ = ("real", "imag")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "real", Fraction(self.real))
-        object.__setattr__(self, "imag", Fraction(self.imag))
+    def __init__(self, real: Fraction = Fraction(0), imag: Fraction = Fraction(0)):
+        self.real, self.imag = Fraction(real), Fraction(imag)
 
     @classmethod
     def i_power(cls, n: int) -> "ComplexRational":
@@ -205,16 +203,16 @@ _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 MAX_HALF_DIM = 5
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(_Value):
     """The 2^n x 2^n matrix i^phase X^x Z^z: the Kronecker product over qubits j of
     X^(x_j) Z^(z_j), qubit j the j-th factor from the left and bit j of x and z
     its exponents (Aaronson and Gottesman, Phys. Rev. A 70 (2004) 052328).
     """
 
-    phase: int  # mod 4
-    x: int
-    z: int
+    __slots__ = ("phase", "x", "z")
+
+    def __init__(self, phase: int, x: int, z: int):
+        self.phase, self.x, self.z = phase, x, z  # phase mod 4
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         # moving Z^z right of X^x' flips the sign once per qubit with z_j = x'_j = 1
@@ -275,8 +273,7 @@ def normalization_psi2(n: int) -> ComplexRational:
     return ComplexRational(Fraction(2**n)) / integral
 
 
-@dataclass(frozen=True)
-class GammaIdentities:
+class GammaIdentities(NamedTuple):
     """The gamma-matrix and Berezin identities at real dimension 2n, all exact."""
 
     n: int

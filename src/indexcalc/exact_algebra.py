@@ -13,7 +13,6 @@ nothing again; substitute expands powers term by term, with no cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
@@ -46,8 +45,31 @@ def bernoulli(k: int) -> Fraction:
     return _BERNOULLI_CACHE[k]
 
 
-@dataclass(frozen=True)
-class TaylorSeries:
+class _Value:
+    """Value semantics for a ``__slots__`` class, as a frozen dataclass has them:
+    equal to an instance of the same class with equal slots, hashed from the slot
+    values (so unhashable only if one of them is) and shown by them in repr.  The
+    cold CLI commands then never import ``dataclasses`` and the ``inspect`` it loads."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class TaylorSeries(_Value):
     """Truncated single-variable power series with exact rational coefficients.
 
     ``coefficients[k]`` is the coefficient of ``x**k``; the series is
@@ -55,12 +77,10 @@ class TaylorSeries:
     length ``order + 1``.
     """
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
+    def __init__(self, coefficients: Iterable[Fraction]):
+        self.coefficients = tuple(Fraction(c) for c in coefficients)
         if not self.coefficients:
             raise ValueError("a series needs at least its constant term")
 

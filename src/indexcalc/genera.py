@@ -19,10 +19,9 @@ c(E)c(E-bar) = c_even^2 - c_odd^2 (Milnor-Stasheff, Characteristic Classes, 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_algebra import GradedPolynomial, TaylorSeries, genus_series
 
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenusClass:
+class GenusClass(NamedTuple):
     """A genus polynomial in class generators.
 
     ``half_dim`` is the number of formal root blocks used: L and A_hat come

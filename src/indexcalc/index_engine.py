@@ -19,11 +19,10 @@ No formal genus is substituted; the Euler class is no genus, so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exact_algebra import GradedPolynomial, genus_series
+from .exact_algebra import GradedPolynomial, _Value, genus_series
 from .genera import chern_character, chern_to_pontryagin, multiplicative_sequence
 
 __all__ = [
@@ -83,8 +82,7 @@ def _check_real_dim(real_dim: int) -> None:
         raise DescriptorError(f"real_dim must be even and positive, got {real_dim}")
 
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
+class ManifoldDescriptor(_Value):
     """Characteristic data of a closed even-dimensional manifold.
 
     ``tangent_class`` is the total Chern class for kind 'complex' and the
@@ -96,26 +94,32 @@ class ManifoldDescriptor:
     its generators, truncated at real_dim.
     """
 
-    name: str
-    real_dim: int
-    kind: str
-    generators: tuple[tuple[str, int], ...]
-    evaluation: Mapping[tuple[int, ...], int]
-    tangent_class: GradedPolynomial
-    euler_class: GradedPolynomial | None = None
+    __slots__ = (
+        "name", "real_dim", "kind", "generators", "evaluation", "tangent_class", "euler_class",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        real_dim: int,
+        kind: str,
+        generators: Iterable[tuple[str, int]],
+        evaluation: Mapping[tuple[int, ...], int],
+        tangent_class: GradedPolynomial,
+        euler_class: GradedPolynomial | None = None,
+    ):
+        self.name, self.real_dim, self.kind = name, real_dim, kind
+        self.tangent_class, self.euler_class = tangent_class, euler_class
         _check_real_dim(self.real_dim)
         if self.kind not in ("oriented_real", "complex"):
             raise DescriptorError(f"kind must be oriented_real or complex, got {self.kind!r}")
-        gens = _checked_generators(self.generators)
-        object.__setattr__(self, "generators", gens)
+        gens = self.generators = _checked_generators(generators)
         # checked first: evaluation keys are measured and named in this basis
         self._require_in_ring(self.tangent_class, "tangent_class")
         if self.euler_class is not None:
             self._require_in_ring(self.euler_class, "euler_class")
         table = {}
-        for exps, value in dict(self.evaluation).items():
+        for exps, value in dict(evaluation).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(gens):
                 raise DescriptorError(f"evaluation key {exps} does not match generator count")
@@ -126,7 +130,7 @@ class ManifoldDescriptor:
                     f"expected top degree {self.real_dim}"
                 )
             table[exps] = int(value)
-        object.__setattr__(self, "evaluation", table)
+        self.evaluation = table
         if self.tangent_class.constant_term() != 1:
             raise DescriptorError("tangent_class must have degree-0 term 1")
 
@@ -161,17 +165,16 @@ class ManifoldDescriptor:
         return chern_to_pontryagin(self.chern_parts(), self.real_dim)
 
 
-@dataclass(frozen=True)
-class BundleDescriptor:
+class BundleDescriptor(_Value):
     """A vector bundle given by rank and total Chern class in the manifold basis.
 
     c_k vanishes for k > rank, so total_chern has no part above degree 2*rank.
     """
 
-    rank: int
-    total_chern: GradedPolynomial
+    __slots__ = ("rank", "total_chern")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, total_chern: GradedPolynomial):
+        self.rank, self.total_chern = rank, total_chern
         if self.rank < 0:
             raise DescriptorError(f"bundle rank must be non-negative, got {self.rank}")
         if self.total_chern.constant_term() != 1:
@@ -188,8 +191,7 @@ class BundleDescriptor:
         return [self.total_chern.degree_part(2 * i) for i in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """Result of an index evaluation: exact value, integer form, and density."""
 
     complex_kind: str

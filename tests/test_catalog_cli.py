@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -589,6 +588,28 @@ class TestCliDetreg:
         assert kind in err and "beta=1.0" in err and f"parameter {float(param)}" in err
         assert "float resolution" in err and "zero eigenvalue" not in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--op", "apbc_curvature_block", "--beta", "1", "--param", "-1e17"],
+             "error: apbc_curvature_block parameter -1e+17 at beta=1.0 is beyond the float "
+             "resolution of the singularity test\n"),
+            (["--op", "pbc_laplacian", "--beta", "-inf"],
+             "error: beta must be finite and positive, got -inf\n"),
+        ],
+        ids=["param", "beta"],
+    )
+    def test_negative_value_in_exponent_form_is_the_options_value(self, argv, message):
+        # argparse alone reads "-1e17" and "-inf" as unknown options: "expected one argument"
+        code, out, err = run(["detreg", *argv])
+        assert (code, out, err) == (2, "", message)
+
+    def test_negative_decimal_parameter_still_works(self):
+        argv = ["detreg", "--op", "apbc_curvature_block", "--beta", "1"]
+        code, out, err = run([*argv, "--param", "-0.5"])
+        assert (code, err) == (0, "") and out.startswith("closed=")
+        assert run([*argv, "--param=-0.5"]) == (code, out, err)
+
     def test_parameter_square_overflow_with_tiny_beta(self):
         # beta*w/2 = 5e-101: both the closed form and the partial product are 2
         code, out, _ = run(
@@ -695,7 +716,11 @@ class TestCliVerify:
     def test_non_integer_catalog_index_is_a_failing_row(self, tmp_path, monkeypatch):
         # cp2 is not spin: its spin index is the non-integer -1/8
         entry = catalog_entry("cp2")
-        renamed = dataclasses.replace(entry.manifold, name="cp2b")
+        m = entry.manifold
+        renamed = ManifoldDescriptor(
+            name="cp2b", real_dim=m.real_dim, kind=m.kind, generators=m.generators,
+            evaluation=m.evaluation, tangent_class=m.tangent_class, euler_class=m.euler_class,
+        )
         save_descriptor(
             CatalogEntry(renamed, entry.bundles, {**entry.expected, "spin": 0}),
             tmp_path / "cp2b.json",
@@ -712,7 +737,11 @@ class TestCliVerify:
         # k3 with c2 evaluating to 20: its signature, dolbeault and spin come out
         # non-integer, and the frozen rows and the catalog sweep both ask for them
         entry = catalog_entry("k3")
-        wrong = dataclasses.replace(entry.manifold, evaluation={(1,): 20})
+        m = entry.manifold
+        wrong = ManifoldDescriptor(
+            name=m.name, real_dim=m.real_dim, kind=m.kind, generators=m.generators,
+            evaluation={(1,): 20}, tangent_class=m.tangent_class, euler_class=m.euler_class,
+        )
         save_descriptor(CatalogEntry(wrong, entry.bundles, entry.expected), tmp_path / "k3.json")
         monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
         calls = []

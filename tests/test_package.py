@@ -26,6 +26,7 @@ assert run_cli(["index", "--manifold", "k3", "--complex", "spin"]) == 0
 assert run_cli(["genus", "--kind", "Todd", "--half-dim", "3"]) == 0
 assert run_cli(["fermion-checks"], io.StringIO()) == 0
 assert "numpy" not in sys.modules, "index, genus or fermion-checks imported numpy"
+assert "dataclasses" not in sys.modules, "index, genus or fermion-checks imported dataclasses"
 """
 
 
