@@ -11,6 +11,15 @@ for the ratios that enter indices.  One table, _KINDS, gives each kind's mode
 numbers and unit, its pair rule and its closed form; closed form and oracle
 ask one _nearest_mode which curvature pair may vanish.
 
+The oracle reads its mode numbers m from constant tables built at import,
+_BLOCK_MODES and their squares _BLOCK_SQUARES (one block each for the periodic
+m = 1..B and the antiperiodic m = 1, 3, ..., 2B-1, B = _ORACLE_BLOCK): four
+read-only 256 KiB float arrays, 1 MiB in all.  Block 0 divides by the squares
+table; a later block squares table + offset.  The values are bit-identical to
+np.arange followed by squaring: every m is an integer below 2^53, so table,
+offset and sum are exact floats, and m*m is the same IEEE operation on the
+same m.
+
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
 factors), so it coincides with the two-level fermionic trace 2cosh(beta*w/2)
@@ -20,7 +29,8 @@ at w = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,7 +54,8 @@ __all__ = [
 ]
 
 # Modes per oracle block: one 256 KiB float array, which stays in cache while
-# the block's mode numbers become log-ratios in place.
+# the block's mode numbers become log-ratios.  The mode numbers of one block
+# and their squares are kept as tables (see _BLOCK_MODES below), 1 MiB in all.
 _ORACLE_BLOCK = 1 << 15
 
 # Absolute tolerance of the curvature blocks' singularity test
@@ -82,7 +93,9 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _in_float_range(spec: OperatorSpec, compute: Callable[[], float]) -> float:
+def _in_float_range(
+    compute: Callable[[], float], kind: str, beta: float, parameter: float
+) -> float:
     """compute(), refused with a ValueError naming the operator if it leaves the float range:
     overflows, or falls below sys.float_info.min = 2**-1022, where no regular determinant lies."""
     try:
@@ -91,10 +104,22 @@ def _in_float_range(spec: OperatorSpec, compute: Callable[[], float]) -> float:
         value = math.inf
     if not math.isfinite(value) or abs(value) < 2.0**-1022:
         raise ValueError(
-            f"{spec.kind} determinant at beta={spec.beta}, parameter={spec.parameter} "
-            "leaves the float range"
+            f"{kind} determinant at beta={beta}, parameter={parameter} leaves the float range"
         )
     return value
+
+
+def _mode_count(n_modes: int) -> int:
+    """n_modes as an int >= 1; bool and non-integer values are refused."""
+    try:
+        if isinstance(n_modes, bool):
+            raise TypeError
+        n_modes = operator.index(n_modes)
+    except TypeError:
+        raise ValueError(f"the number of modes must be an integer, got {n_modes!r}") from None
+    if n_modes < 1:
+        raise ValueError("need at least one mode")
+    return n_modes
 
 
 def _nearest_mode(kind: str, x: float) -> int:
@@ -234,6 +259,18 @@ def _mode_frequencies(kind: str, beta: float, start: int, stop: int) -> np.ndarr
     return _mode_numbers(kind, start, stop) * _KINDS[kind].unit / beta
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Block 0's mode numbers, keyed by _Kind.periodic, and their squares
+_BLOCK_MODES = {
+    row.periodic: _read_only(_mode_numbers(kind, 0, _ORACLE_BLOCK)) for kind, row in _KINDS.items()
+}
+_BLOCK_SQUARES = {periodic: _read_only(m * m) for periodic, m in _BLOCK_MODES.items()}
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """A fluctuation operator: kind, period beta, and spectral parameter.
@@ -263,9 +300,7 @@ class OperatorSpec:
         Pairing keeps every partial product real and positive wherever the
         full regularized product is.
         """
-        if n_modes < 1:
-            raise ValueError("need at least one mode")
-        freq = _mode_frequencies(self.kind, self.beta, 0, n_modes)
+        freq = _mode_frequencies(self.kind, self.beta, 0, _mode_count(n_modes))
         sq = freq * freq
         pairs = _KINDS[self.kind].pairs
         if pairs is None:
@@ -293,9 +328,13 @@ class RegularizedDet:
 
 def closed_form(spec: OperatorSpec) -> float:
     """Zeta-regularized closed-form determinant for the given operator."""
-    kind = _KINDS[spec.kind]
-    args = (spec.beta,) if kind.pairs is None else (spec.parameter, spec.beta)
-    return _in_float_range(spec, lambda: kind.closed(*args))
+    return _closed_form(spec.kind, spec.beta, spec.parameter)
+
+
+def _closed_form(kind: str, beta: float, parameter: float) -> float:
+    row = _KINDS[kind]
+    args = (beta,) if row.pairs is None else (parameter, beta)
+    return _in_float_range(lambda: row.closed(*args), kind, beta, parameter)
 
 
 def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
@@ -304,23 +343,28 @@ def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
     prod_{|n| <= N} lambda_n(parameter) / lambda_n(0), times the closed-form
     reference determinant at parameter 0.  The Laplacian kinds return that
     reference with no walk: their eigenvalues do not depend on the parameter.
-    For the others each block of modes computes t = c/m^2 in place, with one
-    c = (beta*|parameter|/unit)^2 and m = n or 2k+1, and sums log1p(t)
-    (shifted first-order) or 2 log|1 - t| (curvature blocks) pairwise;
-    math.fsum adds the block sums, so the result does not depend on their order.
+    For the others each block of modes computes t = c/m^2, with one
+    c = (beta*|parameter|/unit)^2 and m = n or 2k+1 read from the mode tables
+    (_BLOCK_MODES, _BLOCK_SQUARES), and sums log1p(t) (shifted first-order) or
+    2 log|1 - t| (curvature blocks) pairwise; math.fsum adds the block sums of
+    a walk past one block, so the result does not depend on their order.
     """
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    reference = replace(spec, parameter=0.0)
-    if _KINDS[spec.kind].pairs is None:
-        return closed_form(reference)
+    n_modes = _mode_count(n_modes)
+    kind, beta = spec.kind, spec.beta
+    if _KINDS[kind].pairs is None:
+        return _closed_form(kind, beta, 0.0)
     c = _ratio_scale(spec, n_modes)
-    log_ratio = math.fsum(
-        _block_log_ratio(spec.kind, c, start, min(start + _ORACLE_BLOCK, n_modes))
-        for start in range(0, n_modes, _ORACLE_BLOCK)
-    )
+    if n_modes <= _ORACLE_BLOCK:
+        log_ratio = _block_log_ratio(kind, c, 0, n_modes)  # fsum of one value is that value
+    else:
+        log_ratio = math.fsum(
+            _block_log_ratio(kind, c, start, min(start + _ORACLE_BLOCK, n_modes))
+            for start in range(0, n_modes, _ORACLE_BLOCK)
+        )
     # an overflowing c drives the sum to inf, which _in_float_range refuses
-    return _in_float_range(spec, lambda: closed_form(reference) * math.exp(log_ratio))
+    return _in_float_range(
+        lambda: _closed_form(kind, beta, 0.0) * math.exp(log_ratio), kind, beta, spec.parameter
+    )
 
 
 def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
@@ -350,13 +394,18 @@ def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
 
 
 def _block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
-    """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1."""
-    m2 = _mode_numbers(kind, start, stop)
-    m2 *= m2
-    if _KINDS[kind].pairs != "curvature":
-        t = np.divide(c, m2, out=m2)
+    """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1,
+    at most _ORACLE_BLOCK of them."""
+    row = _KINDS[kind]
+    if start:  # m = table + the block's offset, squared in place
+        m2 = _BLOCK_MODES[row.periodic][: stop - start] + (start if row.periodic else 2 * start)
+        out = np.multiply(m2, m2, out=m2)
+    else:  # the squares table is read-only: the divide writes a fresh array
+        m2, out = _BLOCK_SQUARES[row.periodic][:stop], None
+    if row.pairs != "curvature":
+        t = np.divide(c, m2, out=out)
         return float(np.sum(np.log1p(t, out=t)))
-    minus_t = np.divide(-c, m2, out=m2)  # rises towards 0 with m
+    minus_t = np.divide(-c, m2, out=out)  # rises towards 0 with m
     # t > 1 on a leading run of modes only, where the log is log(t - 1)
     above = int(np.searchsorted(minus_t, -1.0))
     head, tail = minus_t[:above], minus_t[above:]

@@ -77,6 +77,36 @@ def test_benchmark_tracer_still_finds_the_index_functions():
     assert calls["genera.chern_character"] == 1  # the twisted index only
 
 
+_TRACED_DETREG = """
+import io
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+spans = tracer.Tracer()
+spans.install()
+from indexcalc.cli import run_cli
+argv = ["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5"]
+assert run_cli(argv, io.StringIO()) == 0
+print(json.dumps(spans.export()["calls"]))
+"""
+
+
+def test_benchmark_tracer_still_finds_the_determinant_layer():
+    """perfbench/tracer.py wraps zeta_det.oracle_product and closed_form by name; a traced
+    detreg must show one span of each (the oracle's reference needs no closed_form call)."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_DETREG, str(SRC.parent / "perfbench")],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls["zeta_det.oracle_product"] == calls["zeta_det.closed_form"] == 1
+
+
 @pytest.mark.parametrize("name", [n for n in indexcalc.__all__ if n != "__version__"])
 def test_public_name_resolves_to_its_submodule_object(name):
     module = importlib.import_module(f"indexcalc.{indexcalc._SUBMODULE[name]}")

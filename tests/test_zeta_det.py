@@ -553,3 +553,107 @@ class TestRatioWork:
             exact = closed_form(replace(spec, parameter=0.0)) * mpmath.exp(log_ratio)
             error = abs((oracle_product(spec, n_modes) - exact) / exact)
         assert error <= 5e-15
+
+
+WALKING_KINDS = [kind for kind in OPERATOR_KINDS if kind not in LAPLACIAN_KINDS]
+
+
+def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
+    """The block walk as it was before the mode tables: np.arange, then squared in place."""
+    m2 = zeta_det._mode_numbers(kind, start, stop)
+    m2 *= m2
+    if zeta_det._KINDS[kind].pairs != "curvature":
+        t = np.divide(c, m2, out=m2)
+        return float(np.sum(np.log1p(t, out=t)))
+    minus_t = np.divide(-c, m2, out=m2)  # rises towards 0 with m
+    # t > 1 on a leading run of modes only, where the log is log(t - 1)
+    above = int(np.searchsorted(minus_t, -1.0))
+    head, tail = minus_t[:above], minus_t[above:]
+    np.subtract(-1.0, head, out=head)
+    np.log(head, out=head)
+    np.log1p(tail, out=tail)
+    return 2.0 * float(np.sum(minus_t))
+
+
+def arange_oracle(spec, n_modes):
+    """oracle_product on the route it took before the mode tables, for a regular spec."""
+    reference = replace(spec, parameter=0.0)
+    if zeta_det._KINDS[spec.kind].pairs is None:
+        return closed_form(reference)
+    c = zeta_det._ratio_scale(spec, n_modes)
+    log_ratio = math.fsum(
+        arange_block_log_ratio(spec.kind, c, start, min(start + B, n_modes))
+        for start in range(0, n_modes, B)
+    )
+    return closed_form(reference) * math.exp(log_ratio)
+
+
+_LENGTHS = np.random.default_rng(20).integers(1, B + 1, size=3)
+BLOCKS = [(0, 1), (0, 2), (0, B - 1), (0, B)] + [
+    (start, start + int(length)) for start, length in zip((B, 2 * B, 30 * B), _LENGTHS)
+]
+RATIO_SCALES = [1e-6, 3.7e-3, 0.37, 2.5, 17.3, 612.9, 9999.5]
+
+
+class TestModeTables:
+    """The block walk reads its mode numbers from constant tables; every value stays
+    equal, float for float, to the np.arange route it replaced."""
+
+    @pytest.mark.parametrize("start, stop", BLOCKS)
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_block_log_ratio_equals_arange_route(self, kind, start, stop):
+        last = zeta_det._mode_numbers(kind, stop - 1, stop)[0]
+        # the last scale puts t > 1 on every mode of the block: the curvature head reaches its end
+        for c in RATIO_SCALES + [(1.5 * last) ** 2]:
+            assert zeta_det._block_log_ratio(kind, c, start, stop) == arange_block_log_ratio(
+                kind, c, start, stop
+            ), c
+
+    @pytest.mark.parametrize("n_modes", [B - 1, B, B + 1, 2 * B + 1, 10**6])
+    @pytest.mark.parametrize(
+        "spec",
+        REGULAR_SPECS + [OperatorSpec("pbc_curvature_block", 1.0, 200.5),
+                         OperatorSpec("apbc_curvature_block", 2.0, -99.9)],
+        ids=lambda spec: f"{spec.kind}-{spec.parameter}",
+    )
+    def test_oracle_equals_arange_route(self, spec, n_modes):
+        assert oracle_product(spec, n_modes) == arange_oracle(spec, n_modes)
+
+    def test_tables_are_read_only(self):
+        for table in (*zeta_det._BLOCK_MODES.values(), *zeta_det._BLOCK_SQUARES.values()):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_tables_unchanged_after_a_sweep_of_calls(self):
+        for kind in WALKING_KINDS:
+            for beta, parameter in ((0.4, 1.3), (1.0, 2.0 * math.pi * 3), (3.0, -250.0)):
+                for n_modes in (1, 7, B, B + 5, 3 * B):
+                    try:
+                        regularized_det(OperatorSpec(kind, beta, parameter), n_modes)
+                    except ValueError:  # singular pairs and the float range refused
+                        pass
+        modes = {True: np.arange(1, B + 1, dtype=float), False: np.arange(1, 2 * B, 2, dtype=float)}
+        for periodic, expected in modes.items():
+            assert np.array_equal(zeta_det._BLOCK_MODES[periodic], expected)
+            assert np.array_equal(zeta_det._BLOCK_SQUARES[periodic], expected * expected)
+
+
+class TestModeCount:
+    @pytest.mark.parametrize("n_modes", [2.5, 1e5, 3.0, True, False, "3", None, np.float64(4.0)])
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_non_integers_refused_on_every_kind(self, kind, n_modes):
+        spec = OperatorSpec(kind, 1.0, 0.0 if kind in LAPLACIAN_KINDS else 0.5)
+        for call in (oracle_product, regularized_det):
+            with pytest.raises(ValueError, match=re.escape(f"got {n_modes!r}")):
+                call(spec, n_modes)
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_numpy_integers_count_as_ints(self, kind):
+        spec = OperatorSpec(kind, 1.3, 0.0 if kind in LAPLACIAN_KINDS else 0.7)
+        for n_modes in (1, 100, B + 3):
+            assert oracle_product(spec, np.int64(n_modes)) == oracle_product(spec, n_modes)
+            assert oracle_product(spec, np.int32(n_modes)) == oracle_product(spec, n_modes)
+        assert regularized_det(spec, np.int64(100)).oracle_modes == 100
+        with pytest.raises(ValueError, match="need at least one mode"):
+            oracle_product(spec, np.int64(0))
