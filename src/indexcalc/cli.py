@@ -12,13 +12,20 @@ Exit codes: 0 success, 1 check failure, 2 usage or descriptor error.
 Every subcommand accepts --format {text,json}.
 
 Only detreg and verify load numpy: each subcommand imports its modules when
-it runs, so genus, index and fermion-checks start without it.
+it runs, so genus, index and fermion-checks start without it.  JSON output and
+descriptor files are loaded on use too: text output never imports json, and
+only a descriptor path or a catalog directory loads descriptor_file.
+
+main() runs one command per process.  It turns the garbage collector off for
+the command, whose objects are freed by reference counting, and freezes every
+object still alive before it exits, so interpreter shutdown skips its full
+collections.  run_cli, which callers use in-process, keeps normal collection.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import re
 import sys
@@ -91,6 +98,8 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 
 def _emit(payload: dict, text_lines: list[str], fmt: str, out) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(payload, indent=2, ensure_ascii=False), file=out)
     else:
         for line in text_lines:
@@ -133,10 +142,10 @@ def _cmd_index(args, out) -> int:
 
 
 def _cmd_detreg(args, out) -> int:
+    if args.oracle_modes < 1:  # refused before zeta_det, so without loading numpy
+        raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")
     from . import zeta_det
 
-    if args.oracle_modes < 1:
-        raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")
     spec = zeta_det.OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
     record = zeta_det.regularized_det(spec, args.oracle_modes)
     payload = {
@@ -245,11 +254,13 @@ def run_cli(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
+    gc.disable()
     try:
         code = run_cli()
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
     except BrokenPipeError:
         # as the signal module docs advise: send the flush at exit to devnull, exit 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        code = 1
+    gc.freeze()  # shutdown's collections skip the frozen objects
     sys.exit(code)

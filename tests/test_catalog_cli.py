@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -203,6 +204,12 @@ class TestDescriptorFiles:
         save_descriptor(catalog_entry("cp2"), path)
         assert resolve_manifold(str(path)).name == "cp2"
         assert resolve_manifold("cp2").name == "cp2"
+
+    def test_directory_named_like_an_entry_is_not_a_descriptor(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k3").mkdir()
+        assert resolve_manifold("k3").name == "k3"
+        assert run(["index", "--manifold", "k3", "--complex", "spin"]) == (0, "2\n", "")
 
 
 _GENERATOR_NAMES = st.text(alphabet="abhpcxyzXYZ019_'()[]-+éλ∂", min_size=1, max_size=4)
@@ -853,3 +860,67 @@ class TestCliMisc:
     def test_version(self):
         code, _, _ = run(["--version"])
         assert code == 0
+
+
+def run_main(argv, env=None):
+    """``argv`` through cli.main() in a fresh interpreter, as the console script runs it."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", "from indexcalc.cli import main; main()", *argv],
+        env={"PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8", **(env or {})},
+        capture_output=True, encoding="utf-8", timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _mask_runtimes(text):
+    return re.sub(r"computed=[0-9.]+ s", "computed=<runtime> s", text)
+
+
+class TestMainProcess:
+    """main() turns garbage collection off for its one command and freezes the heap before it
+    exits; its output and exit code stay those of run_cli."""
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "--manifold", "k3", "--complex", "spin"],
+        ["genus", "--kind", "Todd", "--half-dim", "3", "--format", "json"],
+        ["index", "--manifold", "nosuchmanifold", "--complex", "euler"],
+        ["detreg", "--op", "pbc_laplacian", "--beta", "1", "--oracle-modes", "0"],
+    ])
+    def test_output_and_exit_code_of_run_cli(self, argv):
+        assert run_main(argv) == run(argv)
+
+    def test_usage_error_exits_2(self):
+        code, out, err = run_main(["genus", "--kind", "X", "--half-dim", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: indexcalc genus") and "invalid choice: 'X'" in err
+
+    def test_failing_verify_exits_1(self, tmp_path, monkeypatch):
+        entry = catalog_entry("k3")
+        wrong = CatalogEntry(entry.manifold, entry.bundles, {**entry.expected, "euler": 25})
+        save_descriptor(wrong, tmp_path / "k3.json")
+        code, out, err = run_main(["verify"], {CATALOG_DIR_ENV: str(tmp_path)})
+        assert "FAIL  catalog k3: euler  expected=25  computed=24" in out.splitlines()
+        monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
+        in_process = run(["verify"])
+        assert (code, _mask_runtimes(out), err) == (
+            in_process[0], _mask_runtimes(in_process[1]), in_process[2]
+        )
+        assert code == 1
+
+    def test_collector_off_for_the_command_and_frozen_at_exit(self):
+        child = (
+            "import gc, sys\n"
+            "from indexcalc.cli import main, run_cli\n"
+            "run_cli(['index', '--manifold', 'cp2', '--complex', 'euler'])\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+            "sys.argv = ['indexcalc', 'index', '--manifold', 'k3', '--complex', 'spin']\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", child], env={"PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.stdout, proc.stderr) == ("3\nTrue 0\n2\n0 False True\n", "")

@@ -1,4 +1,5 @@
-"""The package surface: lazily resolved public names and a numpy-free cold start."""
+"""The package surface: lazily resolved public names and a cold start that loads only the
+code its command runs."""
 
 from __future__ import annotations
 
@@ -27,6 +28,13 @@ assert run_cli(["genus", "--kind", "Todd", "--half-dim", "3"]) == 0
 assert run_cli(["fermion-checks"], io.StringIO()) == 0
 assert "numpy" not in sys.modules, "index, genus or fermion-checks imported numpy"
 assert "dataclasses" not in sys.modules, "index, genus or fermion-checks imported dataclasses"
+assert "json" not in sys.modules, "text-format index, genus or fermion-checks imported json"
+assert "indexcalc.descriptor_file" not in sys.modules, "a built-in entry loaded descriptor_file"
+err = io.StringIO()
+assert run_cli(["detreg", "--op", "pbc_laplacian", "--beta", "1", "--oracle-modes", "0"],
+               io.StringIO(), err) == 2
+assert err.getvalue() == "error: --oracle-modes must be at least 1, got 0\\n", err.getvalue()
+assert "numpy" not in sys.modules, "the --oracle-modes refusal imported numpy"
 """
 
 
@@ -40,6 +48,46 @@ def test_cold_index_and_genus_never_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["2", "1 + 1/2·c1 + 1/12·c2 + 1/12·c1^2 + 1/24·c1·c2"]
+
+
+_ON_USE_CHILD = """
+import io
+import sys
+from indexcalc.cli import run_cli
+assert "json" not in sys.modules
+assert run_cli(["index", "--manifold", "k3", "--complex", "spin", "--format", "json"],
+               io.StringIO()) == 0
+assert "json" in sys.modules, "--format json did not load json"
+assert "indexcalc.descriptor_file" not in sys.modules
+assert run_cli(["index", "--manifold", sys.argv[1], "--complex", "euler"], io.StringIO()) == 0
+assert "indexcalc.descriptor_file" in sys.modules, "a descriptor path skipped descriptor_file"
+"""
+
+
+def test_json_output_and_descriptor_files_load_their_code_on_use(tmp_path):
+    from indexcalc.catalog import catalog_entry, save_descriptor
+
+    path = tmp_path / "cp2.json"
+    save_descriptor(catalog_entry("cp2"), path)
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _ON_USE_CHILD, str(path)],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_python_m_indexcalc_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "indexcalc", "--version"],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "indexcalc 0.1.0\n", "")
 
 
 _TRACED_CHILD = """
