@@ -11,8 +11,11 @@ Subcommands:
 Exit codes: 0 success, 1 check failure, 2 usage or descriptor error.
 Every subcommand accepts --format {text,json}.
 
-Only detreg and verify load numpy: each subcommand imports its modules when
-it runs, so genus, index and fermion-checks start without it.  JSON output and
+Each subcommand imports its modules when it runs, so genus, index and
+fermion-checks start without numpy.  Only the determinant oracle needs it:
+detreg loads numpy once OperatorSpec has accepted the operator, so a refused
+kind, beta, parameter or --oracle-modes exits without it, and verify loads it
+after reading the catalog, before its first criterion.  JSON output and
 descriptor files are loaded on use too: text output never imports json, and
 only a descriptor path or a catalog directory loads descriptor_file.
 
@@ -29,6 +32,7 @@ import gc
 import os
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from . import __version__
 from . import catalog as _catalog
@@ -142,11 +146,14 @@ def _cmd_index(args, out) -> int:
 
 
 def _cmd_detreg(args, out) -> int:
-    if args.oracle_modes < 1:  # refused before zeta_det, so without loading numpy
+    # the mode count and the operator are checked before zeta_det, which loads numpy
+    if args.oracle_modes < 1:
         raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")
+    from .closed_forms import OperatorSpec
+
+    spec = OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
     from . import zeta_det
 
-    spec = zeta_det.OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
     record = zeta_det.regularized_det(spec, args.oracle_modes)
     payload = {
         "op": spec.kind,
@@ -242,7 +249,9 @@ def run_cli(argv: list[str] | None = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors to sys.stderr, --help and --version to sys.stdout
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # DescriptorError, InconsistentIndexError and SingularOperatorError are ValueErrors

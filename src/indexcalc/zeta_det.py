@@ -1,29 +1,21 @@
-"""Zeta-regularized determinants of constant-coefficient operators on the circle.
+"""Truncated-product oracles for the zeta-regularized circle determinants.
 
-Closed forms for the periodic/antiperiodic spectra
+The closed forms, the operator kinds and OperatorSpec live in closed_forms,
+which does not import numpy; this module re-exports them and adds the check:
+a truncated-infinite-product oracle, which regularizes by ratio to parameter
+zero (see oracle_product); that reference is scheme-independent for the
+ratios that enter indices.  regularized_det puts closed form and oracle in
+one record.
 
-    PBC   nu_n    = 2*pi*n/beta,       n in Z (primed: n = 0 excluded)
-    APBC  omega_k = (2k+1)*pi/beta,    k in Z
-
-paired with a truncated-infinite-product oracle, which regularizes by ratio
-to parameter zero (see oracle_product); that reference is scheme-independent
-for the ratios that enter indices.  One table, _KINDS, gives each kind's mode
-numbers and unit, its pair rule and its closed form; closed form and oracle
-ask one _nearest_mode which curvature pair may vanish.
-
-The oracle reads its mode numbers m from constant tables built at import,
-_BLOCK_MODES and their squares _BLOCK_SQUARES (one block each for the periodic
-m = 1..B and the antiperiodic m = 1, 3, ..., 2B-1, B = _ORACLE_BLOCK): four
-read-only 256 KiB float arrays, 1 MiB in all.  Block 0 divides by the squares
-table; a later block squares table + offset.  The values are bit-identical to
-np.arange followed by squaring: every m is an integer below 2^53, so table,
-offset and sum are exact floats, and m*m is the same IEEE operation on the
-same m.
-
-Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
-(the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
-factors), so it coincides with the two-level fermionic trace 2cosh(beta*w/2)
-at w = 0.
+The oracle reads its mode numbers m from constant tables, built on first use
+by _mode_table: one block's mode numbers for each parity (the periodic
+m = 1..B and the antiperiodic m = 1, 3, ..., 2B-1, B = _ORACLE_BLOCK) and
+their squares, each a read-only 256 KiB float array.  A one-block walk reads
+only its parity's squares table; a longer one also that parity's mode
+numbers; all four hold 1 MiB.  Block 0 divides by the squares table; a later
+block squares table + offset.  The values are bit-identical to np.arange
+followed by squaring: every m is an integer below 2^53, so table, offset and
+sum are exact floats, and m*m is the same IEEE operation on the same m.
 """
 
 from __future__ import annotations
@@ -31,9 +23,29 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
+# numpy loads with this module, not inside the first walk: a det-oracle worker imports
+# zeta_det before its timed operations, which should not pay numpy's import
 import numpy as np
+
+from .closed_forms import (
+    _KINDS,
+    OPERATOR_KINDS,
+    OperatorSpec,
+    SingularOperatorError,
+    _closed_form,
+    _in_float_range,
+    _nearest_mode,
+    closed_form,
+    det_apbc_curvature_block,
+    det_apbc_curvature_block_via_ratio,
+    det_apbc_first_order,
+    det_pbc_curvature_block,
+    det_pbc_first_order,
+    det_pbc_laplacian,
+    fermion_partition,
+    pbc_laplacian_log_det_zeta,
+)
 
 __all__ = [
     "OPERATOR_KINDS",
@@ -55,58 +67,8 @@ __all__ = [
 
 # Modes per oracle block: one 256 KiB float array, which stays in cache while
 # the block's mode numbers become log-ratios.  The mode numbers of one block
-# and their squares are kept as tables (see _BLOCK_MODES below), 1 MiB in all.
+# and their squares are kept as tables (see _mode_table below).
 _ORACLE_BLOCK = 1 << 15
-
-# Absolute tolerance of the curvature blocks' singularity test
-_SINGULAR_TOL = 1e-9
-
-# Riemann zeta data entering the spectral-zeta route
-_ZETA_R_AT_0 = -0.5
-_ZETA_R_PRIME_AT_0 = -0.5 * math.log(2.0 * math.pi)
-
-
-class SingularOperatorError(ValueError):
-    """The operator has an exactly vanishing eigenvalue at these parameters.
-
-    ``mode_index`` is the positive mode number m of the vanishing pair, whose
-    frequency m*unit/beta is |parameter|: n for the periodic pair (n, -n) and
-    2k+1 for the antiperiodic pair (k, -k-1), from closed form and oracle alike.
-    """
-
-    def __init__(self, message: str, mode_index: int | None = None):
-        super().__init__(message)
-        self.mode_index = mode_index
-
-
-def _require_positive_beta(beta: float) -> float:
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and positive, got {beta}")
-    return beta
-
-
-def _require_finite(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value}")
-    return value
-
-
-def _in_float_range(
-    compute: Callable[[], float], kind: str, beta: float, parameter: float
-) -> float:
-    """compute(), refused with a ValueError naming the operator if it leaves the float range:
-    overflows, or falls below sys.float_info.min = 2**-1022, where no regular determinant lies."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value) or abs(value) < 2.0**-1022:
-        raise ValueError(
-            f"{kind} determinant at beta={beta}, parameter={parameter} leaves the float range"
-        )
-    return value
 
 
 def _mode_count(n_modes: int) -> int:
@@ -122,195 +84,33 @@ def _mode_count(n_modes: int) -> int:
     return n_modes
 
 
-def _nearest_mode(kind: str, x: float) -> int:
-    """The mode number n (periodic) or 2k+1 nearest x = beta*parameter/unit, signed as x."""
-    return round(x) if _KINDS[kind].periodic else 2 * round((x - 1.0) / 2.0) + 1
-
-
-def _refuse_vanishing_pair(kind: str, beta: float, y: float) -> None:
-    """Refuse y if beta*y/unit is within _SINGULAR_TOL of a mode number m != 0.  From
-    |beta*y/unit| = 2^23 on every float is that close to an integer: a ValueError then."""
-    x = beta * y / _KINDS[kind].unit
-    if math.ulp(x) > _SINGULAR_TOL:
-        raise ValueError(
-            f"{kind} parameter {y} at beta={beta} is beyond the float resolution "
-            "of the singularity test"
-        )
-    m = _nearest_mode(kind, x)
-    if m != 0 and abs(x - m) <= _SINGULAR_TOL:
-        where = (f"{m}*pi (periodic mode n = {m})" if _KINDS[kind].periodic
-                 else f"({m}/2)*pi (antiperiodic mode {m})")
-        raise SingularOperatorError(f"zero eigenvalue: beta*y/2 = {where}", mode_index=abs(m))
-
-
-def pbc_laplacian_log_det_zeta(beta: float) -> float:
-    """log Det'_PBC(-d^2/dt^2) = -zeta'(0) through the spectral zeta function.
-
-    zeta(s) = 2 (beta/2pi)^(2s) zeta_R(2s), so
-    zeta'(0) = 4[log(beta/2pi) zeta_R(0) + zeta_R'(0)] = -2 log beta.
-    """
-    beta = _require_positive_beta(beta)
-    zeta_prime_0 = 4.0 * (math.log(beta / (2.0 * math.pi)) * _ZETA_R_AT_0 + _ZETA_R_PRIME_AT_0)
-    return -zeta_prime_0
-
-
-def det_pbc_laplacian(beta: float) -> float:
-    """Primed periodic determinant of -d^2/dt^2; equals beta^2.
-
-    The value is exp(-zeta'(0)) with zeta'(0) = -2 log beta (see
-    pbc_laplacian_log_det_zeta); returned as beta*beta so that it is exact
-    for exactly representable beta.
-    """
-    beta = _require_positive_beta(beta)
-    return beta * beta
-
-
-def det_pbc_first_order(beta: float) -> float:
-    """Primed periodic determinant of d/dt: the square root of beta^2."""
-    beta = _require_positive_beta(beta)
-    return beta
-
-
-def det_pbc_curvature_block(y: float, beta: float) -> float:
-    """Primed periodic determinant of the 2x2 block [[-d/dt, y], [-y, -d/dt]].
-
-    Equals (sin(beta*y/2) / (y/2))^2, tending to beta^2 as y -> 0.  A zero
-    eigenvalue occurs when beta*y/2 hits a nonzero multiple of pi.
-    """
-    beta = _require_positive_beta(beta)
-    y = _require_finite(y, "y")
-    if y == 0.0:
-        return beta * beta
-    _refuse_vanishing_pair("pbc_curvature_block", beta, y)
-    s = math.sin(beta * y / 2.0) / (y / 2.0)
-    return s * s
-
-
-def det_apbc_curvature_block(y: float, beta: float) -> float:
-    """Antiperiodic determinant of the curvature block: (2 cos(beta*y/2))^2.
-
-    Also obtainable as the spectrum-halving ratio I(2 beta)/I(beta) of the
-    periodic block determinants (see det_apbc_curvature_block_via_ratio);
-    sin(2z) = 2 sin(z) cos(z) makes the two closed forms identical.  Singular
-    when beta*y/2 is an odd multiple of pi/2.
-    """
-    beta = _require_positive_beta(beta)
-    y = _require_finite(y, "y")
-    _refuse_vanishing_pair("apbc_curvature_block", beta, y)
-    c = 2.0 * math.cos(beta * y / 2.0)
-    return c * c
-
-
-def det_apbc_curvature_block_via_ratio(y: float, beta: float) -> float:
-    """The same antiperiodic block determinant computed as I(2 beta)/I(beta)."""
-    return det_pbc_curvature_block(y, 2.0 * beta) / det_pbc_curvature_block(y, beta)
-
-
-def fermion_partition(omega: float, beta: float) -> float:
-    """Graded trace over the two-level system with energies -w/2, +w/2.
-
-    exp(beta*w/2) + exp(-beta*w/2); equals 2 for w = 0 at every beta.
-    """
-    beta = _require_positive_beta(beta)
-    omega = _require_finite(omega, "omega")
-    half = beta * omega / 2.0
-    return math.exp(half) + math.exp(-half)
-
-
-def det_apbc_first_order(omega: float, beta: float) -> float:
-    """Zeta-regularized antiperiodic determinant of d/dt + w: 2 cosh(beta*w/2).
-
-    Normalized so the w = 0 value is 2 per fermionic direction, matching the
-    regularized product over omega_k = (2k+1)pi/beta and the two-level trace.
-    """
-    beta = _require_positive_beta(beta)
-    return 2.0 * math.cosh(beta * _require_finite(omega, "omega") / 2.0)
-
-
-class _Kind(NamedTuple):
-    periodic: bool  # mode number m = n at unit 2pi, else m = 2k+1 at unit pi
-    pairs: str | None  # pair rule: None (no parameter), "shifted" or "curvature"
-    closed: Callable[..., float]  # of (beta) if pairs is None, else of (parameter, beta)
-
-    @property
-    def unit(self) -> float:
-        return 2.0 * math.pi if self.periodic else math.pi
-
-
-_KINDS = {
-    "pbc_laplacian": _Kind(True, None, det_pbc_laplacian),
-    "pbc_first_order": _Kind(True, None, det_pbc_first_order),
-    "apbc_first_order_shifted": _Kind(False, "shifted", det_apbc_first_order),
-    "pbc_curvature_block": _Kind(True, "curvature", det_pbc_curvature_block),
-    "apbc_curvature_block": _Kind(False, "curvature", det_apbc_curvature_block),
-}
-OPERATOR_KINDS = tuple(_KINDS)
-
-
-def _mode_numbers(kind: str, start: int, stop: int) -> np.ndarray:
+def _mode_numbers(periodic: bool, start: int, stop: int) -> np.ndarray:
     """m = n for n = start+1..stop (periodic kinds) or 2k+1 for k = start..stop-1."""
-    if _KINDS[kind].periodic:
+    if periodic:
         return np.arange(start + 1, stop + 1, dtype=float)
     return np.arange(2 * start + 1, 2 * stop, 2, dtype=float)
 
 
 def _mode_frequencies(kind: str, beta: float, start: int, stop: int) -> np.ndarray:
     """nu_n or omega_k = m*unit/beta for the same modes."""
-    return _mode_numbers(kind, start, stop) * _KINDS[kind].unit / beta
+    row = _KINDS[kind]
+    return _mode_numbers(row.periodic, start, stop) * row.unit / beta
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+# Block 0's mode numbers and their squares, keyed by (_Kind.periodic, squared)
+_TABLES: dict[tuple[bool, bool], np.ndarray] = {}
 
 
-# Block 0's mode numbers, keyed by _Kind.periodic, and their squares
-_BLOCK_MODES = {
-    row.periodic: _read_only(_mode_numbers(kind, 0, _ORACLE_BLOCK)) for kind, row in _KINDS.items()
-}
-_BLOCK_SQUARES = {periodic: _read_only(m * m) for periodic, m in _BLOCK_MODES.items()}
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A fluctuation operator: kind, period beta, and spectral parameter.
-
-    ``parameter`` is y for the curvature blocks and w for the shifted
-    first-order operator; the Laplacian kinds do not depend on it and refuse a
-    nonzero one.  The periodic kinds are primed: only their n = 0 mode is left
-    out, so a vanishing mode pair is singular for oracle and closed form.
-    """
-
-    kind: str
-    beta: float
-    parameter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {OPERATOR_KINDS}")
-        object.__setattr__(self, "beta", _require_positive_beta(self.beta))
-        parameter = _require_finite(self.parameter, "parameter")
-        if parameter and _KINDS[self.kind].pairs is None:
-            raise ValueError(f"{self.kind} takes no parameter, got parameter={parameter}")
-        object.__setattr__(self, "parameter", parameter)
-
-    def paired_mode_factors(self, n_modes: int) -> np.ndarray:
-        """Eigenvalue products over the symmetric mode pairs (n, -n) or (k, -k-1).
-
-        Pairing keeps every partial product real and positive wherever the
-        full regularized product is.
-        """
-        freq = _mode_frequencies(self.kind, self.beta, 0, _mode_count(n_modes))
-        sq = freq * freq
-        pairs = _KINDS[self.kind].pairs
-        if pairs is None:
-            # lambda_n = nu_n^2 at both n and -n, or (i nu_n)(-i nu_n)
-            return sq * sq if self.kind == "pbc_laplacian" else sq
-        p2 = self.parameter * self.parameter  # inf, not OverflowError, past the float range
-        if pairs == "shifted":
-            return sq + p2
-        d = sq - p2
-        return d * d
+def _mode_table(periodic: bool, squared: bool) -> np.ndarray:
+    """Block 0's mode numbers of one parity, or their squares: read-only, built on first use."""
+    table = _TABLES.get((periodic, squared))
+    if table is None:
+        table = _mode_numbers(periodic, 0, _ORACLE_BLOCK)
+        if squared:
+            np.multiply(table, table, out=table)
+        table.flags.writeable = False
+        _TABLES[periodic, squared] = table
+    return table
 
 
 @dataclass(frozen=True)
@@ -326,17 +126,6 @@ class RegularizedDet:
         return self.oracle_value - self.closed_form
 
 
-def closed_form(spec: OperatorSpec) -> float:
-    """Zeta-regularized closed-form determinant for the given operator."""
-    return _closed_form(spec.kind, spec.beta, spec.parameter)
-
-
-def _closed_form(kind: str, beta: float, parameter: float) -> float:
-    row = _KINDS[kind]
-    args = (beta,) if row.pairs is None else (parameter, beta)
-    return _in_float_range(lambda: row.closed(*args), kind, beta, parameter)
-
-
 def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
     """Ratio-regularized partial eigenvalue product.
 
@@ -345,9 +134,9 @@ def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
     reference with no walk: their eigenvalues do not depend on the parameter.
     For the others each block of modes computes t = c/m^2, with one
     c = (beta*|parameter|/unit)^2 and m = n or 2k+1 read from the mode tables
-    (_BLOCK_MODES, _BLOCK_SQUARES), and sums log1p(t) (shifted first-order) or
-    2 log|1 - t| (curvature blocks) pairwise; math.fsum adds the block sums of
-    a walk past one block, so the result does not depend on their order.
+    (_mode_table), and sums log1p(t) (shifted first-order) or 2 log|1 - t|
+    (curvature blocks) pairwise; math.fsum adds the block sums of a walk past
+    one block, so the result does not depend on their order.
     """
     n_modes = _mode_count(n_modes)
     kind, beta = spec.kind, spec.beta
@@ -398,10 +187,11 @@ def _block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     at most _ORACLE_BLOCK of them."""
     row = _KINDS[kind]
     if start:  # m = table + the block's offset, squared in place
-        m2 = _BLOCK_MODES[row.periodic][: stop - start] + (start if row.periodic else 2 * start)
+        offset = start if row.periodic else 2 * start
+        m2 = _mode_table(row.periodic, False)[: stop - start] + offset
         out = np.multiply(m2, m2, out=m2)
     else:  # the squares table is read-only: the divide writes a fresh array
-        m2, out = _BLOCK_SQUARES[row.periodic][:stop], None
+        m2, out = _mode_table(row.periodic, True)[:stop], None
     if row.pairs != "curvature":
         t = np.divide(c, m2, out=out)
         return float(np.sum(np.log1p(t, out=t)))

@@ -861,6 +861,15 @@ class TestCliMisc:
         code, _, _ = run(["--version"])
         assert code == 0
 
+    def test_argparse_output_goes_to_the_given_streams(self, capsys):
+        code, out, err = run(["genus", "--kind", "X", "--half-dim", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: indexcalc genus") and "invalid choice: 'X'" in err
+        assert run(["--version"]) == (0, "indexcalc 0.1.0\n", "")
+        code, out, err = run(["detreg", "--help"])
+        assert (code, err) == (0, "") and out.startswith("usage: indexcalc detreg")
+        assert capsys.readouterr() == ("", "")
+
 
 def run_main(argv, env=None):
     """``argv`` through cli.main() in a fresh interpreter, as the console script runs it."""
@@ -885,14 +894,19 @@ class TestMainProcess:
         ["genus", "--kind", "Todd", "--half-dim", "3", "--format", "json"],
         ["index", "--manifold", "nosuchmanifold", "--complex", "euler"],
         ["detreg", "--op", "pbc_laplacian", "--beta", "1", "--oracle-modes", "0"],
+        ["--version"],
     ])
     def test_output_and_exit_code_of_run_cli(self, argv):
         assert run_main(argv) == run(argv)
 
-    def test_usage_error_exits_2(self):
-        code, out, err = run_main(["genus", "--kind", "X", "--half-dim", "1"])
+    def test_usage_error_exits_2(self, monkeypatch):
+        argv = ["genus", "--kind", "X", "--half-dim", "1"]
+        code, out, err = run_main(argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: indexcalc genus") and "invalid choice: 'X'" in err
+        # the child's stderr is a pipe, so argparse wraps its usage at the default 80 columns
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(argv) == (code, out, err)
 
     def test_failing_verify_exits_1(self, tmp_path, monkeypatch):
         entry = catalog_entry("k3")

@@ -50,6 +50,93 @@ def test_cold_index_and_genus_never_import_numpy():
     assert proc.stdout.splitlines() == ["2", "1 + 1/2·c1 + 1/12·c2 + 1/12·c1^2 + 1/24·c1·c2"]
 
 
+def _child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that writes no bytecode, with only src/ on its path."""
+    return subprocess.run(
+        [sys.executable, "-B", "-c", code, *args],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_importing_zeta_det_loads_numpy():
+    """numpy loads with zeta_det, not in its first walk.  A det-oracle worker imports zeta_det
+    before its timed operations; when a prototype made numpy lazy inside zeta_det, numpy's
+    import moved into the timed region, and one 20-s seed-1 det-oracle run read run_s
+    0.184 -> 0.295 s and op_tail_ms 3.35 -> 4.33 ms.  The closed forms alone need no numpy."""
+    proc = _child(
+        "import sys\n"
+        "import indexcalc.closed_forms\n"
+        "assert 'numpy' not in sys.modules, 'closed_forms imported numpy'\n"
+        "import indexcalc.zeta_det\n"
+        "assert 'numpy' in sys.modules, 'zeta_det did not import numpy'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_DETREG_REFUSALS = [
+    (["--op", "pbc_laplacian", "--beta", "inf"], "beta must be finite and positive, got inf"),
+    (["--op", "apbc_curvature_block", "--beta", "1", "--param", "nan"],
+     "parameter must be finite, got nan"),
+    (["--op", "nosuch", "--beta", "1"],
+     "unknown operator kind 'nosuch'; expected one of ('pbc_laplacian', 'pbc_first_order', "
+     "'apbc_first_order_shifted', 'pbc_curvature_block', 'apbc_curvature_block')"),
+    (["--op", "pbc_first_order", "--beta", "1", "--param", "0.7"],
+     "pbc_first_order takes no parameter, got parameter=0.7"),
+]
+
+_DETREG_CHILD = """
+import io
+import json
+import sys
+from indexcalc.cli import run_cli
+argv, expected_err = json.loads(sys.argv[1])
+out, err = io.StringIO(), io.StringIO()
+code = run_cli(["detreg", *argv], out, err)
+print(json.dumps([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, message", _DETREG_REFUSALS, ids=["beta", "param", "op", "laplacian"])
+def test_refused_detreg_never_loads_numpy(argv, message):
+    proc = _child(_DETREG_CHILD, json.dumps([argv, message]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [2, "", f"error: {message}\n", False]
+
+
+def test_walking_detreg_loads_numpy():
+    argv = ["--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5"]
+    proc = _child(_DETREG_CHILD, json.dumps([argv, ""]))
+    assert proc.returncode == 0, proc.stderr
+    code, out, err, numpy_loaded = json.loads(proc.stdout)
+    assert (code, err, numpy_loaded) == (0, "", True)
+    assert out.startswith("closed=")
+
+
+_VERIFY_CHILD = """
+import io
+import sys
+from indexcalc.cli import run_cli
+assert run_cli(["verify"], io.StringIO()) == 0
+loaded = list(sys.modules)
+package = [m for m in loaded if m.startswith("indexcalc.") and m != "indexcalc.zeta_det"]
+assert "numpy" in loaded, "verify did not load numpy"
+late = [m for m in package if loaded.index(m) > loaded.index("numpy")]
+assert not late, f"loaded after numpy: {late}"
+from indexcalc import zeta_det
+assert list(zeta_det._TABLES) == [(False, True)], list(zeta_det._TABLES)
+"""
+
+
+def test_verify_loads_numpy_after_the_package_and_one_table():
+    """verify imports zeta_det only after the rest of the package, and its quick oracle, a
+    one-block antiperiodic walk, builds one 256 KiB squares table of the four."""
+    proc = _child(_VERIFY_CHILD)
+    assert proc.returncode == 0, proc.stderr
+
+
 _ON_USE_CHILD = """
 import io
 import sys

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,7 +563,7 @@ WALKING_KINDS = [kind for kind in OPERATOR_KINDS if kind not in LAPLACIAN_KINDS]
 
 def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """The block walk as it was before the mode tables: np.arange, then squared in place."""
-    m2 = zeta_det._mode_numbers(kind, start, stop)
+    m2 = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, stop)
     m2 *= m2
     if zeta_det._KINDS[kind].pairs != "curvature":
         t = np.divide(c, m2, out=m2)
@@ -595,14 +598,20 @@ BLOCKS = [(0, 1), (0, 2), (0, B - 1), (0, B)] + [
 RATIO_SCALES = [1e-6, 3.7e-3, 0.37, 2.5, 17.3, 612.9, 9999.5]
 
 
+def all_tables():
+    """All four mode tables: each parity's block-0 mode numbers and their squares."""
+    return [zeta_det._mode_table(periodic, squared)
+            for periodic in (True, False) for squared in (False, True)]
+
+
 class TestModeTables:
-    """The block walk reads its mode numbers from constant tables; every value stays
-    equal, float for float, to the np.arange route it replaced."""
+    """The block walk reads its mode numbers from constant tables, each built on first use;
+    every value stays equal, float for float, to the np.arange route it replaced."""
 
     @pytest.mark.parametrize("start, stop", BLOCKS)
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_block_log_ratio_equals_arange_route(self, kind, start, stop):
-        last = zeta_det._mode_numbers(kind, stop - 1, stop)[0]
+        last = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, stop - 1, stop)[0]
         # the last scale puts t > 1 on every mode of the block: the curvature head reaches its end
         for c in RATIO_SCALES + [(1.5 * last) ** 2]:
             assert zeta_det._block_log_ratio(kind, c, start, stop) == arange_block_log_ratio(
@@ -619,8 +628,27 @@ class TestModeTables:
     def test_oracle_equals_arange_route(self, spec, n_modes):
         assert oracle_product(spec, n_modes) == arange_oracle(spec, n_modes)
 
+    def test_tables_built_on_first_use(self):
+        """A fresh process holds no table; a one-block antiperiodic walk builds that parity's
+        squares alone, and a walk past one block adds that parity's mode numbers."""
+        child = (
+            "from indexcalc import zeta_det\n"
+            "assert zeta_det._TABLES == {}, list(zeta_det._TABLES)\n"
+            "spec = zeta_det.OperatorSpec('apbc_curvature_block', 1.0, 0.5)\n"
+            "zeta_det.oracle_product(spec, 10**4)\n"
+            "assert list(zeta_det._TABLES) == [(False, True)], list(zeta_det._TABLES)\n"
+            "zeta_det.oracle_product(spec, 10**5)\n"
+            "assert list(zeta_det._TABLES) == [(False, True), (False, False)]\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", child],
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_tables_are_read_only(self):
-        for table in (*zeta_det._BLOCK_MODES.values(), *zeta_det._BLOCK_SQUARES.values()):
+        for table in all_tables():
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
@@ -635,8 +663,8 @@ class TestModeTables:
                         pass
         modes = {True: np.arange(1, B + 1, dtype=float), False: np.arange(1, 2 * B, 2, dtype=float)}
         for periodic, expected in modes.items():
-            assert np.array_equal(zeta_det._BLOCK_MODES[periodic], expected)
-            assert np.array_equal(zeta_det._BLOCK_SQUARES[periodic], expected * expected)
+            assert np.array_equal(zeta_det._mode_table(periodic, False), expected)
+            assert np.array_equal(zeta_det._mode_table(periodic, True), expected * expected)
 
 
 class TestModeCount:
