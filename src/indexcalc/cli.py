@@ -12,12 +12,15 @@ Exit codes: 0 success, 1 check failure, 2 usage or descriptor error.
 Every subcommand accepts --format {text,json}.
 
 Each subcommand imports its modules when it runs, so genus, index and
-fermion-checks start without numpy.  Only the determinant oracle needs it:
-detreg loads numpy once OperatorSpec has accepted the operator, so a refused
-kind, beta, parameter or --oracle-modes exits without it, and verify loads it
-after reading the catalog, before its first criterion.  JSON output and
-descriptor files are loaded on use too: text output never imports json, and
-only a descriptor path or a catalog directory loads descriptor_file.
+fermion-checks start without numpy or the determinant code.  detreg and
+verify walk the determinant oracle through oracle.regularized_det, whose
+pure-Python kernel takes up to oracle.PURE_MODE_LIMIT modes, so neither
+loads numpy at its default sizes.  Only detreg with a larger --oracle-modes
+loads numpy, once OperatorSpec has accepted the operator, for zeta_det's
+numpy kernel: past the limit its import costs less than the pure walk.
+JSON output and descriptor files are loaded on use too: text output never
+imports json, and only a descriptor path or a catalog directory loads
+descriptor_file.
 
 main() runs one command per process.  It turns the garbage collector off for
 the command, whose objects are freed by reference counting, and freezes every
@@ -146,15 +149,15 @@ def _cmd_index(args, out) -> int:
 
 
 def _cmd_detreg(args, out) -> int:
-    # the mode count and the operator are checked before zeta_det, which loads numpy
+    # the mode count and the operator are checked before a walk past
+    # oracle.PURE_MODE_LIMIT modes loads numpy
     if args.oracle_modes < 1:
         raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")
     from .closed_forms import OperatorSpec
+    from .oracle import regularized_det
 
     spec = OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
-    from . import zeta_det
-
-    record = zeta_det.regularized_det(spec, args.oracle_modes)
+    record = regularized_det(spec, args.oracle_modes)
     payload = {
         "op": spec.kind,
         "beta": spec.beta,

@@ -6,13 +6,15 @@ Closed forms for the periodic/antiperiodic spectra
     APBC  omega_k = (2k+1)*pi/beta,    k in Z
 
 from the spectral zeta function, and the operator description they share with
-the truncated-product oracle in zeta_det.  One table, _KINDS, gives each kind's
-mode numbers and unit, its pair rule and its closed form; closed form and
-oracle ask one _nearest_mode which curvature pair may vanish.
+the truncated-product oracle in oracle and zeta_det.  One table, _KINDS,
+gives each kind's mode numbers and unit, its pair rule and its closed form;
+closed form and oracle ask one _nearest_mode which curvature pair may vanish.
 
-This module imports only the standard library, so an operator can be checked,
-and refused, before numpy loads: zeta_det, which walks the oracle's mode
-arrays, imports numpy, and the CLI loads it only for an accepted operator.
+This module imports only the standard library, as does oracle, which walks
+the oracle's modes in pure Python: the CLI checks, refuses and walks an
+operator without numpy.  zeta_det, whose kernel walks numpy mode arrays,
+imports numpy; the CLI loads it only for an accepted operator walked past
+oracle.PURE_MODE_LIMIT modes.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)

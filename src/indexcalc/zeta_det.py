@@ -1,14 +1,17 @@
-"""Truncated-product oracles for the zeta-regularized circle determinants.
+"""Truncated-product oracles for the zeta-regularized circle determinants, on numpy.
 
-The closed forms, the operator kinds and OperatorSpec live in closed_forms,
-which does not import numpy; this module re-exports them and adds the check:
-a truncated-infinite-product oracle, which regularizes by ratio to parameter
-zero (see oracle_product); that reference is scheme-independent for the
-ratios that enter indices.  regularized_det puts closed form and oracle in
-one record.
+The closed forms, the operator kinds and OperatorSpec live in closed_forms;
+the oracle's skeleton (mode count, ratio scale and its singular-pair refusal,
+the blocks and their math.fsum, the parameter-0 reference), RegularizedDet and
+a pure-Python kernel live in oracle.  Neither imports numpy.  This module
+re-exports them and adds the numpy kernel, _block_log_ratio: oracle_product
+and regularized_det walk it at every mode count, so a library caller gets the
+same floats from every call.  The one-shot CLI commands call
+oracle.regularized_det instead, which walks the pure kernel up to
+oracle.PURE_MODE_LIMIT modes and comes here above it.
 
-The oracle reads its mode numbers m from constant tables, built on first use
-by _mode_table: one block's mode numbers for each parity (the periodic
+The numpy kernel reads its mode numbers m from constant tables, built on first
+use by _mode_table: one block's mode numbers for each parity (the periodic
 m = 1..B and the antiperiodic m = 1, 3, ..., 2B-1, B = _ORACLE_BLOCK) and
 their squares, each a read-only 256 KiB float array.  A one-block walk reads
 only its parity's squares table; a longer one also that parity's mode
@@ -20,10 +23,6 @@ sum are exact floats, and m*m is the same IEEE operation on the same m.
 
 from __future__ import annotations
 
-import math
-import operator
-from dataclasses import dataclass
-
 # numpy loads with this module, not inside the first walk: a det-oracle worker imports
 # zeta_det before its timed operations, which should not pay numpy's import
 import numpy as np
@@ -33,9 +32,6 @@ from .closed_forms import (
     OPERATOR_KINDS,
     OperatorSpec,
     SingularOperatorError,
-    _closed_form,
-    _in_float_range,
-    _nearest_mode,
     closed_form,
     det_apbc_curvature_block,
     det_apbc_curvature_block_via_ratio,
@@ -46,6 +42,7 @@ from .closed_forms import (
     fermion_partition,
     pbc_laplacian_log_det_zeta,
 )
+from .oracle import _ORACLE_BLOCK, RegularizedDet, _mode_count, _ratio_oracle, _ratio_scale
 
 __all__ = [
     "OPERATOR_KINDS",
@@ -64,24 +61,6 @@ __all__ = [
     "oracle_product",
     "regularized_det",
 ]
-
-# Modes per oracle block: one 256 KiB float array, which stays in cache while
-# the block's mode numbers become log-ratios.  The mode numbers of one block
-# and their squares are kept as tables (see _mode_table below).
-_ORACLE_BLOCK = 1 << 15
-
-
-def _mode_count(n_modes: int) -> int:
-    """n_modes as an int >= 1; bool and non-integer values are refused."""
-    try:
-        if isinstance(n_modes, bool):
-            raise TypeError
-        n_modes = operator.index(n_modes)
-    except TypeError:
-        raise ValueError(f"the number of modes must be an integer, got {n_modes!r}") from None
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    return n_modes
 
 
 def _mode_numbers(periodic: bool, start: int, stop: int) -> np.ndarray:
@@ -113,73 +92,17 @@ def _mode_table(periodic: bool, squared: bool) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class RegularizedDet:
-    """Closed-form determinant together with its truncated-product oracle."""
-
-    closed_form: float
-    oracle_value: float
-    oracle_modes: int
-
-    @property
-    def delta(self) -> float:
-        return self.oracle_value - self.closed_form
-
-
 def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
-    """Ratio-regularized partial eigenvalue product.
+    """Ratio-regularized partial eigenvalue product, walked by the numpy kernel.
 
     prod_{|n| <= N} lambda_n(parameter) / lambda_n(0), times the closed-form
-    reference determinant at parameter 0.  The Laplacian kinds return that
-    reference with no walk: their eigenvalues do not depend on the parameter.
-    For the others each block of modes computes t = c/m^2, with one
-    c = (beta*|parameter|/unit)^2 and m = n or 2k+1 read from the mode tables
-    (_mode_table), and sums log1p(t) (shifted first-order) or 2 log|1 - t|
-    (curvature blocks) pairwise; math.fsum adds the block sums of a walk past
-    one block, so the result does not depend on their order.
+    reference determinant at parameter 0 (see oracle._ratio_oracle).  Each
+    block of modes computes t = c/m^2, with one c = (beta*|parameter|/unit)^2
+    and m = n or 2k+1 read from the mode tables (_mode_table), and sums
+    log1p(t) (shifted first-order) or 2 log|1 - t| (curvature blocks)
+    pairwise.
     """
-    n_modes = _mode_count(n_modes)
-    kind, beta = spec.kind, spec.beta
-    if _KINDS[kind].pairs is None:
-        return _closed_form(kind, beta, 0.0)
-    c = _ratio_scale(spec, n_modes)
-    if n_modes <= _ORACLE_BLOCK:
-        log_ratio = _block_log_ratio(kind, c, 0, n_modes)  # fsum of one value is that value
-    else:
-        log_ratio = math.fsum(
-            _block_log_ratio(kind, c, start, min(start + _ORACLE_BLOCK, n_modes))
-            for start in range(0, n_modes, _ORACLE_BLOCK)
-        )
-    # an overflowing c drives the sum to inf, which _in_float_range refuses
-    return _in_float_range(
-        lambda: _closed_form(kind, beta, 0.0) * math.exp(log_ratio), kind, beta, spec.parameter
-    )
-
-
-def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
-    """c = (beta*|parameter|/unit)^2, after one look for a vanishing curvature pair.
-
-    A pair vanishes when its frequency m*unit/beta equals |parameter|, so only the
-    mode nearest x = beta*|parameter|/unit can, and the raw route's frequency decides,
-    as in paired_mode_factors.  If that route keeps it nonzero but m^2 == c
-    (x == m exactly), c moves one ulp to that route's side of m^2.
-    """
-    kind = _KINDS[spec.kind]
-    p = abs(spec.parameter)
-    x = spec.beta * p / kind.unit
-    c = x * x
-    if kind.pairs == "curvature" and x <= 2 * n_modes:
-        m = _nearest_mode(spec.kind, x)
-        if 1 <= m <= (n_modes if kind.periodic else 2 * n_modes - 1):
-            freq = m * kind.unit / spec.beta
-            if freq == p:
-                raise SingularOperatorError(
-                    f"exactly-zero eigenvalue in mode pair m = {m}, parameter {spec.parameter}",
-                    mode_index=m,
-                )
-            if m * m == c:
-                c = math.nextafter(c, math.inf if p > freq else 0.0)
-    return c
+    return _ratio_oracle(spec, n_modes, _block_log_ratio)
 
 
 def _block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:

@@ -671,6 +671,15 @@ class TestCliVerify:
         assert doc["n_fail"] == 0
         assert {"name", "expected", "computed", "status"} <= set(doc["checks"][0])
 
+    def test_every_runtime_row_reads_above_zero(self):
+        # determinant-closed-forms takes microseconds: three decimals printed it as 0.000 s
+        code, out, _ = run(["verify", "--format", "json"])
+        rows = [c["computed"] for c in json.loads(out)["checks"] if c["name"].endswith(": runtime")]
+        assert code == 0 and len(rows) == 6
+        for computed in rows:
+            value, unit = computed.split()
+            assert unit == "s" and float(value) > 0.0, computed
+
     def test_gamma_checks_as_strong_as_fermion_checks(self):
         code, out, _ = run(["verify", "--format", "json"])
         status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}

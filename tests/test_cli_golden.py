@@ -30,7 +30,7 @@ from indexcalc.index_engine import INDEX_FUNCTIONS
 
 TABLE = Path(__file__).with_name("cli_golden.json")
 
-_RUNTIME = re.compile(r"\b\d+\.\d{3} s\b")
+_RUNTIME = re.compile(r"\b\d+\.\d+ s\b")
 _DELTA = re.compile(r"delta=[-+0-9.e]+")
 
 

@@ -106,35 +106,55 @@ def test_refused_detreg_never_loads_numpy(argv, message):
     assert json.loads(proc.stdout) == [2, "", f"error: {message}\n", False]
 
 
-def test_walking_detreg_loads_numpy():
-    argv = ["--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5"]
-    proc = _child(_DETREG_CHILD, json.dumps([argv, ""]))
-    assert proc.returncode == 0, proc.stderr
-    code, out, err, numpy_loaded = json.loads(proc.stdout)
-    assert (code, err, numpy_loaded) == (0, "", True)
-    assert out.startswith("closed=")
-
-
-_VERIFY_CHILD = """
+_NUMPY_FREE_CHILD = """
 import io
 import sys
 from indexcalc.cli import run_cli
-assert run_cli(["verify"], io.StringIO()) == 0
-loaded = list(sys.modules)
-package = [m for m in loaded if m.startswith("indexcalc.") and m != "indexcalc.zeta_det"]
-assert "numpy" in loaded, "verify did not load numpy"
-late = [m for m in package if loaded.index(m) > loaded.index("numpy")]
-assert not late, f"loaded after numpy: {late}"
-from indexcalc import zeta_det
-assert list(zeta_det._TABLES) == [(False, True)], list(zeta_det._TABLES)
+for argv in (["verify"], ["verify", "--all"],
+             *(["detreg", "--op", kind, "--beta", "1", "--param", "0.5"] for kind in sys.argv[1:])):
+    out = io.StringIO()
+    assert run_cli(argv, out) == 0, argv
+    assert argv[0] == "verify" or out.getvalue().startswith("closed="), out.getvalue()
+    loaded = [m for m in ("numpy", "indexcalc.zeta_det") if m in sys.modules]
+    assert not loaded, f"{argv} loaded {loaded}"
 """
 
 
-def test_verify_loads_numpy_after_the_package_and_one_table():
-    """verify imports zeta_det only after the rest of the package, and its quick oracle, a
-    one-block antiperiodic walk, builds one 256 KiB squares table of the four."""
-    proc = _child(_VERIFY_CHILD)
+def test_verify_and_default_size_detreg_never_load_numpy():
+    """verify walks three oracles of 10^4 modes, verify --all three of 10^5 and detreg one of
+    10^5 by default: all below PURE_MODE_LIMIT, so the pure kernel walks them and zeta_det,
+    which imports numpy, never loads."""
+    walking = ("apbc_first_order_shifted", "pbc_curvature_block", "apbc_curvature_block")
+    proc = _child(_NUMPY_FREE_CHILD, *walking)
     assert proc.returncode == 0, proc.stderr
+
+
+_ABOVE_LIMIT_CHILD = """
+import io
+import sys
+from indexcalc.cli import run_cli
+from indexcalc.oracle import PURE_MODE_LIMIT
+argv = ["detreg", "--op", "pbc_curvature_block", "--beta", "1.3", "--param", "2.1",
+        "--oracle-modes", str(PURE_MODE_LIMIT + 1), "--format", "json"]
+out = io.StringIO()
+assert run_cli(argv, out) == 0
+assert "numpy" in sys.modules, "a walk past PURE_MODE_LIMIT did not load numpy"
+print(out.getvalue())
+"""
+
+
+def test_detreg_past_the_limit_loads_numpy_and_prints_zeta_det_values():
+    from indexcalc import zeta_det
+    from indexcalc.oracle import PURE_MODE_LIMIT
+
+    proc = _child(_ABOVE_LIMIT_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    spec = zeta_det.OperatorSpec("pbc_curvature_block", 1.3, 2.1)
+    record = zeta_det.regularized_det(spec, PURE_MODE_LIMIT + 1)
+    assert (doc["modes"], doc["closed"], doc["oracle"], doc["delta"]) == (
+        PURE_MODE_LIMIT + 1, record.closed_form, record.oracle_value, record.delta
+    )
 
 
 _ON_USE_CHILD = """
@@ -221,7 +241,9 @@ import tracer
 spans = tracer.Tracer()
 spans.install()
 from indexcalc.cli import run_cli
-argv = ["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5"]
+from indexcalc.oracle import PURE_MODE_LIMIT
+argv = ["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5",
+        "--oracle-modes", str(PURE_MODE_LIMIT + 1)]
 assert run_cli(argv, io.StringIO()) == 0
 print(json.dumps(spans.export()["calls"]))
 """
@@ -229,7 +251,8 @@ print(json.dumps(spans.export()["calls"]))
 
 def test_benchmark_tracer_still_finds_the_determinant_layer():
     """perfbench/tracer.py wraps zeta_det.oracle_product and closed_form by name; a traced
-    detreg must show one span of each (the oracle's reference needs no closed_form call)."""
+    detreg past PURE_MODE_LIMIT, which walks zeta_det's numpy kernel, must show one span of
+    each (the oracle's reference needs no closed_form call)."""
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _TRACED_DETREG, str(SRC.parent / "perfbench")],
         env={"PYTHONPATH": str(SRC)},

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indexcalc import zeta_det
+from indexcalc import oracle, zeta_det
 from indexcalc.zeta_det import (
     OPERATOR_KINDS,
     OperatorSpec,
@@ -665,6 +665,98 @@ class TestModeTables:
         for periodic, expected in modes.items():
             assert np.array_equal(zeta_det._mode_table(periodic, False), expected)
             assert np.array_equal(zeta_det._mode_table(periodic, True), expected * expected)
+
+
+def _singular_parameter(kind: str, beta: float, m: int) -> float:
+    """The parameter whose frequency m*unit/beta vanishes mode pair m, as the oracle tests it."""
+    return m * (2.0 * math.pi if kind == "pbc_curvature_block" else math.pi) / beta
+
+
+def _kernel_specs() -> list[OperatorSpec]:
+    """Every kind at float-range edges and regular points; the curvature blocks also at
+    singular points of the first pair and of the first pair past one block, both signs,
+    and at their math.nextafter neighbours."""
+    specs = [
+        OperatorSpec("pbc_laplacian", 2.0**-511),  # beta^2 = 2**-1022: the smallest normal
+        OperatorSpec("pbc_laplacian", 1e-160),  # beta^2 subnormal: refused
+        OperatorSpec("pbc_laplacian", 1.3e154),
+        OperatorSpec("pbc_first_order", 0.6),
+        OperatorSpec("pbc_first_order", 5e-324),  # refused
+        OperatorSpec("apbc_first_order_shifted", 1.3, 1.1),
+        OperatorSpec("apbc_first_order_shifted", 1.0, 1e100),  # the product overflows
+        OperatorSpec("apbc_first_order_shifted", 1e-300, 1e200),  # every t about 1e-201
+        OperatorSpec("pbc_curvature_block", 1.2, 2.5),
+        OperatorSpec("pbc_curvature_block", 1.3e154, 1e-160),  # reference beta^2 near the top
+        OperatorSpec("pbc_curvature_block", 1.35e154, 1e-160),  # reference overflows
+        OperatorSpec("pbc_curvature_block", 2.0**-511, 1e-3),  # just below the smallest normal
+        OperatorSpec("apbc_curvature_block", 0.8, -3.0),
+        OperatorSpec("apbc_curvature_block", 1.0, 1e200),  # c overflows
+    ]
+    for kind, beta, modes in (("pbc_curvature_block", 1.0, (1, B + 1)),
+                              ("apbc_curvature_block", 0.7, (1, 2 * B + 1))):
+        for m in modes:
+            y = _singular_parameter(kind, beta, m)
+            specs += [OperatorSpec(kind, beta, y), OperatorSpec(kind, beta, -y)]
+            specs += [OperatorSpec(kind, beta, math.nextafter(y, t)) for t in (0.0, math.inf)]
+    return specs
+
+
+AGREEMENT_MODES = [1, 2, 7, B - 1, B, B + 1, 10**5,
+                   oracle.PURE_MODE_LIMIT, oracle.PURE_MODE_LIMIT + 1]
+
+
+def _outcome(route, spec, n_modes):
+    """route(spec, n_modes), or its refusal as (type, message, mode_index)."""
+    try:
+        return route(spec, n_modes)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "mode_index", None)
+
+
+class TestKernelAgreement:
+    """The pure-Python kernel (oracle._pure_block_log_ratio) and the numpy kernel
+    (zeta_det._block_log_ratio) under one skeleton, each the other's reference: the same
+    refusals, and values within a relative 1e-13.  The value is exp(log-ratio), so it can
+    agree no closer than one ulp of the log-ratio: 1.1e-13 of the value past |log-ratio| 512,
+    which these operators' accepted values stay below."""
+
+    @pytest.mark.parametrize("spec", _kernel_specs(), ids=lambda s: f"{s.kind}-{s.beta}-{s.parameter!r}")
+    def test_pure_kernel_agrees_with_numpy_kernel(self, spec):
+        for n_modes in AGREEMENT_MODES:
+            pure = _outcome(oracle._ratio_oracle, spec, n_modes)
+            numpy_route = _outcome(oracle_product, spec, n_modes)
+            if isinstance(numpy_route, float):
+                assert isinstance(pure, float), (n_modes, pure)
+                assert math.isclose(pure, numpy_route, rel_tol=1e-13), n_modes
+            else:
+                assert pure == numpy_route, n_modes
+
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_block_sums_agree(self, kind):
+        for start, stop in BLOCKS:
+            for c in RATIO_SCALES:
+                pure = oracle._pure_block_log_ratio(kind, c, start, stop)
+                numpy_route = zeta_det._block_log_ratio(kind, c, start, stop)
+                assert math.isclose(pure, numpy_route, rel_tol=1e-13, abs_tol=1e-13), (start, c)
+
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_pure_kernel_streams_its_modes(self, kind):
+        # a list of the 10^5 mode floats alone would take 800 kB; the walk holds about 2 kB
+        spec = OperatorSpec(kind, 1.0, 300.7)  # the curvature heads end at m = 47 and 95
+        tracemalloc.start()
+        try:
+            oracle._ratio_oracle(spec, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 1024
+
+    def test_entry_point_hands_a_walk_past_the_limit_to_zeta_det(self):
+        limit = oracle.PURE_MODE_LIMIT
+        spec = OperatorSpec("apbc_curvature_block", 1.1, 2.3)
+        record = oracle.regularized_det(spec, limit)
+        assert record == oracle.RegularizedDet(closed_form(spec), oracle._ratio_oracle(spec, limit), limit)
+        assert oracle.regularized_det(spec, limit + 1) == regularized_det(spec, limit + 1)
 
 
 class TestModeCount:
