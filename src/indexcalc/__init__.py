@@ -3,8 +3,9 @@ circle operators, fermionic normalization checks, and topological index
 evaluation on characteristic-number descriptors.
 
 Importing the package loads no submodule: each public name is imported from
-its submodule on first use (PEP 562), so code that needs only the exact
-index computations never loads numpy.
+its submodule on first use (PEP 562).  Only oracle_product and
+regularized_det come from zeta_det, which loads numpy; the index
+computations, the closed forms, OperatorSpec and RegularizedDet do not.
 """
 
 import importlib
@@ -20,11 +21,12 @@ _EXPORTS = {
         "GenusClass", "multiplicative_sequence", "l_class", "a_hat_class", "todd_class",
         "chern_character", "chern_to_pontryagin", "signature_integrand_identity_check",
     ),
-    "zeta_det": (
-        "OperatorSpec", "RegularizedDet", "det_pbc_laplacian", "det_pbc_curvature_block",
+    "closed_forms": (
+        "OperatorSpec", "det_pbc_laplacian", "det_pbc_curvature_block",
         "det_apbc_curvature_block", "det_apbc_first_order", "fermion_partition",
-        "oracle_product", "regularized_det",
     ),
+    "oracle": ("RegularizedDet",),
+    "zeta_det": ("oracle_product", "regularized_det"),
     "clifford": (
         "ComplexRational", "GrassmannElement", "PauliString", "build_gamma", "chirality",
         "berezin_integrate", "normalization_psi2",

@@ -147,14 +147,20 @@ def det_pbc_curvature_block(y: float, beta: float) -> float:
     """Primed periodic determinant of the 2x2 block [[-d/dt, y], [-y, -d/dt]].
 
     Equals (sin(beta*y/2) / (y/2))^2, tending to beta^2 as y -> 0.  A zero
-    eigenvalue occurs when beta*y/2 hits a nonzero multiple of pi.
+    eigenvalue occurs when beta*y/2 hits a nonzero multiple of pi.  Where y/2 or
+    z = beta*y/2 falls below 2**-1022, and may round to 0, the ratio is taken as
+    beta*sin(z)/z, with sin(z)/z = 1 at z = 0.
     """
     beta = _require_positive_beta(beta)
     y = _require_finite(y, "y")
     if y == 0.0:
         return beta * beta
     _refuse_vanishing_pair("pbc_curvature_block", beta, y)
-    s = math.sin(beta * y / 2.0) / (y / 2.0)
+    z, half = beta * y / 2.0, y / 2.0
+    if min(abs(z), abs(half)) < 2.0**-1022:
+        s = beta * (math.sin(z) / z if z else 1.0)
+    else:
+        s = math.sin(z) / half
     return s * s
 
 

@@ -39,6 +39,8 @@ from .closed_forms import (
     closed_form,
 )
 
+__all__ = ["RegularizedDet", "regularized_det"]
+
 # Modes per oracle block: one 256 KiB float array in the numpy kernel, which stays in
 # cache while the block's mode numbers become log-ratios.
 _ORACLE_BLOCK = 1 << 15
@@ -143,9 +145,11 @@ def _ratio_oracle(
             block_log_ratio(kind, c, start, min(start + _ORACLE_BLOCK, n_modes))
             for start in range(0, n_modes, _ORACLE_BLOCK)
         )
-    # an overflowing c drives the sum to inf, which _in_float_range refuses
+    # an overflowing c drives the sum to inf, and a reference past the float range the
+    # product: _in_float_range refuses either, naming the operator's own parameter
+    closed = _KINDS[kind].closed
     return _in_float_range(
-        lambda: _closed_form(kind, beta, 0.0) * math.exp(log_ratio), kind, beta, spec.parameter
+        lambda: closed(0.0, beta) * math.exp(log_ratio), kind, beta, spec.parameter
     )
 
 

@@ -624,6 +624,19 @@ class TestCliDetreg:
         )
         assert (code, out.splitlines()) == (0, ["closed=2", "oracle=2", "delta=0"])
 
+    @pytest.mark.parametrize(
+        "beta, param, printed",
+        [("1", "5e-324", "1"), ("1e-20", "1e-305", "1e-40")],
+        ids=["y-over-2-zero", "beta-y-over-2-zero"],
+    )
+    def test_pbc_block_below_the_smallest_normal(self, beta, param, printed):
+        # y/2 or beta*y/2 underflows to 0: this read "float division by zero", or refused
+        # beta^2 = 1e-40 as leaving the float range
+        code, out, err = run(["detreg", "--op", "pbc_curvature_block", "--beta", beta,
+                              "--param", param])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"closed={printed}", f"oracle={printed}", "delta=0"]
+
     def test_unknown_op_exits_2(self):
         code, out, err = run(["detreg", "--op", "nope", "--beta", "1"])
         assert (code, out) == (2, "")

@@ -76,6 +76,24 @@ def test_importing_zeta_det_loads_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_public_determinant_records_and_closed_forms_load_no_numpy():
+    """Only oracle_product and regularized_det come from zeta_det, which imports numpy."""
+    proc = _child(
+        "import sys\n"
+        "import indexcalc\n"
+        "for name in ('OperatorSpec', 'RegularizedDet', 'det_pbc_laplacian',\n"
+        "             'det_pbc_curvature_block', 'det_apbc_curvature_block',\n"
+        "             'det_apbc_first_order', 'fermion_partition'):\n"
+        "    getattr(indexcalc, name)\n"
+        "spec = indexcalc.OperatorSpec('pbc_curvature_block', 1.0, 0.5)\n"
+        "assert indexcalc.det_pbc_curvature_block(spec.parameter, spec.beta) > 0\n"
+        "assert 'numpy' not in sys.modules, 'a closed form or record imported numpy'\n"
+        "indexcalc.oracle_product\n"
+        "assert 'numpy' in sys.modules, 'oracle_product did not import numpy'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 _DETREG_REFUSALS = [
     (["--op", "pbc_laplacian", "--beta", "inf"], "beta must be finite and positive, got inf"),
     (["--op", "apbc_curvature_block", "--beta", "1", "--param", "nan"],

@@ -79,6 +79,20 @@ class TestPbcCurvatureBlock:
         for y in (0.3, 1.7, 2.5):
             assert det_pbc_curvature_block(y, 1.0) == det_pbc_curvature_block(-y, 1.0)
 
+    @pytest.mark.parametrize(
+        "y, beta", [(5e-324, 1.0), (-5e-324, 1.0), (1e-305, 1e-20), (1e-308, 3.0), (2.0**-1022, 1.0)]
+    )
+    def test_below_the_smallest_normal(self, y, beta):
+        # y/2 or beta*y/2 under 2**-1022, where the ratio sin(beta*y/2)/(y/2) is beta
+        assert det_pbc_curvature_block(y, beta) == beta * beta
+
+    @pytest.mark.parametrize(
+        "y, beta", [(2.0**-1021, 1.0), (2.0**-420, 2.0**-600), (-1e-300, 0.7), (0.3, 1.0), (4.5, 2.5)]
+    )
+    def test_in_range_values_unchanged(self, y, beta):
+        s = math.sin(beta * y / 2.0) / (y / 2.0)
+        assert det_pbc_curvature_block(y, beta) == s * s
+
     def test_singular_below_float_resolution(self):
         # beta*y/2pi = 10^6 is still resolved to the 1e-9 tolerance
         with pytest.raises(SingularOperatorError) as info:
@@ -292,6 +306,17 @@ class TestOracle:
             closed_form(spec)
         with pytest.raises(ValueError, match=named):
             oracle_product(spec, 100)
+
+    def test_reference_past_the_float_range_names_the_parameter(self):
+        # the parameter-0 reference beta^2 overflows: the refusal names the operator's
+        # parameter, not the reference's 0.0
+        spec = OperatorSpec("pbc_curvature_block", 1.35e154, 1e-160)
+        with pytest.raises(ValueError) as info:
+            oracle_product(spec, 10)
+        assert str(info.value) == (
+            "pbc_curvature_block determinant at beta=1.35e+154, parameter=1e-160 "
+            "leaves the float range"
+        )
 
     def test_smallest_normal_determinant_is_kept(self):
         # beta^2 = 2**-1022 exactly, sys.float_info.min: the last value inside the range
@@ -562,20 +587,25 @@ WALKING_KINDS = [kind for kind in OPERATOR_KINDS if kind not in LAPLACIAN_KINDS]
 
 
 def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
-    """The block walk as it was before the mode tables: np.arange, then squared in place."""
+    """The block walk on np.arange mode numbers, squared in place, as before the mode
+    tables: log1p or log|1 - t| on each mode up to the first with t <= 2^-26, and the
+    sum of u - u^2/2 (u = t, or -t on the curvature blocks) over the modes from there."""
     m2 = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, stop)
     m2 *= m2
-    if zeta_det._KINDS[kind].pairs != "curvature":
-        t = np.divide(c, m2, out=m2)
-        return float(np.sum(np.log1p(t, out=t)))
-    minus_t = np.divide(-c, m2, out=m2)  # rises towards 0 with m
-    # t > 1 on a leading run of modes only, where the log is log(t - 1)
-    above = int(np.searchsorted(minus_t, -1.0))
-    head, tail = minus_t[:above], minus_t[above:]
-    np.subtract(-1.0, head, out=head)
-    np.log(head, out=head)
-    np.log1p(tail, out=tail)
-    return 2.0 * float(np.sum(minus_t))
+    series = int(np.searchsorted(m2, c * 2.0**26))
+    curvature = zeta_det._KINDS[kind].pairs == "curvature"
+    u = np.divide(-c if curvature else c, m2, out=m2)  # t, or -t rising towards 0 with m
+    head, tail = u[:series], u[series:]
+    if curvature:
+        # t > 1 on a leading run of modes only, where the log is log(t - 1)
+        above = int(np.searchsorted(head, -1.0))
+        np.subtract(-1.0, head[:above], out=head[:above])
+        np.log(head[:above], out=head[:above])
+        head = head[above:]
+    np.log1p(head, out=head)
+    log_sum = float(np.sum(tail)) - 0.5 * float(np.einsum("i,i", tail, tail))
+    log_sum += float(np.sum(u[:series]))
+    return 2.0 * log_sum if curvature else log_sum
 
 
 def arange_oracle(spec, n_modes):
@@ -757,6 +787,86 @@ class TestKernelAgreement:
         record = oracle.regularized_det(spec, limit)
         assert record == oracle.RegularizedDet(closed_form(spec), oracle._ratio_oracle(spec, limit), limit)
         assert oracle.regularized_det(spec, limit + 1) == regularized_det(spec, limit + 1)
+
+
+def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
+    """A block's log-ratio summed to 40 digits over the same float t = c/m^2 the kernels
+    compute, so only the kernels' logs and sums are under test."""
+    mpmath = pytest.importorskip("mpmath")
+    row = zeta_det._KINDS[kind]
+    ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
+    with mpmath.workdps(40):
+        if row.pairs != "curvature":
+            return float(mpmath.fsum(mpmath.log1p(c / (m * m)) for m in map(float, ms)))
+        terms = (mpmath.log(abs(1 - mpmath.mpf(c / (m * m)))) for m in map(float, ms))
+        return float(2 * mpmath.fsum(terms))
+
+
+class TestSeriesSum:
+    """The numpy kernel sums the modes with t = c/m^2 <= 2^-26 as sum(u) - sum(u^2)/2
+    (u = t, or -t on the curvature blocks), one ulp or less from each mode's log1p; the
+    modes before are walked with log1p or log|1 - t|, as the pure kernel walks them all."""
+
+    # two short later blocks, where the 40-digit sum costs less, and one whole one
+    @pytest.mark.parametrize("start, stop", [(B, B + 4099), (2 * B + 17, 2 * B + 3000), (30 * B, 31 * B)])
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_later_blocks_agree_with_40_digit_sum(self, kind, start, stop):
+        mid = (start + stop) // 2
+        m = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, mid, mid + 1)[0]
+        # the series starts mid-block, then in the block from 30*B on only (612.9 * 2^26 = m^2
+        # at m = 202,800)
+        for c in (m * m * 2.0**-26, 612.9):
+            exact = _exact_block_log_ratio(kind, c, start, stop)
+            assert math.isclose(zeta_det._block_log_ratio(kind, c, start, stop), exact, rel_tol=1e-15), c
+
+    @pytest.mark.parametrize("start", [0, B])
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_first_mode_at_the_series_bound(self, kind, start):
+        # the first t exactly 2^-26 puts the whole block in the series; one ulp above, the
+        # first mode is walked
+        m = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, start + 1)[0]
+        stop = start + 1024
+        for t in (2.0**-26, math.nextafter(2.0**-26, math.inf)):
+            c = t * (m * m)
+            assert c / (m * m) == t
+            exact = _exact_block_log_ratio(kind, c, start, stop)
+            assert math.isclose(zeta_det._block_log_ratio(kind, c, start, stop), exact, rel_tol=1e-15), t
+            assert math.isclose(oracle._pure_block_log_ratio(kind, c, start, stop), exact, rel_tol=1e-15), t
+
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_log1p_walks_only_the_modes_before_the_series(self, kind, monkeypatch):
+        walked = []
+
+        def counted_log1p(x, out=None, _log1p=np.log1p):
+            walked.append(x.size)
+            return _log1p(x, out=out)
+
+        monkeypatch.setattr(np, "log1p", counted_log1p)
+        c = 0.37  # t < 1 on every mode, and t <= 2^-26 from m = 4983 on
+        for start in (0, B, 3 * B):
+            m = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, start + B)
+            walked.clear()
+            zeta_det._block_log_ratio(kind, c, start, start + B)
+            assert sum(walked) == np.count_nonzero(m * m < c * 2.0**26), start
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(WALKING_KINDS),
+        c=st.floats(0.0, 1e4),
+        start=st.integers(0, 40 * B),
+        length=st.integers(1, B),
+    )
+    def test_block_sums_agree_with_pure_kernel(self, kind, c, start, length):
+        curvature = zeta_det._KINDS[kind].pairs == "curvature"
+        # the skeleton keeps c off every m^2, where a curvature pair vanishes
+        assume(not (curvature and c and math.sqrt(c).is_integer()))
+        pure = oracle._pure_block_log_ratio(kind, c, start, start + length)
+        numpy_route = zeta_det._block_log_ratio(kind, c, start, start + length)
+        # log(t - 1) on a leading run of t > 1 can cancel the other terms: there the sums
+        # agree to an absolute 1e-13, elsewhere every term has one sign
+        m = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, start + 1)[0]
+        cancels = curvature and c > m * m
+        assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
 
 class TestModeCount:
