@@ -4,8 +4,7 @@ evaluation on characteristic-number descriptors.
 
 Importing the package loads no submodule: each public name is imported from
 its submodule on first use (PEP 562).  Only oracle_product and
-regularized_det come from zeta_det, which loads numpy; the index
-computations, the closed forms, OperatorSpec and RegularizedDet do not.
+regularized_det come from zeta_det, which loads numpy.
 """
 
 import importlib
@@ -22,10 +21,9 @@ _EXPORTS = {
         "chern_character", "chern_to_pontryagin", "signature_integrand_identity_check",
     ),
     "closed_forms": (
-        "OperatorSpec", "det_pbc_laplacian", "det_pbc_curvature_block",
+        "OperatorSpec", "RegularizedDet", "det_pbc_laplacian", "det_pbc_curvature_block",
         "det_apbc_curvature_block", "det_apbc_first_order", "fermion_partition",
     ),
-    "oracle": ("RegularizedDet",),
     "zeta_det": ("oracle_product", "regularized_det"),
     "clifford": (
         "ComplexRational", "GrassmannElement", "PauliString", "build_gamma", "chirality",

@@ -256,7 +256,16 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def resolve_manifold(arg: str) -> CatalogEntry:
-    """Interpret a CLI argument as either a catalog name or a descriptor path."""
-    if arg.endswith(".json") or os.path.sep in arg or os.path.isfile(arg):
+    """Interpret a CLI argument as either a catalog name or a descriptor path.
+
+    An argument that ends in .json or contains a path separator is a path.  Any other
+    names a catalog entry if one has that name, so a stray file of that name in the
+    working directory cannot replace it; otherwise an existing file of that name loads."""
+    if arg.endswith(".json") or os.path.sep in arg:
         return load_descriptor(arg)
-    return catalog_entry(arg)
+    try:
+        return catalog_entry(arg)
+    except DescriptorError:
+        if not os.path.isfile(arg):
+            raise
+    return load_descriptor(arg)

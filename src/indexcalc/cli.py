@@ -13,11 +13,10 @@ Every subcommand accepts --format {text,json}.
 
 Each subcommand imports its modules when it runs, so genus, index and
 fermion-checks start without numpy or the determinant code.  detreg and
-verify walk the determinant oracle through oracle.regularized_det, whose
-pure-Python kernel takes up to oracle.PURE_MODE_LIMIT modes, so neither
-loads numpy at its default sizes.  Only detreg with a larger --oracle-modes
-loads numpy, once OperatorSpec has accepted the operator, for zeta_det's
-numpy kernel: past the limit its import costs less than the pure walk.
+verify walk the determinant oracle through closed_forms.regularized_det, so
+neither loads numpy at its default sizes; only detreg with an --oracle-modes
+past closed_forms.PURE_MODE_LIMIT does, once OperatorSpec has accepted the
+operator.
 JSON output and descriptor files are loaded on use too: text output never
 imports json, and only a descriptor path or a catalog directory loads
 descriptor_file.
@@ -63,7 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_index = sub.add_parser("index", help="evaluate an index on a manifold descriptor")
     p_index.add_argument(
-        "--manifold", required=True, help="catalog name or path to a descriptor file"
+        "--manifold",
+        required=True,
+        help="catalog name or path to a descriptor file; a name without a path separator "
+        "or .json suffix reads a file of that name only if no catalog entry has it",
     )
     p_index.add_argument(
         "--complex", required=True, choices=tuple(engine.INDEX_FUNCTIONS), dest="complex_kind"
@@ -150,11 +152,10 @@ def _cmd_index(args, out) -> int:
 
 def _cmd_detreg(args, out) -> int:
     # the mode count and the operator are checked before a walk past
-    # oracle.PURE_MODE_LIMIT modes loads numpy
+    # closed_forms.PURE_MODE_LIMIT modes loads numpy
     if args.oracle_modes < 1:
         raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")
-    from .closed_forms import OperatorSpec
-    from .oracle import regularized_det
+    from .closed_forms import OperatorSpec, regularized_det
 
     spec = OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
     record = regularized_det(spec, args.oracle_modes)

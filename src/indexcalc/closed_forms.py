@@ -1,20 +1,32 @@
-"""Closed forms of the zeta-regularized circle determinants, without numpy.
+"""The zeta-regularized circle determinants without numpy: closed forms, operators,
+and the truncated-product oracle's skeleton with a pure-Python kernel.
 
 Closed forms for the periodic/antiperiodic spectra
 
     PBC   nu_n    = 2*pi*n/beta,       n in Z (primed: n = 0 excluded)
     APBC  omega_k = (2k+1)*pi/beta,    k in Z
 
-from the spectral zeta function, and the operator description they share with
-the truncated-product oracle in oracle and zeta_det.  One table, _KINDS,
-gives each kind's mode numbers and unit, its pair rule and its closed form;
-closed form and oracle ask one _nearest_mode which curvature pair may vanish.
+from the spectral zeta function.  One table, _KINDS, gives each kind's mode
+numbers and unit, its pair rule and its closed form; closed form and oracle
+ask one _nearest_mode which curvature pair may vanish.
 
-This module imports only the standard library, as does oracle, which walks
-the oracle's modes in pure Python: the CLI checks, refuses and walks an
-operator without numpy.  zeta_det, whose kernel walks numpy mode arrays,
-imports numpy; the CLI loads it only for an accepted operator walked past
-oracle.PURE_MODE_LIMIT modes.
+The oracle regularizes by ratio to parameter zero (see _ratio_oracle), a
+reference that is scheme-independent for the ratios that enter indices.  The
+Laplacian kinds return their closed form with no walk, the others walk their
+mode pairs in blocks of _ORACLE_BLOCK, one kernel call a block, and math.fsum
+adds the block sums.  A kernel maps (kind, c, start, stop) to the block's
+log-ratio sum, with c = (beta*|parameter|/unit)^2 and t = c/m^2 on mode number
+m: log1p(t) (shifted first-order) or 2 log|1 - t| (curvature blocks).  The pure
+kernel here streams its modes through generators, holds no list or array, and
+sums each block exactly with math.fsum.  zeta_det walks the same skeleton with
+a numpy kernel; the two agree to about one ulp of the log-ratio, and refuse
+alike, since every refusal comes from the skeleton.
+
+This module imports only the standard library.  Its regularized_det is the
+entry point of the one-shot commands (`detreg`, `verify`): up to
+PURE_MODE_LIMIT modes it walks the pure kernel, so the process never imports
+numpy, whose import costs more than such a walk; above it, it returns
+zeta_det.regularized_det.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
@@ -25,7 +37,11 @@ at w = 0.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
+from math import fsum, log, log1p
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -41,6 +57,8 @@ __all__ = [
     "fermion_partition",
     "pbc_laplacian_log_det_zeta",
     "closed_form",
+    "RegularizedDet",
+    "regularized_det",
 ]
 
 # Absolute tolerance of the curvature blocks' singularity test
@@ -49,6 +67,15 @@ _SINGULAR_TOL = 1e-9
 # Riemann zeta data entering the spectral-zeta route
 _ZETA_R_AT_0 = -0.5
 _ZETA_R_PRIME_AT_0 = -0.5 * math.log(2.0 * math.pi)
+
+# Modes per oracle block: one 256 KiB float array in the numpy kernel, which stays in
+# cache while the block's mode numbers become log-ratios.
+_ORACLE_BLOCK = 1 << 15
+
+# The pure kernel walks 110-120 ns a mode (Python 3.11, 2-core x86-64 VM), so a walk of
+# 2^19 modes costs a one-shot process about what importing numpy does there (60-100 ms):
+# longer walks are cheaper on numpy.
+PURE_MODE_LIMIT = 1 << 19
 
 
 class SingularOperatorError(ValueError):
@@ -76,6 +103,19 @@ def _require_finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
     return value
+
+
+def _mode_count(n_modes: int) -> int:
+    """n_modes as an int >= 1; bool and non-integer values are refused."""
+    try:
+        if isinstance(n_modes, bool):
+            raise TypeError
+        n_modes = operator.index(n_modes)
+    except TypeError:
+        raise ValueError(f"the number of modes must be an integer, got {n_modes!r}") from None
+    if n_modes < 1:
+        raise ValueError("need at least one mode")
+    return n_modes
 
 
 def _in_float_range(
@@ -255,11 +295,12 @@ class OperatorSpec:
         Pairing keeps every partial product real and positive wherever the
         full regularized product is.
         """
-        from .zeta_det import _mode_count, _mode_frequencies
+        from .zeta_det import _mode_numbers
 
-        freq = _mode_frequencies(self.kind, self.beta, 0, _mode_count(n_modes))
+        row = _KINDS[self.kind]
+        freq = _mode_numbers(row.periodic, 0, _mode_count(n_modes)) * row.unit / self.beta
         sq = freq * freq
-        pairs = _KINDS[self.kind].pairs
+        pairs = row.pairs
         if pairs is None:
             # lambda_n = nu_n^2 at both n and -n, or (i nu_n)(-i nu_n)
             return sq * sq if self.kind == "pbc_laplacian" else sq
@@ -272,10 +313,107 @@ class OperatorSpec:
 
 def closed_form(spec: OperatorSpec) -> float:
     """Zeta-regularized closed-form determinant for the given operator."""
-    return _closed_form(spec.kind, spec.beta, spec.parameter)
-
-
-def _closed_form(kind: str, beta: float, parameter: float) -> float:
+    kind, beta, parameter = spec.kind, spec.beta, spec.parameter
     row = _KINDS[kind]
     args = (beta,) if row.pairs is None else (parameter, beta)
     return _in_float_range(lambda: row.closed(*args), kind, beta, parameter)
+
+
+@dataclass(frozen=True)
+class RegularizedDet:
+    """Closed-form determinant together with its truncated-product oracle."""
+
+    closed_form: float
+    oracle_value: float
+    oracle_modes: int
+
+    @property
+    def delta(self) -> float:
+        return self.oracle_value - self.closed_form
+
+
+def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
+    """c = (beta*|parameter|/unit)^2, after one look for a vanishing curvature pair.
+
+    A pair vanishes when its frequency m*unit/beta equals |parameter|, so only the
+    mode nearest x = beta*|parameter|/unit can, and the raw route's frequency decides,
+    as in paired_mode_factors.  If that route keeps it nonzero but m^2 == c
+    (x == m exactly), c moves one ulp to that route's side of m^2.
+    """
+    kind = _KINDS[spec.kind]
+    p = abs(spec.parameter)
+    x = spec.beta * p / kind.unit
+    c = x * x
+    if kind.pairs == "curvature" and x <= 2 * n_modes:
+        m = _nearest_mode(spec.kind, x)
+        if 1 <= m <= (n_modes if kind.periodic else 2 * n_modes - 1):
+            freq = m * kind.unit / spec.beta
+            if freq == p:
+                raise SingularOperatorError(
+                    f"exactly-zero eigenvalue in mode pair m = {m}, parameter {spec.parameter}",
+                    mode_index=m,
+                )
+            if m * m == c:
+                c = math.nextafter(c, math.inf if p > freq else 0.0)
+    return c
+
+
+def _pure_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
+    """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1, streamed.
+
+    Each t = c/m^2 is the numpy kernel's float, from the same float m by the same
+    operations; only the logs and the sum may round differently."""
+    row = _KINDS[kind]
+    ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
+    if row.pairs != "curvature":
+        return fsum(log1p(c / (m * m)) for m in map(float, ms))
+    # t > 1 on a leading run of modes only, where the log is log(t - 1)
+    above = bisect_left(ms, True, key=lambda m: c / (m * m) <= 1.0)
+    minus_c = -c
+    head = (log(c / (m * m) - 1.0) for m in map(float, ms[:above]))
+    tail = (log1p(minus_c / (m * m)) for m in map(float, ms[above:]))
+    return 2.0 * fsum(chain(head, tail))
+
+
+def _ratio_oracle(
+    spec: OperatorSpec,
+    n_modes: int,
+    block_log_ratio: Callable[[str, float, int, int], float] = _pure_block_log_ratio,
+) -> float:
+    """Ratio-regularized partial eigenvalue product, its blocks walked by block_log_ratio.
+
+    prod_{|n| <= N} lambda_n(parameter) / lambda_n(0), times the closed-form
+    reference determinant at parameter 0.  The Laplacian kinds return that
+    reference with no walk: their eigenvalues do not depend on the parameter.
+    math.fsum adds the block sums of a walk past one block, so the result does
+    not depend on their order.
+    """
+    n_modes = _mode_count(n_modes)
+    kind, beta = spec.kind, spec.beta
+    if _KINDS[kind].pairs is None:  # the reference at +0.0, named so in a refusal
+        return closed_form(OperatorSpec(kind, beta))
+    c = _ratio_scale(spec, n_modes)
+    if n_modes <= _ORACLE_BLOCK:
+        log_ratio = block_log_ratio(kind, c, 0, n_modes)  # fsum of one value is that value
+    else:
+        log_ratio = math.fsum(
+            block_log_ratio(kind, c, start, min(start + _ORACLE_BLOCK, n_modes))
+            for start in range(0, n_modes, _ORACLE_BLOCK)
+        )
+    # an overflowing c drives the sum to inf, and a reference past the float range the
+    # product: _in_float_range refuses either, naming the operator's own parameter
+    closed = _KINDS[kind].closed
+    return _in_float_range(
+        lambda: closed(0.0, beta) * math.exp(log_ratio), kind, beta, spec.parameter
+    )
+
+
+def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:
+    """Closed form and oracle in one record, for the CLI and verify: the pure kernel walks
+    up to PURE_MODE_LIMIT modes, and zeta_det.regularized_det a longer walk."""
+    n_modes = _mode_count(n_modes)
+    if n_modes > PURE_MODE_LIMIT:
+        from . import zeta_det
+
+        return zeta_det.regularized_det(spec, n_modes)
+    return RegularizedDet(closed_form(spec), _ratio_oracle(spec, n_modes), n_modes)

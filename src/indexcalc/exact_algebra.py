@@ -49,7 +49,8 @@ class _Value:
     """Value semantics for a ``__slots__`` class, as a frozen dataclass has them:
     equal to an instance of the same class with equal slots, hashed from the slot
     values (so unhashable only if one of them is) and shown by them in repr.  The
-    cold CLI commands then never import ``dataclasses`` and the ``inspect`` it loads."""
+    cold index, genus and fermion-checks commands then never import ``dataclasses``
+    and the ``inspect`` it loads."""
 
     __slots__ = ()
 

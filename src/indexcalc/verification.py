@@ -3,7 +3,7 @@
 Each criterion contributes named checks with an expected and a computed
 value; tolerances are fixed here, not configurable.  The quick mode trims
 the oracle mode counts; --all runs the full-size ratio oracles (10^5 modes)
-with the same tolerances.  Both sizes walk oracle.regularized_det's
+with the same tolerances.  Both sizes walk closed_forms.regularized_det's
 pure-Python kernel, so verify never imports numpy.  The catalog is read
 before any criterion runs, and an index that comes out non-integer fails its
 row ("non-integer <v>").  Runtime rows print microseconds: a criterion that
@@ -24,7 +24,6 @@ from . import closed_forms
 from . import index_engine as engine
 from .clifford import MAX_HALF_DIM, ComplexRational, gamma_identities
 from .genera import a_hat_class, l_class, signature_integrand_identity_check, todd_class
-from .oracle import regularized_det
 
 __all__ = ["VerifyCheck", "VerifyReport", "run_verification"]
 
@@ -108,7 +107,7 @@ def _check_ratio_identity(modes: int):
             _within(report, f"I(2b)/I(b) = (2cos(b y/2))^2 at y={y:g}",
                     ratio - closed, CLOSED_FORM_FLOAT_TOL)
             spec = closed_forms.OperatorSpec("apbc_curvature_block", beta, y)
-            oracle = regularized_det(spec, modes).oracle_value
+            oracle = closed_forms.regularized_det(spec, modes).oracle_value
             _within(report, f"apbc block oracle (y={y:g}, N={modes:g})",
                     oracle - closed, ORACLE_TOL_RATIO)
 

@@ -211,6 +211,28 @@ class TestDescriptorFiles:
         assert resolve_manifold("k3").name == "k3"
         assert run(["index", "--manifold", "k3", "--complex", "spin"]) == (0, "2\n", "")
 
+    def test_stray_file_named_like_an_entry_does_not_replace_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_descriptor(catalog_entry("cp1"), tmp_path / "cp2")
+        (tmp_path / "k3").write_text("not a descriptor")
+        assert resolve_manifold("cp2").name == "cp2"
+        assert run(["index", "--manifold", "cp2", "--complex", "euler"]) == (0, "3\n", "")
+        assert run(["index", "--manifold", "k3", "--complex", "spin"]) == (0, "2\n", "")
+
+    def test_path_separator_makes_a_name_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_descriptor(catalog_entry("cp1"), tmp_path / "cp2")
+        path = os.path.join(".", "cp2")
+        assert resolve_manifold(path).name == "cp1"
+        assert run(["index", "--manifold", path, "--complex", "euler"]) == (0, "2\n", "")
+
+    def test_extensionless_descriptor_without_a_catalog_entry_loads(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_descriptor(catalog_entry("cp1"), tmp_path / "my_sphere")
+        assert resolve_manifold("my_sphere").name == "cp1"
+        assert run(["index", "--manifold", "my_sphere", "--complex", "euler"]) == (0, "2\n", "")
+        assert run(["index", "--manifold", "no_such_file", "--complex", "euler"])[0] == 2
+
 
 _GENERATOR_NAMES = st.text(alphabet="abhpcxyzXYZ019_'()[]-+éλ∂", min_size=1, max_size=4)
 

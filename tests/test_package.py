@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -151,7 +152,7 @@ _ABOVE_LIMIT_CHILD = """
 import io
 import sys
 from indexcalc.cli import run_cli
-from indexcalc.oracle import PURE_MODE_LIMIT
+from indexcalc.closed_forms import PURE_MODE_LIMIT
 argv = ["detreg", "--op", "pbc_curvature_block", "--beta", "1.3", "--param", "2.1",
         "--oracle-modes", str(PURE_MODE_LIMIT + 1), "--format", "json"]
 out = io.StringIO()
@@ -163,7 +164,7 @@ print(out.getvalue())
 
 def test_detreg_past_the_limit_loads_numpy_and_prints_zeta_det_values():
     from indexcalc import zeta_det
-    from indexcalc.oracle import PURE_MODE_LIMIT
+    from indexcalc.closed_forms import PURE_MODE_LIMIT
 
     proc = _child(_ABOVE_LIMIT_CHILD)
     assert proc.returncode == 0, proc.stderr
@@ -259,7 +260,7 @@ import tracer
 spans = tracer.Tracer()
 spans.install()
 from indexcalc.cli import run_cli
-from indexcalc.oracle import PURE_MODE_LIMIT
+from indexcalc.closed_forms import PURE_MODE_LIMIT
 argv = ["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5",
         "--oracle-modes", str(PURE_MODE_LIMIT + 1)]
 assert run_cli(argv, io.StringIO()) == 0
@@ -281,6 +282,31 @@ def test_benchmark_tracer_still_finds_the_determinant_layer():
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
     assert calls["zeta_det.oracle_product"] == calls["zeta_det.closed_form"] == 1
+
+
+def test_benchmark_worker_answers_a_det_oracle_stream():
+    """perfbench/worker.py builds zeta_det.OperatorSpec, calls zeta_det.regularized_det and
+    catches zeta_det.SingularOperatorError: on a tiny det-oracle stream every answer is a
+    value or that refusal, and none an error."""
+    perfbench = SRC.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.make_stream("det-oracle", 1, tiny=True)
+    proc = subprocess.run(
+        [sys.executable, "-B", str(perfbench / "worker.py")],
+        input=json.dumps({"ops": ops, "trace": False}),
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    answers = json.loads(proc.stdout)["answers"]
+    assert len(answers) == len(ops)
+    refused = [answer for answer in answers if answer == {"refused": "SingularOperatorError"}]
+    values = [answer for answer in answers if set(answer) == {"closed", "oracle"}]
+    assert refused and len(refused) + len(values) == len(answers), answers
 
 
 @pytest.mark.parametrize("name", [n for n in indexcalc.__all__ if n != "__version__"])
@@ -306,15 +332,15 @@ def test_submodule_attribute_and_unknown_attribute():
         indexcalc.no_such_name
 
 
-def test_benchmark_operator_kinds_match_zeta_det():
+def test_benchmark_operator_kinds_match_closed_forms():
     """perfbench/workloads.py keeps its own copy of the kinds, read here as source text
-    (not imported), so a kind added or renamed in zeta_det cannot drop out of det-oracle."""
+    (not imported), so a kind added or renamed in closed_forms cannot drop out of det-oracle."""
     tree = ast.parse((SRC.parent / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
     (kinds,) = [
         ast.literal_eval(node.value) for node in tree.body
         if isinstance(node, ast.Assign)
         and [getattr(t, "id", None) for t in node.targets] == ["OPERATOR_KINDS"]
     ]
-    from indexcalc.zeta_det import OPERATOR_KINDS
+    from indexcalc.closed_forms import OPERATOR_KINDS
 
     assert kinds == OPERATOR_KINDS

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import math
 import re
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +13,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indexcalc import oracle, zeta_det
-from indexcalc.zeta_det import (
+from indexcalc import closed_forms, zeta_det
+from indexcalc.closed_forms import (
     OPERATOR_KINDS,
     OperatorSpec,
     SingularOperatorError,
@@ -29,10 +26,9 @@ from indexcalc.zeta_det import (
     det_pbc_first_order,
     det_pbc_laplacian,
     fermion_partition,
-    oracle_product,
     pbc_laplacian_log_det_zeta,
-    regularized_det,
 )
+from indexcalc.zeta_det import oracle_product, regularized_det
 
 
 # the kinds whose eigenvalues do not depend on the parameter
@@ -405,7 +401,7 @@ class TestOracle:
         assert record.oracle_modes == 100
 
 
-B = zeta_det._ORACLE_BLOCK
+B = closed_forms._ORACLE_BLOCK
 
 
 def raw_oracle(spec, n_modes):
@@ -525,7 +521,7 @@ class TestRatioWork:
             raise AssertionError("the oracle walked the modes")
 
         monkeypatch.setattr(zeta_det, "_block_log_ratio", walked)
-        monkeypatch.setattr(zeta_det, "_mode_frequencies", walked)
+        monkeypatch.setattr(zeta_det, "_mode_numbers", walked)
         for beta, parameter in ((0.5, 0.0), (1.7, 0.0), (2.0, 0.0)):
             spec = OperatorSpec(kind, beta, parameter)
             for n_modes in (1, B, 10**9):
@@ -546,7 +542,8 @@ class TestRatioWork:
     )
     def test_vanishing_pair_found_where_the_raw_route_has_it(self, kind, beta, k, extra, sign):
         n_modes = k + extra
-        freq = zeta_det._mode_frequencies(kind, beta, k, k + 1)[0]
+        row = closed_forms._KINDS[kind]
+        freq = zeta_det._mode_numbers(row.periodic, k, k + 1)[0] * row.unit / beta
         spec = OperatorSpec(kind, beta, sign * freq)
         with pytest.raises(SingularOperatorError) as info:
             oracle_product(spec, n_modes)
@@ -590,10 +587,10 @@ def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """The block walk on np.arange mode numbers, squared in place, as before the mode
     tables: log1p or log|1 - t| on each mode up to the first with t <= 2^-26, and the
     sum of u - u^2/2 (u = t, or -t on the curvature blocks) over the modes from there."""
-    m2 = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, stop)
+    m2 = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, stop)
     m2 *= m2
     series = int(np.searchsorted(m2, c * 2.0**26))
-    curvature = zeta_det._KINDS[kind].pairs == "curvature"
+    curvature = closed_forms._KINDS[kind].pairs == "curvature"
     u = np.divide(-c if curvature else c, m2, out=m2)  # t, or -t rising towards 0 with m
     head, tail = u[:series], u[series:]
     if curvature:
@@ -611,9 +608,9 @@ def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
 def arange_oracle(spec, n_modes):
     """oracle_product on the route it took before the mode tables, for a regular spec."""
     reference = replace(spec, parameter=0.0)
-    if zeta_det._KINDS[spec.kind].pairs is None:
+    if closed_forms._KINDS[spec.kind].pairs is None:
         return closed_form(reference)
-    c = zeta_det._ratio_scale(spec, n_modes)
+    c = closed_forms._ratio_scale(spec, n_modes)
     log_ratio = math.fsum(
         arange_block_log_ratio(spec.kind, c, start, min(start + B, n_modes))
         for start in range(0, n_modes, B)
@@ -630,18 +627,18 @@ RATIO_SCALES = [1e-6, 3.7e-3, 0.37, 2.5, 17.3, 612.9, 9999.5]
 
 def all_tables():
     """All four mode tables: each parity's block-0 mode numbers and their squares."""
-    return [zeta_det._mode_table(periodic, squared)
-            for periodic in (True, False) for squared in (False, True)]
+    return [table for periodic in (True, False)
+            for table in (zeta_det._MODES[periodic], zeta_det._SQUARES[periodic])]
 
 
 class TestModeTables:
-    """The block walk reads its mode numbers from constant tables, each built on first use;
-    every value stays equal, float for float, to the np.arange route it replaced."""
+    """The block walk reads its mode numbers from constant tables, built at import; every
+    value stays equal, float for float, to the np.arange route it replaced."""
 
     @pytest.mark.parametrize("start, stop", BLOCKS)
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_block_log_ratio_equals_arange_route(self, kind, start, stop):
-        last = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, stop - 1, stop)[0]
+        last = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, stop - 1, stop)[0]
         # the last scale puts t > 1 on every mode of the block: the curvature head reaches its end
         for c in RATIO_SCALES + [(1.5 * last) ** 2]:
             assert zeta_det._block_log_ratio(kind, c, start, stop) == arange_block_log_ratio(
@@ -657,25 +654,6 @@ class TestModeTables:
     )
     def test_oracle_equals_arange_route(self, spec, n_modes):
         assert oracle_product(spec, n_modes) == arange_oracle(spec, n_modes)
-
-    def test_tables_built_on_first_use(self):
-        """A fresh process holds no table; a one-block antiperiodic walk builds that parity's
-        squares alone, and a walk past one block adds that parity's mode numbers."""
-        child = (
-            "from indexcalc import zeta_det\n"
-            "assert zeta_det._TABLES == {}, list(zeta_det._TABLES)\n"
-            "spec = zeta_det.OperatorSpec('apbc_curvature_block', 1.0, 0.5)\n"
-            "zeta_det.oracle_product(spec, 10**4)\n"
-            "assert list(zeta_det._TABLES) == [(False, True)], list(zeta_det._TABLES)\n"
-            "zeta_det.oracle_product(spec, 10**5)\n"
-            "assert list(zeta_det._TABLES) == [(False, True), (False, False)]\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-B", "-c", child],
-            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
 
     def test_tables_are_read_only(self):
         for table in all_tables():
@@ -693,8 +671,8 @@ class TestModeTables:
                         pass
         modes = {True: np.arange(1, B + 1, dtype=float), False: np.arange(1, 2 * B, 2, dtype=float)}
         for periodic, expected in modes.items():
-            assert np.array_equal(zeta_det._mode_table(periodic, False), expected)
-            assert np.array_equal(zeta_det._mode_table(periodic, True), expected * expected)
+            assert np.array_equal(zeta_det._MODES[periodic], expected)
+            assert np.array_equal(zeta_det._SQUARES[periodic], expected * expected)
 
 
 def _singular_parameter(kind: str, beta: float, m: int) -> float:
@@ -732,7 +710,7 @@ def _kernel_specs() -> list[OperatorSpec]:
 
 
 AGREEMENT_MODES = [1, 2, 7, B - 1, B, B + 1, 10**5,
-                   oracle.PURE_MODE_LIMIT, oracle.PURE_MODE_LIMIT + 1]
+                   closed_forms.PURE_MODE_LIMIT, closed_forms.PURE_MODE_LIMIT + 1]
 
 
 def _outcome(route, spec, n_modes):
@@ -744,7 +722,7 @@ def _outcome(route, spec, n_modes):
 
 
 class TestKernelAgreement:
-    """The pure-Python kernel (oracle._pure_block_log_ratio) and the numpy kernel
+    """The pure-Python kernel (closed_forms._pure_block_log_ratio) and the numpy kernel
     (zeta_det._block_log_ratio) under one skeleton, each the other's reference: the same
     refusals, and values within a relative 1e-13.  The value is exp(log-ratio), so it can
     agree no closer than one ulp of the log-ratio: 1.1e-13 of the value past |log-ratio| 512,
@@ -753,7 +731,7 @@ class TestKernelAgreement:
     @pytest.mark.parametrize("spec", _kernel_specs(), ids=lambda s: f"{s.kind}-{s.beta}-{s.parameter!r}")
     def test_pure_kernel_agrees_with_numpy_kernel(self, spec):
         for n_modes in AGREEMENT_MODES:
-            pure = _outcome(oracle._ratio_oracle, spec, n_modes)
+            pure = _outcome(closed_forms._ratio_oracle, spec, n_modes)
             numpy_route = _outcome(oracle_product, spec, n_modes)
             if isinstance(numpy_route, float):
                 assert isinstance(pure, float), (n_modes, pure)
@@ -765,7 +743,7 @@ class TestKernelAgreement:
     def test_block_sums_agree(self, kind):
         for start, stop in BLOCKS:
             for c in RATIO_SCALES:
-                pure = oracle._pure_block_log_ratio(kind, c, start, stop)
+                pure = closed_forms._pure_block_log_ratio(kind, c, start, stop)
                 numpy_route = zeta_det._block_log_ratio(kind, c, start, stop)
                 assert math.isclose(pure, numpy_route, rel_tol=1e-13, abs_tol=1e-13), (start, c)
 
@@ -775,25 +753,26 @@ class TestKernelAgreement:
         spec = OperatorSpec(kind, 1.0, 300.7)  # the curvature heads end at m = 47 and 95
         tracemalloc.start()
         try:
-            oracle._ratio_oracle(spec, 10**5)
+            closed_forms._ratio_oracle(spec, 10**5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 1024
 
     def test_entry_point_hands_a_walk_past_the_limit_to_zeta_det(self):
-        limit = oracle.PURE_MODE_LIMIT
+        limit = closed_forms.PURE_MODE_LIMIT
         spec = OperatorSpec("apbc_curvature_block", 1.1, 2.3)
-        record = oracle.regularized_det(spec, limit)
-        assert record == oracle.RegularizedDet(closed_form(spec), oracle._ratio_oracle(spec, limit), limit)
-        assert oracle.regularized_det(spec, limit + 1) == regularized_det(spec, limit + 1)
+        record = closed_forms.regularized_det(spec, limit)
+        oracle = closed_forms._ratio_oracle(spec, limit)
+        assert record == closed_forms.RegularizedDet(closed_form(spec), oracle, limit)
+        assert closed_forms.regularized_det(spec, limit + 1) == regularized_det(spec, limit + 1)
 
 
 def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """A block's log-ratio summed to 40 digits over the same float t = c/m^2 the kernels
     compute, so only the kernels' logs and sums are under test."""
     mpmath = pytest.importorskip("mpmath")
-    row = zeta_det._KINDS[kind]
+    row = closed_forms._KINDS[kind]
     ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
     with mpmath.workdps(40):
         if row.pairs != "curvature":
@@ -812,7 +791,7 @@ class TestSeriesSum:
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_later_blocks_agree_with_40_digit_sum(self, kind, start, stop):
         mid = (start + stop) // 2
-        m = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, mid, mid + 1)[0]
+        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, mid, mid + 1)[0]
         # the series starts mid-block, then in the block from 30*B on only (612.9 * 2^26 = m^2
         # at m = 202,800)
         for c in (m * m * 2.0**-26, 612.9):
@@ -824,14 +803,14 @@ class TestSeriesSum:
     def test_first_mode_at_the_series_bound(self, kind, start):
         # the first t exactly 2^-26 puts the whole block in the series; one ulp above, the
         # first mode is walked
-        m = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, start + 1)[0]
+        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
         stop = start + 1024
         for t in (2.0**-26, math.nextafter(2.0**-26, math.inf)):
             c = t * (m * m)
             assert c / (m * m) == t
             exact = _exact_block_log_ratio(kind, c, start, stop)
             assert math.isclose(zeta_det._block_log_ratio(kind, c, start, stop), exact, rel_tol=1e-15), t
-            assert math.isclose(oracle._pure_block_log_ratio(kind, c, start, stop), exact, rel_tol=1e-15), t
+            assert math.isclose(closed_forms._pure_block_log_ratio(kind, c, start, stop), exact, rel_tol=1e-15), t
 
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_log1p_walks_only_the_modes_before_the_series(self, kind, monkeypatch):
@@ -844,7 +823,7 @@ class TestSeriesSum:
         monkeypatch.setattr(np, "log1p", counted_log1p)
         c = 0.37  # t < 1 on every mode, and t <= 2^-26 from m = 4983 on
         for start in (0, B, 3 * B):
-            m = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, start + B)
+            m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
             walked.clear()
             zeta_det._block_log_ratio(kind, c, start, start + B)
             assert sum(walked) == np.count_nonzero(m * m < c * 2.0**26), start
@@ -857,14 +836,14 @@ class TestSeriesSum:
         length=st.integers(1, B),
     )
     def test_block_sums_agree_with_pure_kernel(self, kind, c, start, length):
-        curvature = zeta_det._KINDS[kind].pairs == "curvature"
+        curvature = closed_forms._KINDS[kind].pairs == "curvature"
         # the skeleton keeps c off every m^2, where a curvature pair vanishes
         assume(not (curvature and c and math.sqrt(c).is_integer()))
-        pure = oracle._pure_block_log_ratio(kind, c, start, start + length)
+        pure = closed_forms._pure_block_log_ratio(kind, c, start, start + length)
         numpy_route = zeta_det._block_log_ratio(kind, c, start, start + length)
         # log(t - 1) on a leading run of t > 1 can cancel the other terms: there the sums
         # agree to an absolute 1e-13, elsewhere every term has one sign
-        m = zeta_det._mode_numbers(zeta_det._KINDS[kind].periodic, start, start + 1)[0]
+        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
         cancels = curvature and c > m * m
         assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
