@@ -77,6 +77,23 @@ def test_importing_zeta_det_loads_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+def test_importing_zeta_det_after_numpy_raises_peak_rss_by_at_most_4_5_mb():
+    """zeta_det builds its constant tables at import, 3 MiB of floats, in place.  After
+    numpy, the import raised the peak RSS by about 1.9 MB with the four mode tables alone
+    and by 4.1-4.4 MB with the eight block-0 sum tables too; building those from a
+    256 KiB scratch instead of a 16 KiB one read up to 4.44 MB."""
+    proc = _child(
+        "import resource\n"
+        "import numpy\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "import indexcalc.zeta_det\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 4.5 * 1024  # KiB
+
+
 def test_public_determinant_records_and_closed_forms_load_no_numpy():
     """Only oracle_product and regularized_det come from zeta_det, which imports numpy."""
     proc = _child(

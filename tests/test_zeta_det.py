@@ -439,6 +439,18 @@ REGULAR_SPECS = [
 ]
 
 
+def clear_of_zero_eigenvalues(kind: str, z: float) -> bool:
+    """Whether z = beta*parameter/2 lies 0.05 pi or more from every z at which a pair of
+    kind vanishes: k pi (k >= 1) on the periodic curvature block, (k + 1/2) pi on the
+    antiperiodic one.  Other kinds have no such z."""
+    d = abs(z) / math.pi - round(abs(z) / math.pi)  # in [-1/2, 1/2]
+    if kind == "pbc_curvature_block":
+        return abs(z) < 0.5 or abs(d) > 0.05
+    if kind == "apbc_curvature_block":
+        return abs(abs(d) - 0.5) > 0.05
+    return True
+
+
 class TestBlockedOracle:
     @pytest.mark.parametrize("n_modes", [B - 1, B, B + 1, 2 * B + 1])
     @pytest.mark.parametrize("spec", REGULAR_SPECS, ids=lambda spec: spec.kind)
@@ -503,15 +515,26 @@ class TestBlockedOracle:
         n_modes=st.integers(1, 2 * 10**4),
     )
     def test_matches_raw_route(self, kind, beta, z, n_modes):
-        # z = beta*parameter/2, kept 0.05 away from every zero eigenvalue
         if kind in LAPLACIAN_KINDS:
             z = 0.0
-        elif kind == "pbc_curvature_block":
-            assume(abs(z) < 0.5 or abs(abs(z) / math.pi - round(abs(z) / math.pi)) > 0.05)
-        elif kind == "apbc_curvature_block":
-            assume(abs(abs(z) / math.pi - round(abs(z) / math.pi) - 0.5) < 0.45)
+        assume(clear_of_zero_eigenvalues(kind, z))
         spec = OperatorSpec(kind, beta, 2.0 * z / beta)
         assert math.isclose(oracle_product(spec, n_modes), raw_oracle(spec, n_modes), rel_tol=1e-11)
+
+    @pytest.mark.parametrize(
+        "kind, z, clear",
+        [
+            # 2.49999 pi: the raw route and the oracle differed there by a relative 3.1e-11
+            ("apbc_curvature_block", 7.8539349509167495, False),
+            ("apbc_curvature_block", 1.0, True),
+            ("apbc_curvature_block", 3.0 * math.pi, True),  # cos(z) = -1: no pair vanishes
+            ("pbc_curvature_block", 2.0 * math.pi + 0.01, False),
+            ("pbc_curvature_block", 0.01, True),
+            ("pbc_curvature_block", 2.5, True),
+        ],
+    )
+    def test_zero_eigenvalue_filter(self, kind, z, clear):
+        assert clear_of_zero_eigenvalues(kind, z) is clear
 
 
 class TestRatioWork:
@@ -626,9 +649,11 @@ RATIO_SCALES = [1e-6, 3.7e-3, 0.37, 2.5, 17.3, 612.9, 9999.5]
 
 
 def all_tables():
-    """All four mode tables: each parity's block-0 mode numbers and their squares."""
+    """All twelve constant tables: each parity's block-0 mode numbers, their squares, and
+    the (hi, lo) suffix sums of 1/m^2 and 1/m^4 over them."""
     return [table for periodic in (True, False)
-            for table in (zeta_det._MODES[periodic], zeta_det._SQUARES[periodic])]
+            for table in (zeta_det._MODES[periodic], zeta_det._SQUARES[periodic],
+                          *zeta_det._INVERSE_SUMS[periodic])]
 
 
 class TestModeTables:
@@ -673,6 +698,13 @@ class TestModeTables:
         for periodic, expected in modes.items():
             assert np.array_equal(zeta_det._MODES[periodic], expected)
             assert np.array_equal(zeta_det._SQUARES[periodic], expected * expected)
+            fresh = zeta_det._inverse_power_sums(expected * expected)
+            for table, fresh_table in zip(zeta_det._INVERSE_SUMS[periodic], fresh, strict=True):
+                assert np.array_equal(table, fresh_table)
+
+    def test_tables_take_3_mib(self):
+        # four B-float mode tables and eight (B+1)-float sum tables
+        assert sum(table.nbytes for table in all_tables()) <= 12 * (B + 1) * 8
 
 
 def _singular_parameter(kind: str, beta: float, m: int) -> float:
@@ -846,6 +878,50 @@ class TestSeriesSum:
         m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
         cancels = curvature and c > m * m
         assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
+
+
+class TestBlockZeroSums:
+    """Block 0 sums its series from the sums of 1/m^2 and 1/m^4 over its modes past the
+    split, read from suffix tables (zeta_det._INVERSE_SUMS): for each parity and power, hi,
+    the float sums from each mode to the block's end, and lo, their running rounding
+    errors.  Only the head before the split is divided and walked."""
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_range_sums_agree_with_fsum_within_one_ulp(self, periodic):
+        inverse = 1.0 / zeta_det._SQUARES[periodic]
+        hi2, lo2, hi4, lo4 = zeta_det._INVERSE_SUMS[periodic]
+        rng = np.random.default_rng(28)
+        ranges = [(0, B), (0, 1), (B - 1, B), (0, 4983), (4983, B), (B, B)]
+        ranges += [tuple(sorted(map(int, rng.integers(0, B + 1, 2)))) for _ in range(200)]
+        for terms, hi, lo in ((inverse, hi2, lo2), (inverse * inverse, hi4, lo4)):
+            for a, b in ranges:
+                exact = math.fsum(terms[a:b].tolist())
+                assert abs(zeta_det._range_sum(hi, lo, a, b) - exact) <= math.ulp(exact), (a, b)
+
+    @pytest.mark.parametrize("stop", [3001, 12001])
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_partial_block_zero_agrees_with_40_digit_sum(self, kind, stop):
+        # t <= 2^-26 from m = 1832 on at c = 0.05 and from m = 5793 on at 0.5, so the series
+        # starts inside the block, except at 0.5 on the periodic m <= 3001, all head.  t < 1
+        # on every mode, so no log(t - 1) cancels the sum
+        for c in (0.05, 0.5):
+            exact = _exact_block_log_ratio(kind, c, 0, stop)
+            assert math.isclose(zeta_det._block_log_ratio(kind, c, 0, stop), exact, rel_tol=1e-15), c
+
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_divide_and_log1p_see_only_the_head(self, kind, monkeypatch):
+        c = 0.37  # t < 1 on every mode, and t <= 2^-26 from m = 4983 on
+        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, 0, B)
+        head = np.count_nonzero(m * m < c * 2.0**26)
+        sizes = {"divide": [], "log1p": []}
+        for name, seen in sizes.items():
+            def counted(*args, _ufunc=getattr(np, name), _seen=seen, **kwargs):
+                _seen.append(np.broadcast(*args).size)
+                return _ufunc(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        zeta_det._block_log_ratio(kind, c, 0, B)
+        assert sizes == {"divide": [head], "log1p": [head]}
 
 
 class TestModeCount:
