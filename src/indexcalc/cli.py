@@ -8,7 +8,9 @@ Subcommands:
     fermion-checks  gamma-matrix and Berezin identity table
     verify          run the acceptance suite
 
-Exit codes: 0 success, 1 check failure, 2 usage or descriptor error.
+Exit codes: 0 success, 1 check failure, 2 usage or descriptor error.  A
+--half-dim above MAX_GENUS_HALF_DIM or an --oracle-modes above MAX_ORACLE_MODES
+asks for more work than a command should do, and is a usage error.
 Every subcommand accepts --format {text,json}.
 
 Each subcommand imports its modules when it runs, so genus, index and
@@ -44,6 +46,12 @@ from .genera import GenusClass, a_hat_class, l_class, todd_class
 __all__ = ["build_parser", "run_cli", "main"]
 
 _GENUS_BUILDERS = {"L": l_class, "Ahat": a_hat_class, "Todd": todd_class}
+
+# Work budgets, each about 5 s of a cold command (Python 3.11, 2-core x86-64 VM): genus
+# --half-dim 24 took 3.0-4.8 s over L, Ahat and Todd (25: 5.0-5.8 s), and detreg walked
+# 2*10^9 oracle modes on numpy in 4.5-4.9 s.  The library's builders and oracle keep no cap.
+MAX_GENUS_HALF_DIM = 24
+MAX_ORACLE_MODES = 2 * 10**9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,6 +130,8 @@ def _float_str(value: float) -> str:
 def _cmd_genus(args, out) -> int:
     if args.half_dim < 0:
         raise ValueError(f"--half-dim must be non-negative, got {args.half_dim}")
+    if args.half_dim > MAX_GENUS_HALF_DIM:
+        raise ValueError(f"--half-dim must be at most {MAX_GENUS_HALF_DIM}, got {args.half_dim}")
     genus: GenusClass = _GENUS_BUILDERS[args.kind](args.half_dim)
     poly = genus.polynomial
     payload = {
@@ -155,6 +165,10 @@ def _cmd_detreg(args, out) -> int:
     # closed_forms.PURE_MODE_LIMIT modes loads numpy
     if args.oracle_modes < 1:
         raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")
+    if args.oracle_modes > MAX_ORACLE_MODES:
+        raise ValueError(
+            f"--oracle-modes must be at most {MAX_ORACLE_MODES}, got {args.oracle_modes}"
+        )
     from .closed_forms import OperatorSpec, regularized_det
 
     spec = OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
@@ -216,8 +230,6 @@ def _cmd_fermion_checks(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    from dataclasses import asdict
-
     from .verification import run_verification
 
     report = run_verification(full=args.full)
@@ -229,7 +241,7 @@ def _cmd_verify(args, out) -> int:
         )
     lines.append(f"{report.n_pass}/{len(report.checks)} checks passed")
     payload = {
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [check._asdict() for check in report.checks],
         "passed": report.passed,
         "n_pass": report.n_pass,
         "n_fail": report.n_fail,

@@ -22,11 +22,11 @@ sums each block exactly with math.fsum.  zeta_det walks the same skeleton with
 a numpy kernel; the two agree to about one ulp of the log-ratio, and refuse
 alike, since every refusal comes from the skeleton.
 
-This module imports only the standard library.  Its regularized_det is the
-entry point of the one-shot commands (`detreg`, `verify`): up to
-PURE_MODE_LIMIT modes it walks the pure kernel, so the process never imports
-numpy, whose import costs more than such a walk; above it, it returns
-zeta_det.regularized_det.
+This module imports no numpy: only the standard library and exact_algebra's
+_Value.  Its regularized_det is the entry point of the one-shot commands
+(`detreg`, `verify`): up to PURE_MODE_LIMIT modes it walks the pure kernel, so
+the process never imports numpy, whose import costs more than such a walk;
+above it, it returns zeta_det.regularized_det.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
@@ -39,10 +39,11 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 from math import fsum, log, log1p
 from typing import Callable, NamedTuple
+
+from .exact_algebra import _Value
 
 __all__ = [
     "OPERATOR_KINDS",
@@ -265,8 +266,7 @@ _KINDS = {
 OPERATOR_KINDS = tuple(_KINDS)
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(_Value):
     """A fluctuation operator: kind, period beta, and spectral parameter.
 
     ``parameter`` is y for the curvature blocks and w for the shifted
@@ -275,18 +275,16 @@ class OperatorSpec:
     out, so a vanishing mode pair is singular for oracle and closed form.
     """
 
-    kind: str
-    beta: float
-    parameter: float = 0.0
+    __slots__ = ("kind", "beta", "parameter")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {OPERATOR_KINDS}")
-        object.__setattr__(self, "beta", _require_positive_beta(self.beta))
-        parameter = _require_finite(self.parameter, "parameter")
-        if parameter and _KINDS[self.kind].pairs is None:
-            raise ValueError(f"{self.kind} takes no parameter, got parameter={parameter}")
-        object.__setattr__(self, "parameter", parameter)
+    def __init__(self, kind: str, beta: float, parameter: float = 0.0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
+        self.kind = kind
+        self.beta = _require_positive_beta(beta)
+        self.parameter = _require_finite(parameter, "parameter")
+        if self.parameter and _KINDS[kind].pairs is None:
+            raise ValueError(f"{kind} takes no parameter, got parameter={self.parameter}")
 
     def paired_mode_factors(self, n_modes: int):
         """Eigenvalue products over the symmetric mode pairs (n, -n) or (k, -k-1), as a
@@ -319,8 +317,7 @@ def closed_form(spec: OperatorSpec) -> float:
     return _in_float_range(lambda: row.closed(*args), kind, beta, parameter)
 
 
-@dataclass(frozen=True)
-class RegularizedDet:
+class RegularizedDet(NamedTuple):
     """Closed-form determinant together with its truncated-product oracle."""
 
     closed_form: float

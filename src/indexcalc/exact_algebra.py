@@ -49,8 +49,9 @@ class _Value:
     """Value semantics for a ``__slots__`` class, as a frozen dataclass has them:
     equal to an instance of the same class with equal slots, hashed from the slot
     values (so unhashable only if one of them is) and shown by them in repr.  The
-    cold index, genus and fermion-checks commands then never import ``dataclasses``
-    and the ``inspect`` it loads."""
+    package's one record rule: a validated value subclasses _Value and checks its
+    fields in __init__, a plain result is a NamedTuple, and nothing imports
+    ``dataclasses`` (nor, through it, ``inspect``)."""
 
     __slots__ = ()
 

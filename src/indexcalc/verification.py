@@ -16,13 +16,14 @@ import functools
 import inspect
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import catalog as _catalog
 from . import closed_forms
 from . import index_engine as engine
 from .clifford import MAX_HALF_DIM, ComplexRational, gamma_identities
+from .exact_algebra import _Value
 from .genera import a_hat_class, l_class, signature_integrand_identity_check, todd_class
 
 __all__ = ["VerifyCheck", "VerifyReport", "run_verification"]
@@ -43,17 +44,18 @@ RUNTIME_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     expected: str
     computed: str
     status: bool
 
 
-@dataclass
-class VerifyReport:
-    checks: list[VerifyCheck] = field(default_factory=list)
+class VerifyReport(_Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[VerifyCheck] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def n_pass(self) -> int:

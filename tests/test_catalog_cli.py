@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indexcalc import catalog, verification
+from indexcalc import catalog, cli, verification
 from indexcalc.catalog import (
     CATALOG_DIR_ENV,
     CatalogEntry,
@@ -445,6 +445,13 @@ class TestCliGenus:
         assert (code, out) == (2, "")
         assert "--half-dim must be non-negative, got -1" in err
 
+    def test_half_dim_at_the_cap_runs(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GENUS_HALF_DIM", 3)
+        assert run(["genus", "--kind", "Todd", "--half-dim", "3"])[0] == 0
+        assert run(["genus", "--kind", "Todd", "--half-dim", "4"]) == (
+            2, "", "error: --half-dim must be at most 3, got 4\n"
+        )
+
 
 class TestCliIndex:
     def test_k3_signature(self):
@@ -584,6 +591,14 @@ class TestCliDetreg:
                               "--oracle-modes", modes])
         assert (code, out) == (2, "")
         assert f"--oracle-modes must be at least 1, got {modes}" in err
+
+    def test_oracle_modes_at_the_cap_runs(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ORACLE_MODES", 10)
+        argv = ["detreg", "--op", "pbc_curvature_block", "--beta", "1", "--param", "0.5",
+                "--format", "json", "--oracle-modes"]
+        code, out, _ = run([*argv, "10"])
+        assert (code, json.loads(out)["modes"]) == (0, 10)
+        assert run([*argv, "11"]) == (2, "", "error: --oracle-modes must be at most 10, got 11\n")
 
     def test_float_overflow_exits_2(self):
         code, out, err = run(

@@ -9,11 +9,13 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import indexcalc
+from indexcalc import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -121,6 +123,9 @@ _DETREG_REFUSALS = [
      "'apbc_first_order_shifted', 'pbc_curvature_block', 'apbc_curvature_block')"),
     (["--op", "pbc_first_order", "--beta", "1", "--param", "0.7"],
      "pbc_first_order takes no parameter, got parameter=0.7"),
+    (["--op", "pbc_curvature_block", "--beta", "1", "--param", "0.5",
+      "--oracle-modes", str(10**12)],
+     f"--oracle-modes must be at most {cli.MAX_ORACLE_MODES}, got {10**12}"),
 ]
 
 _DETREG_CHILD = """
@@ -135,11 +140,40 @@ print(json.dumps([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
 """
 
 
-@pytest.mark.parametrize("argv, message", _DETREG_REFUSALS, ids=["beta", "param", "op", "laplacian"])
+@pytest.mark.parametrize(
+    "argv, message", _DETREG_REFUSALS, ids=["beta", "param", "op", "laplacian", "modes"]
+)
 def test_refused_detreg_never_loads_numpy(argv, message):
     proc = _child(_DETREG_CHILD, json.dumps([argv, message]))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [2, "", f"error: {message}\n", False]
+
+
+_OVER_BUDGET = {
+    "half-dim": (["genus", "--kind", "L", "--half-dim", "1000"],
+                 f"--half-dim must be at most {cli.MAX_GENUS_HALF_DIM}, got 1000"),
+    "oracle-modes": (["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5",
+                      "--oracle-modes", str(10**12)],
+                     f"--oracle-modes must be at most {cli.MAX_ORACLE_MODES}, got {10**12}"),
+}
+
+
+@pytest.mark.parametrize("name", _OVER_BUDGET)
+def test_work_budget_refusals_exit_2_within_a_second(name):
+    """Uncapped, genus --half-dim 1000 ran past a 15 s timeout, and detreg would walk 10^12
+    modes for about an hour; with the caps, a fresh interpreter refuses either at once."""
+    argv, message = _OVER_BUDGET[name]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "indexcalc", *argv],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert elapsed < 1.0
 
 
 _NUMPY_FREE_CHILD = """
@@ -162,6 +196,29 @@ def test_verify_and_default_size_detreg_never_load_numpy():
     which imports numpy, never loads."""
     walking = ("apbc_first_order_shifted", "pbc_curvature_block", "apbc_curvature_block")
     proc = _child(_NUMPY_FREE_CHILD, *walking)
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_DATACLASSES_CHILD = """
+import io
+import sys
+from indexcalc.cli import run_cli
+assert run_cli(["detreg", "--op", "pbc_laplacian", "--beta", "inf"], io.StringIO(),
+               io.StringIO()) == 2
+assert run_cli(["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5"],
+               io.StringIO()) == 0
+loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+assert not loaded, f"the --beta inf refusal or a default-size detreg loaded {loaded}"
+assert run_cli(["verify"], io.StringIO()) == 0
+assert "dataclasses" not in sys.modules, "verify imported dataclasses"
+"""
+
+
+def test_verify_and_detreg_never_import_dataclasses():
+    """The determinant and verify records are a _Value class and named tuples, so neither
+    command loads dataclasses; detreg does not load the inspect it would pull in either
+    (verify loads inspect itself, for its beta rows)."""
+    proc = _child(_NO_DATACLASSES_CHILD)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,10 +1,11 @@
 """Value semantics of the record classes: equality, repr and hash.
 
-The results GenusClass, IndexReport and GammaIdentities are named tuples; the
-validated values TaylorSeries, ManifoldDescriptor, BundleDescriptor, CatalogEntry,
-ComplexRational and PauliString are __slots__ classes.  Either way two records
-built from equal fields compare equal and print alike, and they hash alike
-unless a field is unhashable (a dict), in which case hash() raises TypeError.
+The results GenusClass, IndexReport, GammaIdentities, RegularizedDet and VerifyCheck
+are named tuples; the validated values TaylorSeries, ManifoldDescriptor,
+BundleDescriptor, CatalogEntry, ComplexRational, PauliString, OperatorSpec and
+VerifyReport are __slots__ classes.  Either way two records built from equal fields
+compare equal and print alike, and they hash alike unless a field is unhashable (a
+dict), in which case hash() raises TypeError.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from indexcalc.catalog import CatalogEntry
 from indexcalc.clifford import ComplexRational, GammaIdentities, PauliString, gamma_identities
+from indexcalc.closed_forms import OperatorSpec, RegularizedDet
 from indexcalc.exact_algebra import GradedPolynomial, TaylorSeries
 from indexcalc.genera import GenusClass, todd_class
 from indexcalc.index_engine import (
@@ -24,6 +26,7 @@ from indexcalc.index_engine import (
     ManifoldDescriptor,
     dolbeault_index,
 )
+from indexcalc.verification import VerifyCheck, VerifyReport
 
 GENS = (("h", 2),)
 ONE = GradedPolynomial.constant(GENS, 2, Fraction(1))
@@ -59,6 +62,10 @@ FACTORIES = {
     ComplexRational: lambda v: ComplexRational(real=Fraction(v, 3), imag=Fraction(1)),
     PauliString: lambda v: PauliString(phase=1, x=v, z=3),
     GammaIdentities: gamma_identities,
+    # by keyword, as perfbench/worker.py builds its operators
+    OperatorSpec: lambda v: OperatorSpec(kind="pbc_curvature_block", beta=1.0, parameter=v / 2),
+    RegularizedDet: lambda v: RegularizedDet(closed_form=4.0, oracle_value=4.5, oracle_modes=v),
+    VerifyCheck: lambda v: VerifyCheck(name=f"row {v}", expected="1", computed="1", status=True),
 }
 UNHASHABLE = (ManifoldDescriptor, CatalogEntry)  # evaluation, bundles and expected are dicts
 
@@ -103,6 +110,16 @@ def test_repr_names_the_fields():
     )
     assert repr(CatalogEntry(cp1())).startswith("CatalogEntry(manifold=ManifoldDescriptor(")
     assert repr(ComplexRational(1, -2)) == "1-2i"  # its own repr, not the fields'
+    assert repr(OperatorSpec("pbc_curvature_block", 1, 0.5)) == (
+        "OperatorSpec(kind='pbc_curvature_block', beta=1.0, parameter=0.5)"
+    )
+    assert repr(RegularizedDet(1.0, 1.5, 10)) == (
+        "RegularizedDet(closed_form=1.0, oracle_value=1.5, oracle_modes=10)"
+    )
+    assert repr(VerifyCheck("a", "1", "1", True)) == (
+        "VerifyCheck(name='a', expected='1', computed='1', status=True)"
+    )
+    assert repr(VerifyReport()) == "VerifyReport(checks=[])"
 
 
 def test_defaults_and_positional_order():
@@ -112,6 +129,14 @@ def test_defaults_and_positional_order():
     assert cp1().euler_class is None
     assert ManifoldDescriptor("cp1", 2, "complex", GENS, {(1,): 1}, ONE + 2 * H) == cp1()
     assert BundleDescriptor(1, ONE + H) == line_bundle(1)
+    assert OperatorSpec("pbc_laplacian", 2.0) == OperatorSpec(kind="pbc_laplacian", beta=2.0,
+                                                              parameter=0.0)
+    assert OperatorSpec("pbc_laplacian", 2.0).parameter == 0.0
+    assert RegularizedDet(4.0, 4.5, 10).delta == 0.5
+    a, b = VerifyReport(), VerifyReport()
+    a.add("row", 1, 1, True)
+    assert (a.checks, b.checks) == ([VerifyCheck("row", "1", "1", True)], [])
+    assert a != b and a == VerifyReport(checks=[VerifyCheck("row", "1", "1", True)])
 
 
 def test_constructors_still_validate():
@@ -121,7 +146,19 @@ def test_constructors_still_validate():
         ManifoldDescriptor(
             name="m", real_dim=2, kind="real", generators=GENS, evaluation={}, tangent_class=ONE
         )
+    # OperatorSpec checks kind, beta, parameter, then a parameter on a kind that takes none
+    nan = float("nan")
+    for kind, beta, parameter, message in (
+        ("x", -1.0, nan, "unknown operator kind 'x'; expected one of"),
+        ("pbc_laplacian", -1.0, nan, "beta must be finite and positive, got -1.0"),
+        ("pbc_laplacian", 1.0, nan, "parameter must be finite, got nan"),
+        ("pbc_laplacian", 1.0, 0.5, "pbc_laplacian takes no parameter, got parameter=0.5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            OperatorSpec(kind=kind, beta=beta, parameter=parameter)
     # values are coerced on construction, so equal numbers give equal records
+    assert OperatorSpec("pbc_curvature_block", 1, 1) == OperatorSpec("pbc_curvature_block", 1.0, 1)
+    assert OperatorSpec("pbc_laplacian", 1).beta.__class__ is float
     assert TaylorSeries((1, 0.5)) == TaylorSeries((Fraction(1), Fraction(1, 2)))
     assert ComplexRational(1, 2).real.__class__ is Fraction
 
@@ -130,3 +167,4 @@ def test_no_equality_across_classes():
     assert PauliString(0, 0, 0) != (0, 0, 0)
     assert ComplexRational(1) != 1
     assert line_bundle(0) != (1, ONE)
+    assert OperatorSpec("pbc_laplacian", 1.0) != ("pbc_laplacian", 1.0, 0.0)
