@@ -113,7 +113,8 @@ def save_descriptor(entry: CatalogEntry, path: str | os.PathLike) -> None:
 def _projective_product(factors: tuple[tuple[str, int], ...]) -> ManifoldDescriptor:
     """CP^{n_1} x ... x CP^{n_k} from (generator name, n_i) pairs: c(T) = prod (1 + h_i)^(n_i+1)
     with h_i^(n_i+1) = 0.  Densities live in the free ring, so every top-degree monomial
-    gets a value: 1 on prod h_i^(n_i), 0 on the others, which contain some h_i^(n_i+1)."""
+    gets a value: 1 on prod h_i^(n_i), 0 on the others, which contain some h_i^(n_i+1).
+    w_2 is c_1 = sum (n_i + 1) h_i mod 2, so the product is spin iff every n_i is odd."""
     gens = tuple((name, 2) for name, _ in factors)
     dims = tuple(n for _, n in factors)
     top = sum(dims)
@@ -130,6 +131,7 @@ def _projective_product(factors: tuple[tuple[str, int], ...]) -> ManifoldDescrip
         generators=gens,
         evaluation=evaluation,
         tangent_class=GradedPolynomial(gens, 2 * top, tangent),
+        spin=all(n % 2 for n in dims),
     )
 
 
@@ -150,6 +152,7 @@ def _k3() -> ManifoldDescriptor:
         generators=gens,
         evaluation={(1,): 24},
         tangent_class=GradedPolynomial(gens, 4, {(0,): 1, (1,): 1}),
+        spin=True,
     )
 
 
@@ -161,6 +164,7 @@ def _torus(real_dim: int) -> ManifoldDescriptor:
         generators=(),
         evaluation={},
         tangent_class=GradedPolynomial((), real_dim, {(): Fraction(1)}),
+        spin=True,
     )
 
 
@@ -173,6 +177,7 @@ def _s4() -> ManifoldDescriptor:
         generators=gens,
         evaluation={(1,): 0},
         tangent_class=GradedPolynomial(gens, 4, {(0,): 1}),
+        spin=True,
     )
 
 

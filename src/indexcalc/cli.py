@@ -10,7 +10,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 check failure, 2 usage or descriptor error.  A
 --half-dim above MAX_GENUS_HALF_DIM or an --oracle-modes above MAX_ORACLE_MODES
-asks for more work than a command should do, and is a usage error.
+asks for more work than a command should do, and is a usage error; so is a
+descriptor whose real_dim is above 2*MAX_GENUS_HALF_DIM, for an index that
+builds a genus (signature, dolbeault, spin) or for verify, which reads every
+catalog entry.
 Every subcommand accepts --format {text,json}.
 
 Each subcommand imports its modules when it runs, so genus, index and
@@ -49,9 +52,21 @@ _GENUS_BUILDERS = {"L": l_class, "Ahat": a_hat_class, "Todd": todd_class}
 
 # Work budgets, each about 5 s of a cold command (Python 3.11, 2-core x86-64 VM): genus
 # --half-dim 24 took 3.0-4.8 s over L, Ahat and Todd (25: 5.0-5.8 s), and detreg walked
-# 2*10^9 oracle modes on numpy in 4.5-4.9 s.  The library's builders and oracle keep no cap.
+# 2*10^9 oracle modes on numpy in 4.5-4.9 s.  An index on a descriptor builds its genus at
+# half its real_dim, so descriptors share the genus budget.  The library's builders,
+# index functions and oracle keep no cap.
 MAX_GENUS_HALF_DIM = 24
 MAX_ORACLE_MODES = 2 * 10**9
+
+
+def _within_genus_budget(entries) -> None:
+    """Refuse any catalog entry whose genus, at half its real_dim, is past the genus budget."""
+    for entry in entries:
+        if entry.manifold.real_dim > 2 * MAX_GENUS_HALF_DIM:
+            raise ValueError(
+                f"{entry.name}: real_dim {entry.manifold.real_dim} is above "
+                f"{2 * MAX_GENUS_HALF_DIM}, the largest a command builds a genus for"
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,6 +162,8 @@ def _cmd_genus(args, out) -> int:
 
 def _cmd_index(args, out) -> int:
     entry = _catalog.resolve_manifold(args.manifold)
+    if args.complex_kind in engine.GENUS_COMPLEXES:
+        _within_genus_budget([entry])
     report = entry.index(args.complex_kind, args.bundle)
     payload = {
         "manifold": entry.name,
@@ -232,7 +249,9 @@ def _cmd_fermion_checks(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     from .verification import run_verification
 
-    report = run_verification(full=args.full)
+    catalog = _catalog.effective_catalog()
+    _within_genus_budget(catalog)
+    report = run_verification(full=args.full, catalog=catalog)
     lines = []
     for check in report.checks:
         status = "PASS" if check.status else "FAIL"

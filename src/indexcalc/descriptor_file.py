@@ -96,6 +96,8 @@ def _entry_to_json(entry: CatalogEntry) -> dict:
     }
     if m.euler_class is not None:
         manifold_block["euler_class"] = _poly_to_json(m.euler_class)
+    if m.spin is not None:
+        manifold_block["spin"] = m.spin
     doc: dict = {"schema_version": SCHEMA_VERSION, "manifold": manifold_block}
     if entry.bundles:
         doc["bundles"] = {
@@ -113,11 +115,11 @@ def _require(block: Mapping, key: str, context: str):
     return block[key]
 
 
-_JSON_TYPES = {"object": dict, "array": list, "string": str}
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
 def _json_type(value, json_type: str, what: str, context: str):
-    """``value`` if it is the JSON ``json_type``: "object", "array" or "string"."""
+    """``value`` if it is the JSON ``json_type``: "object", "array", "string" or "boolean"."""
     if not isinstance(value, _JSON_TYPES[json_type]):
         raise DescriptorError(
             f"{context}: {what} must be a JSON {json_type}, got {json.dumps(value)}"
@@ -194,9 +196,11 @@ def _entry_from_json(doc: Mapping, source: str) -> CatalogEntry:
     euler = None
     if "euler_class" in block:
         euler = _poly_from_json(generators, real_dim, block, "euler_class", source)
+    spin = _json_type(block["spin"], "boolean", "spin", source) if "spin" in block else None
     manifold = _in_context(
         source, ManifoldDescriptor, name=name, real_dim=real_dim, kind=kind,
         generators=generators, evaluation=evaluation, tangent_class=tangent, euler_class=euler,
+        spin=spin,
     )
     bundles = {}
     for bname, bblock in _json_type(doc.get("bundles", {}), "object", "bundles", source).items():

@@ -5,7 +5,8 @@ table (monomial -> integer), and its total tangent characteristic class:
 indices are linear functionals on characteristic numbers, so no quotient
 cohomology ring is needed.  Every index must come out an exact integer;
 anything else flags an inconsistent descriptor (for the spin complex this is
-precisely what betrays a non-spin input).
+what betrays a non-spin input that does not say it is one; a descriptor whose
+``spin`` is False is refused outright).
 
 The signature, Dolbeault and spin complexes are rows of one recipe table,
 GENUS_COMPLEXES: complex -> (genus series, tangent-class source, takes a
@@ -91,11 +92,13 @@ class ManifoldDescriptor(_Value):
     integer it pairs to against the fundamental class.  ``euler_class`` is
     only needed on oriented_real descriptors that want a de Rham index.  Both
     classes, and any bundle's total Chern class, live in the manifold's ring:
-    its generators, truncated at real_dim.
+    its generators, truncated at real_dim.  ``spin`` says whether w_2 vanishes:
+    True, False, or None where the descriptor does not say.
     """
 
     __slots__ = (
         "name", "real_dim", "kind", "generators", "evaluation", "tangent_class", "euler_class",
+        "spin",
     )
 
     def __init__(
@@ -107,10 +110,13 @@ class ManifoldDescriptor(_Value):
         evaluation: Mapping[tuple[int, ...], int],
         tangent_class: GradedPolynomial,
         euler_class: GradedPolynomial | None = None,
+        spin: bool | None = None,
     ):
         self.name, self.real_dim, self.kind = name, real_dim, kind
-        self.tangent_class, self.euler_class = tangent_class, euler_class
+        self.tangent_class, self.euler_class, self.spin = tangent_class, euler_class, spin
         _check_real_dim(self.real_dim)
+        if not (spin is None or isinstance(spin, bool)):
+            raise DescriptorError(f"spin must be True, False or None, got {spin!r}")
         if self.kind not in ("oriented_real", "complex"):
             raise DescriptorError(f"kind must be oriented_real or complex, got {self.kind!r}")
         gens = self.generators = _checked_generators(generators)
@@ -257,7 +263,13 @@ def _genus_index(
         return _report(kind, density, manifold)
     if bundle is not None and (bundle.rank, bundle.total_chern) != (1, manifold.one()):
         kind = "spin_twisted"
-    return _report(kind, density, manifold, hint="is the descriptor actually spin?")
+    report = _report(kind, density, manifold, hint="is the descriptor actually spin?")
+    if manifold.spin is False:  # an integer here says nothing: w_2 != 0 leaves no spin complex
+        raise DescriptorError(
+            f"{manifold.name}: the descriptor says w₂ ≠ 0, so the manifold is not spin and "
+            f"has no {kind} index (its density integrates to the integer {report.value})"
+        )
+    return report
 
 
 def signature_index(manifold: ManifoldDescriptor) -> IndexReport:
@@ -282,8 +294,10 @@ def spin_index(
     """Twisted spin index: gravitational density A-hat times gauge density ch(V).
 
     The caller asserts spin-ness; a non-spin descriptor betrays itself with a
-    non-integer value, which is raised as InconsistentIndexError.  Complex
-    descriptors are converted to Pontryagin data automatically.
+    non-integer value, which is raised as InconsistentIndexError.  A descriptor
+    whose ``spin`` is False (w_2 != 0) is refused with a DescriptorError even
+    where the value comes out an integer.  Complex descriptors are converted to
+    Pontryagin data automatically.
     """
     return _genus_index("spin", manifold, bundle)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indexcalc import catalog, cli, verification
+from indexcalc import index_engine as engine
 from indexcalc.catalog import (
     CATALOG_DIR_ENV,
     CatalogEntry,
@@ -269,6 +271,7 @@ def catalog_entries(draw):
         },
         tangent_class=poly(real_dim, 1),
         euler_class=poly(real_dim, 0) if kind == "oriented_real" and draw(st.booleans()) else None,
+        spin=draw(st.sampled_from([None, True, False])),
     )
     bundles = {}
     for bname in draw(st.lists(st.sampled_from(["O(1)", "E", "V_2", "L(-3)"]), unique=True)):
@@ -302,6 +305,9 @@ _WRONG_TYPES = [  # (path into a saved cp1 descriptor, JSON value put there, mes
     (("bundles", "O(1)", "total_chern"), None,
      "cp1.json bundle 'O(1)': total_chern must be a JSON object, got null"),
     (("expected",), ["euler"], 'cp1.json: expected must be a JSON object, got ["euler"]'),
+    (("manifold", "spin"), 1, "cp1.json: spin must be a JSON boolean, got 1"),
+    (("manifold", "spin"), "true", 'cp1.json: spin must be a JSON boolean, got "true"'),
+    (("manifold", "spin"), None, "cp1.json: spin must be a JSON boolean, got null"),
 ]
 _WRONG_TYPE_IDS = ["/".join(map(str, path)) or "document" for path, _, _ in _WRONG_TYPES]
 
@@ -453,6 +459,21 @@ class TestCliGenus:
         )
 
 
+    def test_descriptor_real_dim_at_the_cap_runs(self, monkeypatch):
+        # the genus budget caps a descriptor at real_dim 2 * MAX_GENUS_HALF_DIM: at the cap,
+        # cp2xcp2's (8), index and verify run; one below, a genus-building index and verify
+        # refuse it, and euler, which builds no genus, still runs
+        monkeypatch.setattr(cli, "MAX_GENUS_HALF_DIM", 4)
+        assert run(["index", "--manifold", "cp2xcp2", "--complex", "signature"]) == (0, "1\n", "")
+        assert run(["verify"])[0] == 0
+        monkeypatch.setattr(cli, "MAX_GENUS_HALF_DIM", 3)
+        refusal = "error: cp2xcp2: real_dim 8 is above 6, the largest a command builds a genus for\n"
+        for kind in ("signature", "dolbeault", "spin"):
+            assert run(["index", "--manifold", "cp2xcp2", "--complex", kind]) == (2, "", refusal)
+        assert run(["index", "--manifold", "cp2xcp2", "--complex", "euler"]) == (0, "9\n", "")
+        assert run(["verify"]) == (2, "", refusal)
+
+
 class TestCliIndex:
     def test_k3_signature(self):
         code, out, _ = run(["index", "--manifold", "k3", "--complex", "signature"])
@@ -515,6 +536,75 @@ class TestCliIndex:
         save_descriptor(catalog_entry("cp2"), path)
         code, out, _ = run(["index", "--manifold", str(path), "--complex", "signature"])
         assert (code, out.strip()) == (0, "1")
+
+
+def _cp1xcp2_file(tmp_path, spin: bool | None) -> Path:
+    """CP^1 x CP^2 (c_1 = 2a + 3b, so w_2 != 0) saved with bundles O(0,1) and O(1,0), and
+    its "spin" key set to ``spin`` or, for None, removed."""
+    m = catalog._projective_product((("a", 1), ("b", 2)))
+    bundles = {f"O{k}": catalog._line_bundle(m, k) for k in ((0, 1), (1, 0))}
+    path = tmp_path / "cp1xcp2.json"
+    save_descriptor(CatalogEntry(m, bundles), path)
+    doc = json.loads(path.read_text())
+    assert doc["manifold"]["spin"] is False
+    if spin is None:
+        del doc["manifold"]["spin"]
+    else:
+        doc["manifold"]["spin"] = spin
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestSpinFlag:
+    """A descriptor may say whether it is spin (w_2 = 0).  One that says it is not has no
+    spin or twisted spin index, even where the integral comes out an integer; one that
+    does not say is refused only by a non-integer value, as before."""
+
+    def test_builtins_say_whether_they_are_spin(self):
+        # CP^n is spin iff n is odd, a product iff every factor is
+        spin = {entry.name: entry.manifold.spin for entry in builtin_catalog()}
+        assert spin == {"cp1": True, "cp2": False, "cp3": True, "cp1xcp1": True, "k3": True,
+                        "t2": True, "t4": True, "s4": True, "cp2xcp2": False}
+
+    def test_spin_key_written_only_when_known(self, tmp_path):
+        path = tmp_path / "m.json"
+        for entry in builtin_catalog():
+            save_descriptor(entry, path)
+            assert json.loads(path.read_text())["manifold"]["spin"] is entry.manifold.spin
+            assert load_descriptor(path).manifold.spin is entry.manifold.spin
+        m = catalog_entry("cp2").manifold
+        unknown = ManifoldDescriptor(m.name, m.real_dim, m.kind, m.generators, m.evaluation,
+                                     m.tangent_class)
+        save_descriptor(CatalogEntry(unknown), path)
+        assert "spin" not in json.loads(path.read_text())["manifold"]
+        assert load_descriptor(path).manifold.spin is None
+
+    @pytest.mark.parametrize("value", [1, 0, "true", 1.0])
+    def test_descriptor_refuses_a_non_boolean_spin(self, value):
+        m = catalog_entry("cp1").manifold
+        with pytest.raises(DescriptorError, match=re.escape(f"got {value!r}")):
+            ManifoldDescriptor(m.name, m.real_dim, m.kind, m.generators, m.evaluation,
+                               m.tangent_class, spin=value)
+
+    @pytest.mark.parametrize("bundle, kind", [(None, "spin"), ("O(0, 1)", "spin_twisted")])
+    def test_not_spin_with_an_integer_integral_exits_2_naming_w2(self, tmp_path, bundle, kind):
+        # the integral of A-hat ch(O(k, l)) over CP^1 x CP^2 is k (4 l^2 - 1) / 8: 0 here
+        argv = ["index", "--manifold", str(_cp1xcp2_file(tmp_path, False)), "--complex", "spin"]
+        argv += ["--bundle", bundle] if bundle else []
+        assert run(argv) == (2, "", (
+            f"error: cp1xcp2: the descriptor says w₂ ≠ 0, so the manifold is not spin and has "
+            f"no {kind} index (its density integrates to the integer 0)\n"))
+        # a descriptor that does not say keeps the answer it gave before
+        argv[2] = str(_cp1xcp2_file(tmp_path, None))
+        assert run(argv) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("spin", [False, None])
+    def test_not_spin_with_a_non_integer_integral_keeps_its_message(self, tmp_path, spin):
+        argv = ["index", "--manifold", str(_cp1xcp2_file(tmp_path, spin)), "--complex", "spin",
+                "--bundle", "O(1, 0)"]
+        assert run(argv) == (2, "", (
+            "error: spin_twisted index evaluated to the non-integer -1/8 "
+            "(is the descriptor actually spin?)\n"))
 
 
 class TestCliDetreg:
@@ -821,6 +911,40 @@ class TestCliVerify:
         assert code == 1
         assert "computed=non-integer" in out
         assert len(calls) == len(set(calls))
+
+    def test_beta_rows_read_the_wrapped_function(self, monkeypatch):
+        # a decorator that keeps __wrapped__, as the benchmark's tracer does, hides the
+        # parameters behind (*args, **kwargs): the rows read the function at the end of
+        # the chain, where a beta parameter, positional or keyword-only, fails its row
+        def wrapped(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def spin_index(manifold, bundle=None, beta=1.0):
+            raise AssertionError("verify called the index function")
+
+        def de_rham_euler(manifold, *, beta):
+            raise AssertionError("verify called the index function")
+
+        functions = engine.INDEX_FUNCTIONS
+        monkeypatch.setitem(functions, "signature", wrapped(wrapped(functions["signature"])))
+        monkeypatch.setitem(functions, "spin", wrapped(spin_index))
+        monkeypatch.setitem(functions, "euler", wrapped(wrapped(de_rham_euler)))
+        report = verification.VerifyReport()
+        verification._check_beta_independence(report)
+        rows = {check.name: check.status for check in report.checks}
+        assert rows == {
+            "fermion_partition(0, beta=0.1)": True,
+            "fermion_partition(0, beta=1)": True,
+            "fermion_partition(0, beta=10)": True,
+            "signature_index has no beta parameter": True,
+            "dolbeault_index has no beta parameter": True,
+            "spin_index has no beta parameter": False,
+            "de_rham_euler has no beta parameter": False,
+        }
 
     def test_bad_catalog_dir_refused_before_any_criterion(self, tmp_path, monkeypatch):
         def unreachable(report):

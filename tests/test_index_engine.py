@@ -469,6 +469,10 @@ class TestDensityAgainstSubstitution:
         except InconsistentIndexError as exc:
             # a non-spin descriptor: the reference density gives the same non-integer
             assert exc.value == evaluate(want, m) and exc.value.denominator != 1
+        except DescriptorError as exc:
+            # a descriptor that says it is not spin, refused although the integral is an integer
+            assert m.spin is False and "w₂ ≠ 0" in str(exc)
+            assert f"integer {evaluate(want, m)})" in str(exc)
 
     def test_index_path_never_substitutes(self, monkeypatch):
         def refuse(*args, **kwargs):

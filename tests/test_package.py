@@ -176,6 +176,40 @@ def test_work_budget_refusals_exit_2_within_a_second(name):
     assert elapsed < 1.0
 
 
+# the torus T^50: no generators and tangent class 1, so only its real_dim sets the cost
+_T50 = {"schema_version": 1,
+        "manifold": {"name": "t50", "real_dim": 50, "kind": "complex", "generators": [],
+                     "evaluation": {}, "tangent_class": {"1": "1/1"}},
+        "expected": {"signature": 0}}
+_OVER_BUDGET_DESCRIPTORS = {
+    "index-file": (["index", "--manifold", "{dir}/t50.json", "--complex", "signature"], False),
+    "index-catalog-dir": (["index", "--manifold", "t50", "--complex", "dolbeault"], True),
+    "verify-catalog-dir": (["verify"], True),
+}
+
+
+@pytest.mark.parametrize("name", _OVER_BUDGET_DESCRIPTORS)
+def test_descriptor_past_the_genus_budget_exits_2_within_a_second(name, tmp_path):
+    """A descriptor of real_dim 50 asks for a genus at half-dim 25, past the budget of
+    genus --half-dim: index on it, and verify with it in the catalog directory, refuse it
+    before any genus is built."""
+    argv, catalog_dir = _OVER_BUDGET_DESCRIPTORS[name]
+    (tmp_path / "t50.json").write_text(json.dumps(_T50))
+    env = {"PYTHONPATH": str(SRC)}
+    if catalog_dir:
+        env["INDEXCALC_CATALOG_DIR"] = str(tmp_path)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "indexcalc", *(a.format(dir=tmp_path) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    elapsed = time.perf_counter() - start
+    message = (f"t50: real_dim 50 is above {2 * cli.MAX_GENUS_HALF_DIM}, the largest a "
+               "command builds a genus for")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert elapsed < 1.0
+
+
 _NUMPY_FREE_CHILD = """
 import io
 import sys
@@ -216,9 +250,25 @@ assert "dataclasses" not in sys.modules, "verify imported dataclasses"
 
 def test_verify_and_detreg_never_import_dataclasses():
     """The determinant and verify records are a _Value class and named tuples, so neither
-    command loads dataclasses; detreg does not load the inspect it would pull in either
-    (verify loads inspect itself, for its beta rows)."""
+    command loads dataclasses; detreg does not load the inspect it would pull in either."""
     proc = _child(_NO_DATACLASSES_CHILD)
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_INSPECT_CHILD = """
+import io
+import sys
+from indexcalc.cli import run_cli
+assert run_cli(["verify"], io.StringIO()) == 0
+assert run_cli(["verify", "--all", "--format", "json"], io.StringIO()) == 0
+assert "inspect" not in sys.modules, "verify imported inspect"
+"""
+
+
+def test_verify_never_imports_inspect():
+    """verify's beta rows read each index function's parameter names from its code object,
+    so verify does not load inspect (6.3 ms of a cold verify under -X importtime)."""
+    proc = _child(_NO_INSPECT_CHILD)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -106,7 +106,8 @@ def test_repr_names_the_fields():
     )
     assert repr(cp1()) == (
         "ManifoldDescriptor(name='cp1', real_dim=2, kind='complex', generators=(('h', 2),), "
-        "evaluation={(1,): 1}, tangent_class=GradedPolynomial(1 + 2·h), euler_class=None)"
+        "evaluation={(1,): 1}, tangent_class=GradedPolynomial(1 + 2·h), euler_class=None, "
+        "spin=None)"
     )
     assert repr(CatalogEntry(cp1())).startswith("CatalogEntry(manifold=ManifoldDescriptor(")
     assert repr(ComplexRational(1, -2)) == "1-2i"  # its own repr, not the fields'

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import tracemalloc
@@ -605,15 +606,40 @@ class TestRatioWork:
 WALKING_KINDS = [kind for kind in OPERATOR_KINDS if kind not in LAPLACIAN_KINDS]
 
 
+@functools.cache
+def arange_sum_tables(periodic: bool) -> tuple[np.ndarray, ...]:
+    """zeta_det._inverse_power_sums over block 0's np.arange mode numbers, squared."""
+    m2 = zeta_det._mode_numbers(periodic, 0, B)
+    return zeta_det._inverse_power_sums(m2 * m2)
+
+
 def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """The block walk on np.arange mode numbers, squared in place, as before the mode
-    tables: log1p or log|1 - t| on each mode up to the first with t <= 2^-26, and the
-    sum of u - u^2/2 (u = t, or -t on the curvature blocks) over the modes from there."""
+    tables.  A later block walks log1p or log|1 - t| on each mode up to the first with
+    t <= 2^-26 and sums u - u^2/2 (u = t, or -t on the curvature blocks) over the modes
+    from there.  Block 0 splits at its first m^2 >= 2^13 c, found by np.searchsorted, sums
+    u - u^2/2 + u^3/3 - u^4/4 past it from sum tables built afresh on the np.arange
+    squares, and walks the head before it with the pure kernel, or on numpy past
+    zeta_det._PURE_HEAD_MODES modes."""
     m2 = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, stop)
     m2 *= m2
-    series = int(np.searchsorted(m2, c * 2.0**26))
     curvature = closed_forms._KINDS[kind].pairs == "curvature"
-    u = np.divide(-c if curvature else c, m2, out=m2)  # t, or -t rising towards 0 with m
+    v = -c if curvature else c
+    log_sum = 0.0
+    if start:
+        series = int(np.searchsorted(m2, c * 2.0**26))
+    else:
+        series = int(np.searchsorted(m2, c * 2.0**13))
+        if series < stop:
+            hi2, lo2, hi4, hi6, hi8 = arange_sum_tables(closed_forms._KINDS[kind].periodic)
+            s2 = (hi2.item(series) - hi2.item(stop)) + (lo2.item(series) - lo2.item(stop))
+            s4, s6, s8 = (hi.item(series) - hi.item(stop) for hi in (hi4, hi6, hi8))
+            log_sum = v * s2 - v * v * (0.5 * s4 - v * (s6 / 3.0 - 0.25 * v * s8))
+        if series <= zeta_det._PURE_HEAD_MODES:
+            head_sum = closed_forms._pure_block_log_ratio(kind, c, 0, series)
+            return (2.0 * log_sum if curvature else log_sum) + head_sum
+        m2 = m2[:series]
+    u = np.divide(v, m2, out=m2)  # t, or -t rising towards 0 with m
     head, tail = u[:series], u[series:]
     if curvature:
         # t > 1 on a leading run of modes only, where the log is log(t - 1)
@@ -622,7 +648,8 @@ def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
         np.log(head[:above], out=head[:above])
         head = head[above:]
     np.log1p(head, out=head)
-    log_sum = float(np.sum(tail)) - 0.5 * float(np.einsum("i,i", tail, tail))
+    if tail.size:
+        log_sum = float(np.sum(tail)) - 0.5 * float(np.einsum("i,i", tail, tail))
     log_sum += float(np.sum(u[:series]))
     return 2.0 * log_sum if curvature else log_sum
 
@@ -648,8 +675,8 @@ RATIO_SCALES = [1e-6, 3.7e-3, 0.37, 2.5, 17.3, 612.9, 9999.5]
 
 
 def all_tables():
-    """All twelve constant tables: each parity's block-0 mode numbers, their squares, and
-    the (hi, lo) suffix sums of 1/m^2 and 1/m^4 over them."""
+    """All fourteen constant tables: each parity's block-0 mode numbers, their squares,
+    and the suffix sums (hi2, lo2, hi4, hi6, hi8) of 1/m^2..1/m^8 over them."""
     return [table for periodic in (True, False)
             for table in (zeta_det._MODES[periodic], zeta_det._SQUARES[periodic],
                           *zeta_det._INVERSE_SUMS[periodic])]
@@ -702,7 +729,7 @@ class TestModeTables:
                 assert np.array_equal(table, fresh_table)
 
     def test_tables_take_3_mib(self):
-        # four B-float mode tables and eight (B+1)-float sum tables
+        # four B-float mode tables, and six (B+1)-float sum tables and four float32 ones
         assert sum(table.nbytes for table in all_tables()) <= 12 * (B + 1) * 8
 
 
@@ -813,9 +840,10 @@ def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
 
 
 class TestSeriesSum:
-    """The numpy kernel sums the modes with t = c/m^2 <= 2^-26 as sum(u) - sum(u^2)/2
-    (u = t, or -t on the curvature blocks), one ulp or less from each mode's log1p; the
-    modes before are walked with log1p or log|1 - t|, as the pure kernel walks them all."""
+    """The numpy kernel sums a later block's modes with t = c/m^2 <= 2^-26 as
+    sum(u) - sum(u^2)/2 (u = t, or -t on the curvature blocks), one ulp or less from each
+    mode's log1p; the modes before are walked with log1p or log|1 - t|, as the pure kernel
+    walks them all.  Block 0 splits at 2^-13 (TestBlockZeroSums)."""
 
     # two short later blocks, where the 40-digit sum costs less, and one whole one
     @pytest.mark.parametrize("start, stop", [(B, B + 4099), (2 * B + 17, 2 * B + 3000), (30 * B, 31 * B)])
@@ -833,7 +861,7 @@ class TestSeriesSum:
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_first_mode_at_the_series_bound(self, kind, start):
         # the first t exactly 2^-26 puts the whole block in the series; one ulp above, the
-        # first mode is walked
+        # first mode of a later block is walked (block 0's series takes both)
         m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
         stop = start + 1024
         for t in (2.0**-26, math.nextafter(2.0**-26, math.inf)):
@@ -853,7 +881,7 @@ class TestSeriesSum:
 
         monkeypatch.setattr(np, "log1p", counted_log1p)
         c = 0.37  # t < 1 on every mode, and t <= 2^-26 from m = 4983 on
-        for start in (0, B, 3 * B):
+        for start in (B, 3 * B):  # later blocks: block 0's head is counted in TestBlockZeroSums
             m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
             walked.clear()
             zeta_det._block_log_ratio(kind, c, start, start + B)
@@ -879,39 +907,119 @@ class TestSeriesSum:
         assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
 
+def _block_zero_split(kind: str, c: float) -> int:
+    """Block 0's split on np.arange: the number of its modes with m^2 < 2^13 c."""
+    m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, 0, B)
+    return int(np.count_nonzero(m * m < c * 2.0**13))
+
+
 class TestBlockZeroSums:
-    """Block 0 sums its series from the sums of 1/m^2 and 1/m^4 over its modes past the
-    split, read from suffix tables (zeta_det._INVERSE_SUMS): for each parity and power, hi,
-    the float sums from each mode to the block's end, and lo, their running rounding
-    errors.  Only the head before the split is divided and walked."""
+    """Block 0 sums u - u^2/2 + u^3/3 - u^4/4 (u = t, or -t on the curvature blocks) over
+    its modes from the first with t = c/m^2 <= 2^-13 on, from the sums of 1/m^2..1/m^8
+    over them, read from suffix tables (zeta_det._INVERSE_SUMS): for each parity, hi2, hi4,
+    hi6 and hi8, the float sums from each mode to the block's end, and lo2, the running
+    rounding errors of hi2.  The head before the split is walked by the pure kernel up to
+    zeta_det._PURE_HEAD_MODES modes, and divided and walked on numpy past them."""
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_range_sums_agree_with_fsum_within_one_ulp(self, periodic):
         inverse = 1.0 / zeta_det._SQUARES[periodic]
-        hi2, lo2, hi4, lo4 = zeta_det._INVERSE_SUMS[periodic]
         rng = np.random.default_rng(28)
         ranges = [(0, B), (0, 1), (B - 1, B), (0, 4983), (4983, B), (B, B)]
         ranges += [tuple(sorted(map(int, rng.integers(0, B + 1, 2)))) for _ in range(200)]
-        for terms, hi, lo in ((inverse, hi2, lo2), (inverse * inverse, hi4, lo4)):
-            for a, b in ranges:
+        for a, b in ranges:
+            exact = math.fsum(inverse[a:b].tolist())
+            assert abs(zeta_det._range_sums(periodic, a, b)[0] - exact) <= math.ulp(exact), (a, b)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_higher_power_range_sums_within_stated_bounds(self, periodic):
+        # hi4 and hi6 are float sums with no error table: a range strays up to 64 ulps of
+        # hi[a] (36 measured).  hi8 is float32: up to 2^-23 of hi8[a].  The series scales
+        # S4, S6 and S8 by t^1..t^3 <= 2^-13..2^-39 of the first term's S2, so these errors
+        # reach the block sum below 2^-58 of c*hi2[a]
+        inverse = 1.0 / zeta_det._SQUARES[periodic]
+        fourth = inverse * inverse
+        powers = (fourth, inverse * fourth, fourth * fourth)
+        _, _, *his = zeta_det._INVERSE_SUMS[periodic]
+        rng = np.random.default_rng(30)
+        ranges = [(0, B), (0, 1), (B - 1, B), (0, 55), (55, B), (B, B)]
+        ranges += [tuple(sorted(map(int, rng.integers(0, B + 1, 2)))) for _ in range(200)]
+        ranges += [(a, a + 1) for a in range(0, B, 1021)]
+        for a, b in ranges:
+            sums = zeta_det._range_sums(periodic, a, b)[1:]
+            for k, (terms, hi, got) in enumerate(zip(powers, his, sums, strict=True), 2):
                 exact = math.fsum(terms[a:b].tolist())
-                assert abs(zeta_det._range_sum(hi, lo, a, b) - exact) <= math.ulp(exact), (a, b)
+                bound = 2.0**-23 * hi.item(a) if k == 4 else 64 * math.ulp(hi.item(a))
+                assert abs(got - exact) <= bound, (k, a, b)
 
     @pytest.mark.parametrize("stop", [3001, 12001])
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_partial_block_zero_agrees_with_40_digit_sum(self, kind, stop):
-        # t <= 2^-26 from m = 1832 on at c = 0.05 and from m = 5793 on at 0.5, so the series
-        # starts inside the block, except at 0.5 on the periodic m <= 3001, all head.  t < 1
-        # on every mode, so no log(t - 1) cancels the sum
+        # t <= 2^-13 from m = 21 on at c = 0.05 and from m = 64 on at 0.5, so the series
+        # starts inside the block and the head walks in pure Python.  t < 1 on every mode,
+        # so no log(t - 1) cancels the sum
         for c in (0.05, 0.5):
             exact = _exact_block_log_ratio(kind, c, 0, stop)
             assert math.isclose(zeta_det._block_log_ratio(kind, c, 0, stop), exact, rel_tol=1e-15), c
 
     @pytest.mark.parametrize("kind", WALKING_KINDS)
+    @pytest.mark.parametrize("first", [31, 301])
+    def test_first_series_mode_at_the_bound_agrees_with_40_digit_sum(self, kind, first):
+        # c = 2^-13 m^2 puts t exactly 2^-13 on mode m, the first of the series; one ulp
+        # above, m is walked too.  The heads before m = 31 walk in pure Python, those before
+        # m = 301 (150 and 300 modes) on numpy
+        stop = 3000
+        for c in (first * first * 2.0**-13, math.nextafter(first * first * 2.0**-13, math.inf)):
+            head = _block_zero_split(kind, c)
+            m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, head, head + 1)[0]
+            assert m == first + (c != first * first * 2.0**-13) * (1 if kind.startswith("pbc") else 2)
+            assert (c / (m * m) == 2.0**-13) is (m == first)
+            exact = _exact_block_log_ratio(kind, c, 0, stop)
+            assert math.isclose(zeta_det._block_log_ratio(kind, c, 0, stop), exact, rel_tol=1e-15), c
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        kind=st.sampled_from(WALKING_KINDS),
+        # below about 1e-300 the pure kernel's t = c/m^2 lose their digits to underflow on
+        # the later modes, while the tabled series keeps them
+        c=st.one_of(st.just(0.0), st.floats(1e-300, 1e4)),
+        stop=st.integers(1, B),
+    )
+    def test_block_zero_agrees_with_pure_kernel(self, kind, c, stop):
+        curvature = closed_forms._KINDS[kind].pairs == "curvature"
+        # the skeleton keeps c off every m^2, where a curvature pair vanishes
+        assume(not (curvature and c and math.sqrt(c).is_integer()))
+        pure = closed_forms._pure_block_log_ratio(kind, c, 0, stop)
+        numpy_route = zeta_det._block_log_ratio(kind, c, 0, stop)
+        # log(t - 1) on a leading run of t > 1 (c > 1) can cancel the other terms: there
+        # the sums agree to an absolute 1e-13, elsewhere every term has one sign
+        cancels = curvature and c > 1.0
+        assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
+
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_a_short_head_calls_no_numpy_function(self, kind, monkeypatch):
+        # every numpy function the kernel calls is looked up on its module global np
+        looked_up = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                looked_up.append(name)
+                return getattr(np, name)
+
+        monkeypatch.setattr(zeta_det, "np", Recorder())
+        for c in (1e-6, 0.37, 2.5):  # heads of 0 to 143 modes
+            head = _block_zero_split(kind, c)
+            looked_up.clear()
+            value = zeta_det._block_log_ratio(kind, c, 0, 20000)
+            assert (looked_up == []) is (head <= zeta_det._PURE_HEAD_MODES), (c, head, looked_up)
+            assert math.isclose(value, closed_forms._pure_block_log_ratio(kind, c, 0, 20000), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_divide_and_log1p_see_only_the_head(self, kind, monkeypatch):
-        c = 0.37  # t < 1 on every mode, and t <= 2^-26 from m = 4983 on
-        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, 0, B)
-        head = np.count_nonzero(m * m < c * 2.0**26)
+        c = 2.5  # t <= 2^-13 from m = 144 on: a head past _PURE_HEAD_MODES on either parity
+        head = _block_zero_split(kind, c)
+        assert head > zeta_det._PURE_HEAD_MODES
+        above = 1 if closed_forms._KINDS[kind].pairs == "curvature" else 0  # t > 1 at m = 1
         sizes = {"divide": [], "log1p": []}
         for name, seen in sizes.items():
             def counted(*args, _ufunc=getattr(np, name), _seen=seen, **kwargs):
@@ -920,7 +1028,29 @@ class TestBlockZeroSums:
 
             monkeypatch.setattr(np, name, counted)
         zeta_det._block_log_ratio(kind, c, 0, B)
-        assert sizes == {"divide": [head], "log1p": [head]}
+        assert sizes == {"divide": [head], "log1p": [head - above]}
+
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_zero_and_infinite_c(self, kind):
+        for stop in (1, zeta_det._PURE_HEAD_MODES, zeta_det._PURE_HEAD_MODES + 1, B):
+            # c = 0: every mode is in the series, whose terms all vanish
+            assert zeta_det._block_log_ratio(kind, 0.0, 0, stop) == 0.0
+            # an infinite c leaves no series and drives every walked log to inf
+            assert zeta_det._block_log_ratio(kind, math.inf, 0, stop) == math.inf
+            assert closed_forms._pure_block_log_ratio(kind, math.inf, 0, stop) == math.inf
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_split_index_matches_a_search_on_the_squares(self, periodic):
+        m2 = zeta_det._SQUARES[periodic]
+        rng = np.random.default_rng(31)
+        cs = [0.0, 5e-324, 2.0**-13, 1.0, 2.5, 1e4, 5.2e5, 2.0**19, 2.0**19 - 1, math.inf]
+        cs += list(10.0 ** rng.uniform(-9, 6, 300))
+        cs += [float(k * k) * 2.0**-13 for k in range(1, 400)]
+        cs += [math.nextafter(c, t) for c in cs[-399:] for t in (0.0, math.inf)]
+        for c in cs:
+            expected = int(np.searchsorted(m2, c * 2.0**13))
+            for stop in (1, 100, B):
+                assert zeta_det._block_zero_split(periodic, c, stop) == min(expected, stop), c
 
 
 class TestModeCount:
