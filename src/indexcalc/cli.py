@@ -18,10 +18,10 @@ Every subcommand accepts --format {text,json}.
 
 Each subcommand imports its modules when it runs, so genus, index and
 fermion-checks start without numpy or the determinant code.  detreg and
-verify walk the determinant oracle through closed_forms.regularized_det, so
-neither loads numpy at its default sizes; only detreg with an --oracle-modes
-past closed_forms.PURE_MODE_LIMIT does, once OperatorSpec has accepted the
-operator.
+verify walk the determinant oracle through closed_forms.regularized_det, whose
+pure kernel walks only the head before its series split at any --oracle-modes;
+only a detreg whose head passes closed_forms.PURE_MODE_LIMIT (beta*|param|/unit
+above about 5800) loads numpy, once OperatorSpec has accepted the operator.
 JSON output and descriptor files are loaded on use too: text output never
 imports json, and only a descriptor path or a catalog directory loads
 descriptor_file.
@@ -51,10 +51,11 @@ __all__ = ["build_parser", "run_cli", "main"]
 _GENUS_BUILDERS = {"L": l_class, "Ahat": a_hat_class, "Todd": todd_class}
 
 # Work budgets, each about 5 s of a cold command (Python 3.11, 2-core x86-64 VM): genus
-# --half-dim 24 took 3.0-4.8 s over L, Ahat and Todd (25: 5.0-5.8 s), and detreg walked
-# 2*10^9 oracle modes on numpy in 4.5-4.9 s.  An index on a descriptor builds its genus at
-# half its real_dim, so descriptors share the genus budget.  The library's builders,
-# index functions and oracle keep no cap.
+# --half-dim 24 took 3.0-4.8 s over L, Ahat and Todd (25: 5.0-5.8 s).  A detreg walks its
+# head, at most PURE_MODE_LIMIT modes, in pure Python at any --oracle-modes; one whose head
+# is longer walks every mode, on numpy: 2*10^9 of them in 4.2-4.9 s.  An index on a
+# descriptor builds its genus at half its real_dim, so descriptors share the genus budget.
+# The library's builders, index functions and oracle keep no cap.
 MAX_GENUS_HALF_DIM = 24
 MAX_ORACLE_MODES = 2 * 10**9
 
@@ -178,7 +179,7 @@ def _cmd_index(args, out) -> int:
 
 
 def _cmd_detreg(args, out) -> int:
-    # the mode count and the operator are checked before a walk past
+    # the mode count and the operator are checked before a head past
     # closed_forms.PURE_MODE_LIMIT modes loads numpy
     if args.oracle_modes < 1:
         raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")

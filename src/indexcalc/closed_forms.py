@@ -12,21 +12,22 @@ ask one _nearest_mode which curvature pair may vanish.
 
 The oracle regularizes by ratio to parameter zero (see _ratio_oracle), a
 reference that is scheme-independent for the ratios that enter indices.  The
-Laplacian kinds return their closed form with no walk, the others walk their
-mode pairs in blocks of _ORACLE_BLOCK, one kernel call a block, and math.fsum
-adds the block sums.  A kernel maps (kind, c, start, stop) to the block's
-log-ratio sum, with c = (beta*|parameter|/unit)^2 and t = c/m^2 on mode number
-m: log1p(t) (shifted first-order) or 2 log|1 - t| (curvature blocks).  The pure
-kernel here streams its modes through generators, holds no list or array, and
-sums each block exactly with math.fsum.  zeta_det walks the same skeleton with
-a numpy kernel; the two agree to about one ulp of the log-ratio, and refuse
-alike, since every refusal comes from the skeleton.
+Laplacian kinds return their closed form with no walk; the others hand modes
+0..N-1 to a kernel (kind, c, start, stop) -> log-ratio sum, with
+c = (beta*|parameter|/unit)^2 and t = c/m^2 on mode number m: log1p(t) (shifted
+first-order) or 2 log|1 - t| (curvature blocks).  The pure kernel here walks the
+head, the modes before t <= 2^-13 (about 90 x of them, x = sqrt(c)), one log
+each through generators, and sums the rest as a series in the power sums of
+1/m^2..1/m^8 from _power_sums, so a walk costs O(head) at any N.  zeta_det
+walks the same skeleton in blocks, the later ones on numpy; the two agree to
+about one ulp of the log-ratio, and refuse alike, since every refusal comes
+from the skeleton.
 
-This module imports no numpy: only the standard library and exact_algebra's
-_Value.  Its regularized_det is the entry point of the one-shot commands
-(`detreg`, `verify`): up to PURE_MODE_LIMIT modes it walks the pure kernel, so
-the process never imports numpy, whose import costs more than such a walk;
-above it, it returns zeta_det.regularized_det.
+This module imports no numpy: only the standard library and exact_algebra.
+Its regularized_det is the entry point of the one-shot commands (`detreg`,
+`verify`): it walks the pure kernel at any N while the head is at most
+PURE_MODE_LIMIT modes, so the process never imports numpy, whose import costs
+more than such a walk, and hands a longer head to zeta_det.regularized_det.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
@@ -43,7 +44,7 @@ from itertools import chain
 from math import fsum, log, log1p
 from typing import Callable, NamedTuple
 
-from .exact_algebra import _Value
+from .exact_algebra import _Value, bernoulli
 
 __all__ = [
     "OPERATOR_KINDS",
@@ -69,13 +70,9 @@ _SINGULAR_TOL = 1e-9
 _ZETA_R_AT_0 = -0.5
 _ZETA_R_PRIME_AT_0 = -0.5 * math.log(2.0 * math.pi)
 
-# Modes per oracle block: one 256 KiB float array in the numpy kernel, which stays in
-# cache while the block's mode numbers become log-ratios.
-_ORACLE_BLOCK = 1 << 15
-
-# The pure kernel walks 110-120 ns a mode (Python 3.11, 2-core x86-64 VM), so a walk of
-# 2^19 modes costs a one-shot process about what importing numpy does there (60-100 ms):
-# longer walks are cheaper on numpy.
+# The pure kernel walks its head, the modes before the series split (about 90 x of them,
+# x = beta*|parameter|/unit), at 110-120 ns a mode (Python 3.11, 2-core x86-64 VM), so a head
+# of 2^19 modes costs a one-shot process about what importing numpy does there (60-100 ms).
 PURE_MODE_LIMIT = 1 << 19
 
 
@@ -355,48 +352,151 @@ def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
     return c
 
 
-def _pure_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
-    """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1, streamed.
+def _series_split(periodic: bool, c: float, stop: int) -> int:
+    """Index of the first mode with m^2 >= 2^13 c (t <= 2^-13), or stop if it lies at or past
+    stop: from there on u - u^2/2 + u^3/3 - u^4/4 is log1p(u) (u = t, or -t on the curvature
+    blocks) to within |u| 2^-53.  Exact: 2^13 c is an exact float, and m^2 >= it iff m^2 >=
+    its ceiling."""
+    bound = c * 2.0**13
+    if bound == math.inf:
+        return stop
+    first = math.isqrt(math.ceil(bound) - 1) + 1 if bound else 1  # least m, m^2 >= bound
+    return min(first - 1 if periodic else first // 2, stop)  # m = k+1, or the odd m = 2k+1
 
-    Each t = c/m^2 is the numpy kernel's float, from the same float m by the same
-    operations; only the logs and the sum may round differently."""
+
+# The power sums S_s = sum of 1/m^s (s = 2, 4, 6, 8) over mode indices a..b-1 are differences
+# T_s(q_a) - T_s(q_b) of the tails T_s(q) = sum over i >= 0 of (q + h i)^-s, q a mode number and
+# h the step (1 periodic, 2 antiperiodic): zeta(s, q) or 2^-s zeta(s, q/2).  Euler-Maclaurin:
+#   T_s(q) = q^(1-s)/(h(s-1)) + q^-s/2 + R_s(q),
+#   R_s(q) = sum_k B_2k/(2k)! (s)_(2k-1) h^(2k-1) q^(1-s-2k).
+# Below mode index _EM_FROM, T and R come from tables, past it from _EM_TERMS series terms, or
+# 2 from q/h = _EM_FEW_FROM on: either leaves out under 2^-56 of T_s (1e-18 at q/h = 64, s = 8).
+_EM_POWERS = (2, 4, 6, 8)
+_EM_FROM = 64
+_EM_TERMS = 5
+_EM_FEW_FROM = 1100
+
+
+def _em_coefficients(step: int, terms: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    """Per power s: 1/(h(s-1)), and R_s's coefficients to that many terms, highest k first."""
+    return tuple(
+        (1 / (step * (s - 1)),
+         tuple(float(bernoulli(2 * k) * math.perm(s + 2 * k - 2, 2 * k - 1) * step ** (2 * k - 1)
+                     / math.factorial(2 * k)) for k in range(terms, 0, -1)))
+        for s in _EM_POWERS
+    )
+
+
+_EM_COEFFICIENTS = {(step, terms): _em_coefficients(step, terms)
+                    for step in (1, 2) for terms in (2, _EM_TERMS)}
+
+
+def _em_rests(step: int, q: int, terms: int) -> list[float]:
+    """R_2(q)..R_8(q) by Euler-Maclaurin to 2 or _EM_TERMS terms, for q >= _EM_FROM h."""
+    y = 1.0 / q
+    y2 = y * y
+    ys = y  # y^(s+1), from s = 2
+    rests = []
+    for _, coefficients in _EM_COEFFICIENTS[step, terms]:
+        ys *= y2
+        p = 0.0
+        for b in coefficients:
+            p = p * y2 + b
+        rests.append(ys * p)
+    return rests
+
+
+def _small_sums(periodic: bool) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
+    """T_2..T_8 and R_2..R_8 at the mode indices below _EM_FROM, summed down in fixed point from
+    the first mode past them and each rounded once."""
+    step = 1 if periodic else 2
+    one = 1 << 192  # in fixed point the sums of 1/m^s are exact to 2^-185
+    first = _EM_FROM + 1 if periodic else 2 * _EM_FROM + 1
+    tails, rests = [], []
+    for s, rest in zip(_EM_POWERS, _em_rests(step, first, _EM_TERMS)):
+        g = step * (s - 1)
+        tail = round(rest * one) + one * (2 * first + g) // (2 * g * first**s)
+        tails.append([])
+        rests.append([])
+        for q in range(first - step, 0, -step):
+            tail += one // q**s
+            tails[-1].append(tail / one)
+            rests[-1].append((tail - one * (2 * q + g) // (2 * g * q**s)) / one)
+    return tuple(list(zip(*(column[::-1] for column in table))) for table in (tails, rests))
+
+
+_SMALL_TAILS, _SMALL_RESTS = {}, {}  # per parity, the four sums at each mode index
+for _periodic in (True, False):
+    _SMALL_TAILS[_periodic], _SMALL_RESTS[_periodic] = _small_sums(_periodic)
+
+
+def _power_sums(periodic: bool, a: int, b: int) -> list[float]:
+    """S2, S4, S6 and S8: the sums of 1/m^2..1/m^8 over the mode indices a..b-1 (0 <= a <= b),
+    m = k+1 or 2k+1, each within about one ulp."""
+    step = 1 if periodic else 2
+    qa, qb = (a + 1, b + 1) if periodic else (2 * a + 1, 2 * b + 1)
+    if a < _EM_FROM and qb >= _EM_FEW_FROM * step:
+        # the near tail is tabled, and the far one, under a sixteenth of it, summed in floats
+        y = 1.0 / qb
+        y2, ys, sums = y * y, y, []  # ys = y^(s-1), from s = 2
+        for near, (lead, (c2, c1)) in zip(_SMALL_TAILS[periodic][a], _EM_COEFFICIENTS[step, 2]):
+            sums.append(near - ys * (lead + y * (0.5 + y * (c1 + y2 * c2))))
+            ys *= y2
+        return sums
+    # Else the first two terms' difference comes from integers: a short range far out cancels
+    # nothing.  Both ends keep as many series terms, so their smooth truncation errors cancel
+    terms = 2 if qa >= _EM_FEW_FROM * step else _EM_TERMS
+    rests_a = _SMALL_RESTS[periodic][a] if a < _EM_FROM else _em_rests(step, qa, terms)
+    rests_b = _SMALL_RESTS[periodic][b] if b < _EM_FROM else _em_rests(step, qb, terms)
+    pa, pb, qa2, qb2, ta, tb = 1, 1, qa * qa, qb * qb, 2 * qa, 2 * qb
+    sums = []
+    for s, ra, rb in zip(_EM_POWERS, rests_a, rests_b):
+        pa, pb, g = pa * qa2, pb * qb2, step * (s - 1)  # q^s, and h(s-1)
+        # (2q + g)/(2 g q^s) at q_a less at q_b, over one denominator
+        sums.append(((ta + g) * pb - (tb + g) * pa) / (2 * g * pa * pb) + (ra - rb))
+    return sums
+
+
+def _pure_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
+    """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1, streamed: the
+    modes before the series split walked with one log1p (or log(t - 1) where t > 1) each, t =
+    c/m^2 on the float m and math.fsum adding them, and the rest summed from _power_sums."""
     row = _KINDS[kind]
-    ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
-    if row.pairs != "curvature":
-        return fsum(log1p(c / (m * m)) for m in map(float, ms))
-    # t > 1 on a leading run of modes only, where the log is log(t - 1)
-    above = bisect_left(ms, True, key=lambda m: c / (m * m) <= 1.0)
-    minus_c = -c
-    head = (log(c / (m * m) - 1.0) for m in map(float, ms[:above]))
-    tail = (log1p(minus_c / (m * m)) for m in map(float, ms[above:]))
-    return 2.0 * fsum(chain(head, tail))
+    curvature = row.pairs == "curvature"
+    split = max(start, _series_split(row.periodic, c, stop))
+    log_sum = 0.0
+    if split < stop:  # no c*0 when an infinite c leaves no series
+        s2, s4, s6, s8 = _power_sums(row.periodic, split, stop)
+        v = -c if curvature else c
+        log_sum = v * (s2 - v * (0.5 * s4 - v * (s6 / 3.0 - 0.25 * v * s8)))
+    ms = range(start + 1, split + 1) if row.periodic else range(2 * start + 1, 2 * split, 2)
+    if ms and not curvature:
+        log_sum += fsum(log1p(c / (m * m)) for m in map(float, ms))
+    elif ms:  # t > 1 on a leading run of modes only, where the log is log(t - 1); none if c <= 1
+        above = bisect_left(ms, True, key=lambda m: c / (m * m) <= 1.0) if c > 1.0 else 0
+        minus_c = -c
+        log_sum += fsum(chain((log(c / (m * m) - 1.0) for m in map(float, ms[:above])),
+                              (log1p(minus_c / (m * m)) for m in map(float, ms[above:]))))
+    return 2.0 * log_sum if curvature else log_sum
 
 
 def _ratio_oracle(
     spec: OperatorSpec,
     n_modes: int,
-    block_log_ratio: Callable[[str, float, int, int], float] = _pure_block_log_ratio,
+    walk: Callable[[str, float, int, int], float] = _pure_block_log_ratio,
 ) -> float:
-    """Ratio-regularized partial eigenvalue product, its blocks walked by block_log_ratio.
+    """Ratio-regularized partial eigenvalue product, its log-ratio walked by walk(kind, c, 0, N).
 
     prod_{|n| <= N} lambda_n(parameter) / lambda_n(0), times the closed-form
     reference determinant at parameter 0.  The Laplacian kinds return that
     reference with no walk: their eigenvalues do not depend on the parameter.
-    math.fsum adds the block sums of a walk past one block, so the result does
-    not depend on their order.
     """
     n_modes = _mode_count(n_modes)
     kind, beta = spec.kind, spec.beta
     if _KINDS[kind].pairs is None:  # the reference at +0.0, named so in a refusal
         return closed_form(OperatorSpec(kind, beta))
     c = _ratio_scale(spec, n_modes)
-    if n_modes <= _ORACLE_BLOCK:
-        log_ratio = block_log_ratio(kind, c, 0, n_modes)  # fsum of one value is that value
-    else:
-        log_ratio = math.fsum(
-            block_log_ratio(kind, c, start, min(start + _ORACLE_BLOCK, n_modes))
-            for start in range(0, n_modes, _ORACLE_BLOCK)
-        )
+    log_ratio = walk(kind, c, 0, n_modes)
     # an overflowing c drives the sum to inf, and a reference past the float range the
     # product: _in_float_range refuses either, naming the operator's own parameter
     closed = _KINDS[kind].closed
@@ -406,10 +506,13 @@ def _ratio_oracle(
 
 
 def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:
-    """Closed form and oracle in one record, for the CLI and verify: the pure kernel walks
-    up to PURE_MODE_LIMIT modes, and zeta_det.regularized_det a longer walk."""
+    """Closed form and oracle in one record, for the CLI and verify: the pure kernel walks a
+    head of up to PURE_MODE_LIMIT modes at any N, and zeta_det.regularized_det a longer one."""
     n_modes = _mode_count(n_modes)
-    if n_modes > PURE_MODE_LIMIT:
+    row = _KINDS[spec.kind]
+    x = spec.beta * abs(spec.parameter) / row.unit
+    # the oracle's c is x^2, or an ulp off it, which moves the split by one mode at most
+    if _series_split(row.periodic, x * x, n_modes) > PURE_MODE_LIMIT:
         from . import zeta_det
 
         return zeta_det.regularized_det(spec, n_modes)

@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import time
@@ -79,21 +80,26 @@ def test_importing_zeta_det_loads_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
-def test_importing_zeta_det_after_numpy_raises_peak_rss_by_at_most_4_5_mb():
-    """zeta_det builds its constant tables at import, 3 MiB of floats, in place.  After
-    numpy, the import raised the peak RSS by about 1.9 MB with the four mode tables alone
-    and by 4.1-4.4 MB with the eight block-0 sum tables too; building those from a
-    256 KiB scratch instead of a 16 KiB one read up to 4.44 MB."""
-    proc = _child(
-        "import resource\n"
-        "import numpy\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "import indexcalc.zeta_det\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
-    )
+_PEAK_RSS_CHILD = """
+import numpy
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+before = peak_kib()
+import indexcalc.zeta_det
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_importing_zeta_det_after_numpy_raises_peak_rss_by_at_most_2_5_mib():
+    """zeta_det builds its two 256 KiB mode tables at import, and closed_forms a table of
+    about 500 floats.  After numpy, the import raised the peak RSS (VmHWM, which exec resets,
+    unlike the ru_maxrss a child inherits from its parent) by 1924-1988 KiB in eight runs, and
+    by 4872-4944 KiB when block 0 read 3 MiB of suffix tables of 1/m^2..1/m^8."""
+    proc = _child(_PEAK_RSS_CHILD)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 4.5 * 1024  # KiB
+    assert int(proc.stdout) <= 2.5 * 1024  # KiB
 
 
 def test_public_determinant_records_and_closed_forms_load_no_numpy():
@@ -214,8 +220,9 @@ _NUMPY_FREE_CHILD = """
 import io
 import sys
 from indexcalc.cli import run_cli
-for argv in (["verify"], ["verify", "--all"],
-             *(["detreg", "--op", kind, "--beta", "1", "--param", "0.5"] for kind in sys.argv[1:])):
+detreg = ["detreg", "--beta", "1", "--param", "0.5", "--op"]
+for argv in (["verify"], ["verify", "--all"], *(detreg + [kind] for kind in sys.argv[1:]),
+             detreg + ["apbc_curvature_block", "--oracle-modes", "2000000000"]):
     out = io.StringIO()
     assert run_cli(argv, out) == 0, argv
     assert argv[0] == "verify" or out.getvalue().startswith("closed="), out.getvalue()
@@ -224,10 +231,11 @@ for argv in (["verify"], ["verify", "--all"],
 """
 
 
-def test_verify_and_default_size_detreg_never_load_numpy():
+def test_verify_and_short_head_detreg_never_load_numpy():
     """verify walks three oracles of 10^4 modes, verify --all three of 10^5 and detreg one of
-    10^5 by default: all below PURE_MODE_LIMIT, so the pure kernel walks them and zeta_det,
-    which imports numpy, never loads."""
+    10^5 by default, and one of 2*10^9 here: every head is a few modes, far below
+    PURE_MODE_LIMIT, so the pure kernel walks them and zeta_det, which imports numpy, never
+    loads."""
     walking = ("apbc_first_order_shifted", "pbc_curvature_block", "apbc_curvature_block")
     proc = _child(_NUMPY_FREE_CHILD, *walking)
     assert proc.returncode == 0, proc.stderr
@@ -272,16 +280,18 @@ def test_verify_never_imports_inspect():
     assert proc.returncode == 0, proc.stderr
 
 
+# beta*param/(2 pi) = 6000.5: the series starts at m = 543,104, past PURE_MODE_LIMIT = 2^19
+_LONG_HEAD = ["--op", "pbc_curvature_block", "--beta", "2", "--param", str(6000.5 * math.pi)]
+
 _ABOVE_LIMIT_CHILD = """
 import io
 import sys
 from indexcalc.cli import run_cli
 from indexcalc.closed_forms import PURE_MODE_LIMIT
-argv = ["detreg", "--op", "pbc_curvature_block", "--beta", "1.3", "--param", "2.1",
-        "--oracle-modes", str(PURE_MODE_LIMIT + 1), "--format", "json"]
+argv = ["detreg", *sys.argv[1:], "--oracle-modes", str(PURE_MODE_LIMIT + 1), "--format", "json"]
 out = io.StringIO()
 assert run_cli(argv, out) == 0
-assert "numpy" in sys.modules, "a walk past PURE_MODE_LIMIT did not load numpy"
+assert "numpy" in sys.modules, "a head past PURE_MODE_LIMIT did not load numpy"
 print(out.getvalue())
 """
 
@@ -290,10 +300,10 @@ def test_detreg_past_the_limit_loads_numpy_and_prints_zeta_det_values():
     from indexcalc import zeta_det
     from indexcalc.closed_forms import PURE_MODE_LIMIT
 
-    proc = _child(_ABOVE_LIMIT_CHILD)
+    proc = _child(_ABOVE_LIMIT_CHILD, *_LONG_HEAD)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    spec = zeta_det.OperatorSpec("pbc_curvature_block", 1.3, 2.1)
+    spec = zeta_det.OperatorSpec("pbc_curvature_block", 2.0, 6000.5 * math.pi)
     record = zeta_det.regularized_det(spec, PURE_MODE_LIMIT + 1)
     assert (doc["modes"], doc["closed"], doc["oracle"], doc["delta"]) == (
         PURE_MODE_LIMIT + 1, record.closed_form, record.oracle_value, record.delta
@@ -385,8 +395,7 @@ spans = tracer.Tracer()
 spans.install()
 from indexcalc.cli import run_cli
 from indexcalc.closed_forms import PURE_MODE_LIMIT
-argv = ["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5",
-        "--oracle-modes", str(PURE_MODE_LIMIT + 1)]
+argv = ["detreg", *sys.argv[2:], "--oracle-modes", str(PURE_MODE_LIMIT + 1)]
 assert run_cli(argv, io.StringIO()) == 0
 print(json.dumps(spans.export()["calls"]))
 """
@@ -394,10 +403,10 @@ print(json.dumps(spans.export()["calls"]))
 
 def test_benchmark_tracer_still_finds_the_determinant_layer():
     """perfbench/tracer.py wraps zeta_det.oracle_product and closed_form by name; a traced
-    detreg past PURE_MODE_LIMIT, which walks zeta_det's numpy kernel, must show one span of
-    each (the oracle's reference needs no closed_form call)."""
+    detreg with a head past PURE_MODE_LIMIT, which walks zeta_det's numpy kernel, must show
+    one span of each (the oracle's reference needs no closed_form call)."""
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", _TRACED_DETREG, str(SRC.parent / "perfbench")],
+        [sys.executable, "-B", "-c", _TRACED_DETREG, str(SRC.parent / "perfbench"), *_LONG_HEAD],
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,

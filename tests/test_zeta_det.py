@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from indexcalc import closed_forms, zeta_det
@@ -28,6 +28,7 @@ from indexcalc.closed_forms import (
     fermion_partition,
     pbc_laplacian_log_det_zeta,
 )
+from indexcalc.exact_algebra import bernoulli
 from indexcalc.zeta_det import oracle_product, regularized_det
 
 
@@ -401,7 +402,7 @@ class TestOracle:
         assert record.oracle_modes == 100
 
 
-B = closed_forms._ORACLE_BLOCK
+B = zeta_det._ORACLE_BLOCK
 
 
 def raw_oracle(spec, n_modes):
@@ -606,51 +607,32 @@ class TestRatioWork:
 WALKING_KINDS = [kind for kind in OPERATOR_KINDS if kind not in LAPLACIAN_KINDS]
 
 
-@functools.cache
-def arange_sum_tables(periodic: bool) -> tuple[np.ndarray, ...]:
-    """zeta_det._inverse_power_sums over block 0's np.arange mode numbers, squared."""
-    m2 = zeta_det._mode_numbers(periodic, 0, B)
-    return zeta_det._inverse_power_sums(m2 * m2)
-
-
 def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """The block walk on np.arange mode numbers, squared in place, as before the mode
-    tables.  A later block walks log1p or log|1 - t| on each mode up to the first with
-    t <= 2^-26 and sums u - u^2/2 (u = t, or -t on the curvature blocks) over the modes
-    from there.  Block 0 splits at its first m^2 >= 2^13 c, found by np.searchsorted, sums
-    u - u^2/2 + u^3/3 - u^4/4 past it from sum tables built afresh on the np.arange
-    squares, and walks the head before it with the pure kernel, or on numpy past
-    zeta_det._PURE_HEAD_MODES modes."""
+    tables.  Block 0 is the pure kernel's.  A later block walks log1p or log|1 - t| on each
+    mode up to the first with t <= 2^-26 and sums u - u^2/2 (u = t, or -t on the curvature
+    blocks) over the modes from there as v (S2 - v S4/2), v = c or -c and S2, S4 the numpy
+    sums of 1/m^2 and 1/m^4 over them."""
+    if not start:
+        return closed_forms._pure_block_log_ratio(kind, c, 0, stop)
     m2 = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, stop)
     m2 *= m2
     curvature = closed_forms._KINDS[kind].pairs == "curvature"
     v = -c if curvature else c
+    series = int(np.searchsorted(m2, c * 2.0**26))
     log_sum = 0.0
-    if start:
-        series = int(np.searchsorted(m2, c * 2.0**26))
-    else:
-        series = int(np.searchsorted(m2, c * 2.0**13))
-        if series < stop:
-            hi2, lo2, hi4, hi6, hi8 = arange_sum_tables(closed_forms._KINDS[kind].periodic)
-            s2 = (hi2.item(series) - hi2.item(stop)) + (lo2.item(series) - lo2.item(stop))
-            s4, s6, s8 = (hi.item(series) - hi.item(stop) for hi in (hi4, hi6, hi8))
-            log_sum = v * s2 - v * v * (0.5 * s4 - v * (s6 / 3.0 - 0.25 * v * s8))
-        if series <= zeta_det._PURE_HEAD_MODES:
-            head_sum = closed_forms._pure_block_log_ratio(kind, c, 0, series)
-            return (2.0 * log_sum if curvature else log_sum) + head_sum
-        m2 = m2[:series]
-    u = np.divide(v, m2, out=m2)  # t, or -t rising towards 0 with m
-    head, tail = u[:series], u[series:]
+    inverse = 1.0 / m2[series:]
+    if inverse.size:
+        log_sum = v * (float(np.sum(inverse)) - 0.5 * v * float(np.einsum("i,i", inverse, inverse)))
+    head = v / m2[:series]  # t, or -t rising towards 0 with m
+    walked = head
     if curvature:
         # t > 1 on a leading run of modes only, where the log is log(t - 1)
         above = int(np.searchsorted(head, -1.0))
-        np.subtract(-1.0, head[:above], out=head[:above])
-        np.log(head[:above], out=head[:above])
-        head = head[above:]
-    np.log1p(head, out=head)
-    if tail.size:
-        log_sum = float(np.sum(tail)) - 0.5 * float(np.einsum("i,i", tail, tail))
-    log_sum += float(np.sum(u[:series]))
+        head[:above] = np.log(-1.0 - head[:above])
+        walked = head[above:]
+    np.log1p(walked, out=walked)
+    log_sum += float(np.sum(head))
     return 2.0 * log_sum if curvature else log_sum
 
 
@@ -674,17 +656,9 @@ BLOCKS = [(0, 1), (0, 2), (0, B - 1), (0, B)] + [
 RATIO_SCALES = [1e-6, 3.7e-3, 0.37, 2.5, 17.3, 612.9, 9999.5]
 
 
-def all_tables():
-    """All fourteen constant tables: each parity's block-0 mode numbers, their squares,
-    and the suffix sums (hi2, lo2, hi4, hi6, hi8) of 1/m^2..1/m^8 over them."""
-    return [table for periodic in (True, False)
-            for table in (zeta_det._MODES[periodic], zeta_det._SQUARES[periodic],
-                          *zeta_det._INVERSE_SUMS[periodic])]
-
-
 class TestModeTables:
-    """The block walk reads its mode numbers from constant tables, built at import; every
-    value stays equal, float for float, to the np.arange route it replaced."""
+    """A later block reads its mode numbers from constant tables, built at import; every
+    value stays equal, float for float, to the np.arange route they replaced."""
 
     @pytest.mark.parametrize("start, stop", BLOCKS)
     @pytest.mark.parametrize("kind", WALKING_KINDS)
@@ -707,7 +681,7 @@ class TestModeTables:
         assert oracle_product(spec, n_modes) == arange_oracle(spec, n_modes)
 
     def test_tables_are_read_only(self):
-        for table in all_tables():
+        for table in zeta_det._MODES.values():
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
@@ -723,14 +697,9 @@ class TestModeTables:
         modes = {True: np.arange(1, B + 1, dtype=float), False: np.arange(1, 2 * B, 2, dtype=float)}
         for periodic, expected in modes.items():
             assert np.array_equal(zeta_det._MODES[periodic], expected)
-            assert np.array_equal(zeta_det._SQUARES[periodic], expected * expected)
-            fresh = zeta_det._inverse_power_sums(expected * expected)
-            for table, fresh_table in zip(zeta_det._INVERSE_SUMS[periodic], fresh, strict=True):
-                assert np.array_equal(table, fresh_table)
-
-    def test_tables_take_3_mib(self):
-        # four B-float mode tables, and six (B+1)-float sum tables and four float32 ones
-        assert sum(table.nbytes for table in all_tables()) <= 12 * (B + 1) * 8
+        for periodic in (True, False):
+            fresh = closed_forms._small_sums(periodic)
+            assert (closed_forms._SMALL_TAILS[periodic], closed_forms._SMALL_RESTS[periodic]) == fresh
 
 
 def _singular_parameter(kind: str, beta: float, m: int) -> float:
@@ -817,13 +786,27 @@ class TestKernelAgreement:
             tracemalloc.stop()
         assert peak <= 16 * 1024
 
-    def test_entry_point_hands_a_walk_past_the_limit_to_zeta_det(self):
+    def test_entry_point_walks_a_short_head_in_pure_python_at_any_n(self, monkeypatch):
+        def numpy_walk(*args):
+            raise AssertionError("a short head went to zeta_det")
+
+        monkeypatch.setattr(zeta_det, "regularized_det", numpy_walk)
+        spec = OperatorSpec("apbc_curvature_block", 1.0, 1.0)  # a head of 15 modes
+        for n_modes in (1, B + 1, closed_forms.PURE_MODE_LIMIT + 1, 2 * 10**9):
+            record = closed_forms.regularized_det(spec, n_modes)
+            oracle = closed_forms._ratio_oracle(spec, n_modes)
+            assert record == closed_forms.RegularizedDet(closed_form(spec), oracle, n_modes)
+
+    def test_entry_point_hands_a_head_past_the_limit_to_zeta_det(self):
         limit = closed_forms.PURE_MODE_LIMIT
-        spec = OperatorSpec("apbc_curvature_block", 1.1, 2.3)
-        record = closed_forms.regularized_det(spec, limit)
-        oracle = closed_forms._ratio_oracle(spec, limit)
-        assert record == closed_forms.RegularizedDet(closed_form(spec), oracle, limit)
+        # x = 6000.5: the series starts at m = 543,104, so the head of a walk of limit + 1
+        # modes is all of it, and that of a walk of limit modes walks in pure Python
+        spec = OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * 6000.5)
+        x = spec.parameter / (2.0 * math.pi)
+        assert closed_forms._series_split(True, x * x, 10**6) == 543_103
         assert closed_forms.regularized_det(spec, limit + 1) == regularized_det(spec, limit + 1)
+        record = closed_forms.regularized_det(spec, limit)
+        assert record.oracle_value == closed_forms._ratio_oracle(spec, limit)
 
 
 def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
@@ -842,8 +825,8 @@ def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
 class TestSeriesSum:
     """The numpy kernel sums a later block's modes with t = c/m^2 <= 2^-26 as
     sum(u) - sum(u^2)/2 (u = t, or -t on the curvature blocks), one ulp or less from each
-    mode's log1p; the modes before are walked with log1p or log|1 - t|, as the pure kernel
-    walks them all.  Block 0 splits at 2^-13 (TestBlockZeroSums)."""
+    mode's log1p; the modes before are walked with log1p or log|1 - t|.  Block 0 is the pure
+    kernel, which splits at 2^-13 (TestPureKernelSeries)."""
 
     # two short later blocks, where the 40-digit sum costs less, and one whole one
     @pytest.mark.parametrize("start, stop", [(B, B + 4099), (2 * B + 17, 2 * B + 3000), (30 * B, 31 * B)])
@@ -851,11 +834,12 @@ class TestSeriesSum:
     def test_later_blocks_agree_with_40_digit_sum(self, kind, start, stop):
         mid = (start + stop) // 2
         m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, mid, mid + 1)[0]
-        # the series starts mid-block, then in the block from 30*B on only (612.9 * 2^26 = m^2
-        # at m = 202,800)
+        # the numpy series starts mid-block, then in the block from 30*B on only (612.9 * 2^26
+        # = m^2 at m = 202,800); the pure kernel's series starts before every block
         for c in (m * m * 2.0**-26, 612.9):
             exact = _exact_block_log_ratio(kind, c, start, stop)
-            assert math.isclose(zeta_det._block_log_ratio(kind, c, start, stop), exact, rel_tol=1e-15), c
+            for kernel in (zeta_det._block_log_ratio, closed_forms._pure_block_log_ratio):
+                assert math.isclose(kernel(kind, c, start, stop), exact, rel_tol=1e-15), (kernel, c)
 
     @pytest.mark.parametrize("start", [0, B])
     @pytest.mark.parametrize("kind", WALKING_KINDS)
@@ -881,7 +865,7 @@ class TestSeriesSum:
 
         monkeypatch.setattr(np, "log1p", counted_log1p)
         c = 0.37  # t < 1 on every mode, and t <= 2^-26 from m = 4983 on
-        for start in (B, 3 * B):  # later blocks: block 0's head is counted in TestBlockZeroSums
+        for start in (B, 3 * B):  # later blocks: block 0 calls no numpy function (TestPureKernelSeries)
             m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
             walked.clear()
             zeta_det._block_log_ratio(kind, c, start, start + B)
@@ -894,6 +878,11 @@ class TestSeriesSum:
         start=st.integers(0, 40 * B),
         length=st.integers(1, B),
     )
+    # subnormal c, where a per-mode t = c/m^2 underflows: block 0 is the pure kernel's, and a
+    # later block scales its series by c once, as the pure kernel does
+    @example(kind="pbc_curvature_block", c=5e-324, start=0, length=7)
+    @example(kind="pbc_curvature_block", c=1e-310, start=0, length=4096)
+    @example(kind="apbc_first_order_shifted", c=1e-310, start=B, length=4096)
     def test_block_sums_agree_with_pure_kernel(self, kind, c, start, length):
         curvature = closed_forms._KINDS[kind].pairs == "curvature"
         # the skeleton keeps c off every m^2, where a curvature pair vanishes
@@ -907,99 +896,157 @@ class TestSeriesSum:
         assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
 
-def _block_zero_split(kind: str, c: float) -> int:
-    """Block 0's split on np.arange: the number of its modes with m^2 < 2^13 c."""
-    m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, 0, B)
+def arange_series_split(kind: str, c: float, stop: int) -> int:
+    """The series split on np.arange: the number of modes below stop with m^2 < 2^13 c."""
+    m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, 0, stop)
     return int(np.count_nonzero(m * m < c * 2.0**13))
 
 
-class TestBlockZeroSums:
-    """Block 0 sums u - u^2/2 + u^3/3 - u^4/4 (u = t, or -t on the curvature blocks) over
-    its modes from the first with t = c/m^2 <= 2^-13 on, from the sums of 1/m^2..1/m^8
-    over them, read from suffix tables (zeta_det._INVERSE_SUMS): for each parity, hi2, hi4,
-    hi6 and hi8, the float sums from each mode to the block's end, and lo2, the running
-    rounding errors of hi2.  The head before the split is walked by the pure kernel up to
-    zeta_det._PURE_HEAD_MODES modes, and divided and walked on numpy past them."""
+def walked_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
+    """The pure kernel with no series: one log1p or log(t - 1) a mode, summed by math.fsum."""
+    row = closed_forms._KINDS[kind]
+    ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
+    ts = [c / (m * m) for m in map(float, ms)]
+    if row.pairs != "curvature":
+        return math.fsum(map(math.log1p, ts))
+    return 2.0 * math.fsum(math.log(t - 1.0) if t > 1.0 else math.log1p(-t) for t in ts)
+
+
+POWERS = (2, 4, 6, 8)
+
+
+class TestPowerSums:
+    """closed_forms._power_sums: S2..S8, the sums of 1/m^2..1/m^8 over a range of mode
+    indices, as differences of the Euler-Maclaurin tail sums T_s (see closed_forms)."""
 
     @pytest.mark.parametrize("periodic", [True, False])
-    def test_range_sums_agree_with_fsum_within_one_ulp(self, periodic):
-        inverse = 1.0 / zeta_det._SQUARES[periodic]
-        rng = np.random.default_rng(28)
-        ranges = [(0, B), (0, 1), (B - 1, B), (0, 4983), (4983, B), (B, B)]
-        ranges += [tuple(sorted(map(int, rng.integers(0, B + 1, 2)))) for _ in range(200)]
+    def test_agree_with_fsum_within_two_ulps(self, periodic):
+        # each term 1/m^s is an int / int, correctly rounded, so the fsum is within one ulp
+        # of the exact sum, and _power_sums is: short ranges from every start below 200, at
+        # random starts up to 2^30, and ending at 2*10^9, where a difference of two tail sums
+        # would cancel all but a few bits
+        rng = np.random.default_rng(31)
+        ranges = [(a, a + n) for a in range(200) for n in (1, 2, 70)] + [(0, b) for b in range(1, 300, 7)]
+        ranges += [(int(a), int(a + n)) for a, n in zip(rng.integers(0, 2**30, 300), rng.integers(1, 300, 300))]
+        ranges += [(2**30 - int(n), 2**30) for n in rng.integers(1, 300, 20)]
+        ranges += [(2 * 10**9 - int(n), 2 * 10**9) for n in rng.integers(1, 300, 20)]
         for a, b in ranges:
-            exact = math.fsum(inverse[a:b].tolist())
-            assert abs(zeta_det._range_sums(periodic, a, b)[0] - exact) <= math.ulp(exact), (a, b)
+            ms = range(a + 1, b + 1) if periodic else range(2 * a + 1, 2 * b, 2)
+            for s, value in zip(POWERS, closed_forms._power_sums(periodic, a, b)):
+                exact = math.fsum(1 / m**s for m in ms)
+                assert abs(value - exact) <= 2 * math.ulp(exact), (s, a, b)
 
     @pytest.mark.parametrize("periodic", [True, False])
-    def test_higher_power_range_sums_within_stated_bounds(self, periodic):
-        # hi4 and hi6 are float sums with no error table: a range strays up to 64 ulps of
-        # hi[a] (36 measured).  hi8 is float32: up to 2^-23 of hi8[a].  The series scales
-        # S4, S6 and S8 by t^1..t^3 <= 2^-13..2^-39 of the first term's S2, so these errors
-        # reach the block sum below 2^-58 of c*hi2[a]
-        inverse = 1.0 / zeta_det._SQUARES[periodic]
-        fourth = inverse * inverse
-        powers = (fourth, inverse * fourth, fourth * fourth)
-        _, _, *his = zeta_det._INVERSE_SUMS[periodic]
-        rng = np.random.default_rng(30)
-        ranges = [(0, B), (0, 1), (B - 1, B), (0, 55), (55, B), (B, B)]
-        ranges += [tuple(sorted(map(int, rng.integers(0, B + 1, 2)))) for _ in range(200)]
-        ranges += [(a, a + 1) for a in range(0, B, 1021)]
-        for a, b in ranges:
-            sums = zeta_det._range_sums(periodic, a, b)[1:]
-            for k, (terms, hi, got) in enumerate(zip(powers, his, sums, strict=True), 2):
-                exact = math.fsum(terms[a:b].tolist())
-                bound = 2.0**-23 * hi.item(a) if k == 4 else 64 * math.ulp(hi.item(a))
-                assert abs(got - exact) <= bound, (k, a, b)
+    def test_agree_with_40_digit_hurwitz_zeta_within_one_ulp(self, periodic):
+        # T_s(q) is zeta(s, q) on the periodic modes and 2^-s zeta(s, q/2) on the odd ones.
+        # The ends lie on both sides of the table's edge and of where the series keeps 2 terms
+        mpmath = pytest.importorskip("mpmath")
+        ends = [0, 1, 2, 62, 63, 64, 65, 1098, 1099, 1100, 10**4, B, 10**6, 2 * 10**9]
+        with mpmath.workdps(40):
+            for s in POWERS:
+                def tail(k):
+                    if periodic:
+                        return mpmath.zeta(s, k + 1)
+                    return mpmath.zeta(s, k + mpmath.mpf(0.5)) / 2**s
 
-    @pytest.mark.parametrize("stop", [3001, 12001])
+                tails = [tail(k) for k in ends]
+                for i, a in enumerate(ends):
+                    for j in range(i + 1, len(ends)):
+                        exact = float(tails[i] - tails[j])
+                        value = closed_forms._power_sums(periodic, a, ends[j])[s // 2 - 1]
+                        assert abs(value - exact) <= math.ulp(exact), (s, a, ends[j])
+
+    def test_empty_range_sums_to_zero(self):
+        for periodic in (True, False):
+            for a in (0, 63, 64, 10**9):
+                assert closed_forms._power_sums(periodic, a, a) == [0.0] * 4
+
+    @pytest.mark.parametrize("s", POWERS)
+    def test_first_series_term_left_out_is_below_2_to_the_minus_56(self, s):
+        # relative to the leading term q^(1-s)/(h(s-1)), term k of the rest is
+        # |B_2k|/(2k)! (s)_(2k-1) (s-1) (q/h)^-2k on either parity; the series starts at
+        # q/h = 64 with _EM_TERMS terms, and keeps 2 from _EM_FEW_FROM on
+        for terms, q in ((closed_forms._EM_TERMS, closed_forms._EM_FROM),
+                         (2, closed_forms._EM_FEW_FROM)):
+            k = terms + 1
+            rising = math.perm(s + 2 * k - 2, 2 * k - 1)  # (s)_(2k-1)
+            left_out = abs(bernoulli(2 * k)) / math.factorial(2 * k) * rising * (s - 1) / Fraction(q) ** (2 * k)
+            assert left_out < Fraction(1, 2**56), (terms, q)
+
+
+class TestPureKernelSeries:
+    """The pure kernel sums u - u^2/2 + u^3/3 - u^4/4 (u = t, or -t on the curvature blocks)
+    over its modes from the first with t = c/m^2 <= 2^-13 on, from _power_sums, and walks
+    the head before that split; zeta_det's block 0 is this kernel."""
+
+    @pytest.mark.parametrize("start", [0, B])
+    @pytest.mark.parametrize("length", [3001, 12001])
     @pytest.mark.parametrize("kind", WALKING_KINDS)
-    def test_partial_block_zero_agrees_with_40_digit_sum(self, kind, stop):
-        # t <= 2^-13 from m = 21 on at c = 0.05 and from m = 64 on at 0.5, so the series
-        # starts inside the block and the head walks in pure Python.  t < 1 on every mode,
-        # so no log(t - 1) cancels the sum
+    def test_partial_block_agrees_with_40_digit_sum(self, kind, start, length):
+        # t <= 2^-13 from m = 21 on at c = 0.05 and from m = 64 on at 0.5, so at start 0 the
+        # series starts inside the block.  t < 1 on every mode, so no log(t - 1) cancels the sum
+        stop = start + length
         for c in (0.05, 0.5):
-            exact = _exact_block_log_ratio(kind, c, 0, stop)
-            assert math.isclose(zeta_det._block_log_ratio(kind, c, 0, stop), exact, rel_tol=1e-15), c
+            exact = _exact_block_log_ratio(kind, c, start, stop)
+            value = closed_forms._pure_block_log_ratio(kind, c, start, stop)
+            assert math.isclose(value, exact, rel_tol=1e-15), c
+            if not start:
+                assert zeta_det._block_log_ratio(kind, c, 0, stop) == value
 
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     @pytest.mark.parametrize("first", [31, 301])
     def test_first_series_mode_at_the_bound_agrees_with_40_digit_sum(self, kind, first):
         # c = 2^-13 m^2 puts t exactly 2^-13 on mode m, the first of the series; one ulp
-        # above, m is walked too.  The heads before m = 31 walk in pure Python, those before
-        # m = 301 (150 and 300 modes) on numpy
+        # above, m is walked too
         periodic = closed_forms._KINDS[kind].periodic
         at_bound = first * first * 2.0**-13
         assert at_bound / (first * first) == 2.0**-13
         stop = 3000
         for c, series_from in ((at_bound, first),
                                (math.nextafter(at_bound, math.inf), first + (1 if periodic else 2))):
-            head = _block_zero_split(kind, c)
+            head = arange_series_split(kind, c, stop)
             assert zeta_det._mode_numbers(periodic, head, head + 1)[0] == series_from
             exact = _exact_block_log_ratio(kind, c, 0, stop)
-            assert math.isclose(zeta_det._block_log_ratio(kind, c, 0, stop), exact, rel_tol=1e-15), c
+            assert math.isclose(closed_forms._pure_block_log_ratio(kind, c, 0, stop), exact, rel_tol=1e-15), c
 
     @settings(deadline=None, max_examples=100)
     @given(
         kind=st.sampled_from(WALKING_KINDS),
-        # below about 1e-300 the pure kernel's t = c/m^2 lose their digits to underflow on
-        # the later modes, while the tabled series keeps them
+        # below about 1e-300 the walked t = c/m^2 lose their digits to underflow on the later
+        # modes, while the series keeps them
         c=st.one_of(st.just(0.0), st.floats(1e-300, 1e4)),
-        stop=st.integers(1, B),
+        start=st.one_of(st.just(0), st.integers(0, 40 * B)),
+        length=st.integers(1, B),
     )
-    def test_block_zero_agrees_with_pure_kernel(self, kind, c, stop):
+    def test_series_agrees_with_a_walk_of_every_mode(self, kind, c, start, length):
         curvature = closed_forms._KINDS[kind].pairs == "curvature"
         # the skeleton keeps c off every m^2, where a curvature pair vanishes
         assume(not (curvature and c and math.sqrt(c).is_integer()))
-        pure = closed_forms._pure_block_log_ratio(kind, c, 0, stop)
-        numpy_route = zeta_det._block_log_ratio(kind, c, 0, stop)
-        # log(t - 1) on a leading run of t > 1 (c > 1) can cancel the other terms: there
-        # the sums agree to an absolute 1e-13, elsewhere every term has one sign
-        cancels = curvature and c > 1.0
-        assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
+        walked = walked_log_ratio(kind, c, start, start + length)
+        value = closed_forms._pure_block_log_ratio(kind, c, start, start + length)
+        # log(t - 1) on a leading run of t > 1 can cancel the other terms: there the sums
+        # agree to an absolute 1e-13, elsewhere every term has one sign
+        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
+        cancels = curvature and c > m * m
+        assert math.isclose(value, walked, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
     @pytest.mark.parametrize("kind", WALKING_KINDS)
-    def test_a_short_head_calls_no_numpy_function(self, kind, monkeypatch):
+    def test_a_walk_logs_only_its_head_at_any_n(self, kind, monkeypatch):
+        logged = []
+        for name in ("log", "log1p"):
+            def counted(t, _log=getattr(math, name)):
+                logged.append(t)
+                return _log(t)
+
+            monkeypatch.setattr(closed_forms, name, counted)
+        for c in (1e-6, 0.37, 2.5, 612.9):  # heads of 0 to 2240 modes
+            for n_modes in (B, 2 * 10**9):
+                logged.clear()
+                closed_forms._pure_block_log_ratio(kind, c, 0, n_modes)
+                assert len(logged) == arange_series_split(kind, c, B), (c, n_modes)
+
+    @pytest.mark.parametrize("kind", WALKING_KINDS)
+    def test_block_zero_calls_no_numpy_function(self, kind, monkeypatch):
         # every numpy function the kernel calls is looked up on its module global np
         looked_up = []
 
@@ -1009,50 +1056,52 @@ class TestBlockZeroSums:
                 return getattr(np, name)
 
         monkeypatch.setattr(zeta_det, "np", Recorder())
-        for c in (1e-6, 0.37, 2.5):  # heads of 0 to 143 modes
-            head = _block_zero_split(kind, c)
-            looked_up.clear()
+        for c in (1e-6, 0.37, 2.5, 612.9):  # heads of 0 to 2240 modes
             value = zeta_det._block_log_ratio(kind, c, 0, 20000)
-            assert (looked_up == []) is (head <= zeta_det._PURE_HEAD_MODES), (c, head, looked_up)
-            assert math.isclose(value, closed_forms._pure_block_log_ratio(kind, c, 0, 20000), rel_tol=1e-13)
+            assert looked_up == [], c
+            assert value == closed_forms._pure_block_log_ratio(kind, c, 0, 20000)
 
     @pytest.mark.parametrize("kind", WALKING_KINDS)
-    def test_divide_and_log1p_see_only_the_head(self, kind, monkeypatch):
-        c = 2.5  # t <= 2^-13 from m = 144 on: a head past _PURE_HEAD_MODES on either parity
-        head = _block_zero_split(kind, c)
-        assert head > zeta_det._PURE_HEAD_MODES
-        above = 1 if closed_forms._KINDS[kind].pairs == "curvature" else 0  # t > 1 at m = 1
+    def test_later_block_divides_the_head_by_c_and_the_tail_into_1(self, kind, monkeypatch):
+        start = B
+        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
+        c = m[B // 2] ** 2 * 2.0**-26  # t <= 2^-26 from mid-block on
+        head = int(np.count_nonzero(m * m < c * 2.0**26))
+        assert head == B // 2
         sizes = {"divide": [], "log1p": []}
         for name, seen in sizes.items():
             def counted(*args, _ufunc=getattr(np, name), _seen=seen, **kwargs):
-                _seen.append(np.broadcast(*args).size)
+                _seen.append((args[0], np.broadcast(*args).size))
                 return _ufunc(*args, **kwargs)
 
             monkeypatch.setattr(np, name, counted)
-        zeta_det._block_log_ratio(kind, c, 0, B)
-        assert sizes == {"divide": [head], "log1p": [head - above]}
+        zeta_det._block_log_ratio(kind, c, start, start + B)
+        signed_c = -c if closed_forms._KINDS[kind].pairs == "curvature" else c
+        assert sizes["divide"] == [(1.0, B - head), (signed_c, head)]
+        assert [size for _, size in sizes["log1p"]] == [head]
 
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_zero_and_infinite_c(self, kind):
-        for stop in (1, zeta_det._PURE_HEAD_MODES, zeta_det._PURE_HEAD_MODES + 1, B):
-            # c = 0: every mode is in the series, whose terms all vanish
-            assert zeta_det._block_log_ratio(kind, 0.0, 0, stop) == 0.0
-            # an infinite c leaves no series and drives every walked log to inf
-            assert zeta_det._block_log_ratio(kind, math.inf, 0, stop) == math.inf
-            assert closed_forms._pure_block_log_ratio(kind, math.inf, 0, stop) == math.inf
+        for start, stop in ((0, 1), (0, 64), (0, 65), (0, B), (B, 2 * B)):
+            for kernel in (zeta_det._block_log_ratio, closed_forms._pure_block_log_ratio):
+                # c = 0: every mode is in the series, whose terms all vanish
+                assert kernel(kind, 0.0, start, stop) == 0.0
+                # an infinite c leaves no series and drives every walked log to inf
+                assert kernel(kind, math.inf, start, stop) == math.inf
 
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_split_index_matches_a_search_on_the_squares(self, periodic):
-        m2 = zeta_det._SQUARES[periodic]
+    @pytest.mark.parametrize("kind", ["pbc_curvature_block", "apbc_curvature_block"])
+    def test_split_index_matches_a_search_on_the_squares(self, kind):
+        periodic = closed_forms._KINDS[kind].periodic
+        m2 = zeta_det._mode_numbers(periodic, 0, 10**6) ** 2
         rng = np.random.default_rng(31)
-        cs = [0.0, 5e-324, 2.0**-13, 1.0, 2.5, 1e4, 5.2e5, 2.0**19, 2.0**19 - 1, math.inf]
-        cs += list(10.0 ** rng.uniform(-9, 6, 300))
+        cs = [0.0, 5e-324, 2.0**-13, 1.0, 2.5, 1e4, 5.2e5, 2.0**19, 2.0**19 - 1, 1e8, math.inf]
+        cs += list(10.0 ** rng.uniform(-9, 8, 300))
         cs += [float(k * k) * 2.0**-13 for k in range(1, 400)]
         cs += [math.nextafter(c, t) for c in cs[-399:] for t in (0.0, math.inf)]
         for c in cs:
             expected = int(np.searchsorted(m2, c * 2.0**13))
-            for stop in (1, 100, B):
-                assert zeta_det._block_zero_split(periodic, c, stop) == min(expected, stop), c
+            for stop in (1, 100, B, 10**6):
+                assert closed_forms._series_split(periodic, c, stop) == min(expected, stop), c
 
 
 class TestModeCount:
