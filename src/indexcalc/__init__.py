@@ -4,7 +4,9 @@ evaluation on characteristic-number descriptors.
 
 Importing the package loads no submodule: each public name is imported from
 its submodule on first use (PEP 562).  Only oracle_product and
-regularized_det come from zeta_det, which loads numpy.
+regularized_det come from zeta_det, the blocked oracle on numpy; the CLI
+walks its determinants through the numpy-free closed_forms.regularized_det
+and never imports numpy.
 """
 
 import importlib

@@ -11,17 +11,17 @@ Subcommands:
 Exit codes: 0 success, 1 check failure, 2 usage or descriptor error.  A
 --half-dim above MAX_GENUS_HALF_DIM or an --oracle-modes above MAX_ORACLE_MODES
 asks for more work than a command should do, and is a usage error; so is a
-descriptor whose real_dim is above 2*MAX_GENUS_HALF_DIM, for an index that
-builds a genus (signature, dolbeault, spin) or for verify, which reads every
-catalog entry.
+detreg whose oracle walks a head of more than MAX_ORACLE_HEAD modes one by one,
+and a descriptor whose real_dim is above 2*MAX_GENUS_HALF_DIM, for an index
+that builds a genus (signature, dolbeault, spin) or for verify, which reads
+every catalog entry.
 Every subcommand accepts --format {text,json}.
 
 Each subcommand imports its modules when it runs, so genus, index and
-fermion-checks start without numpy or the determinant code.  detreg and
-verify walk the determinant oracle through closed_forms.regularized_det, whose
-pure kernel walks only the head before its series split at any --oracle-modes;
-only a detreg whose head passes closed_forms.PURE_MODE_LIMIT (beta*|param|/unit
-above about 5800) loads numpy, once OperatorSpec has accepted the operator.
+fermion-checks start without the determinant code.  detreg and verify walk the
+determinant oracle through closed_forms.regularized_det, whose pure kernel
+walks only the head before its series split at any --oracle-modes; no command
+imports numpy or zeta_det.
 JSON output and descriptor files are loaded on use too: text output never
 imports json, and only a descriptor path or a catalog directory loads
 descriptor_file.
@@ -52,12 +52,13 @@ _GENUS_BUILDERS = {"L": l_class, "Ahat": a_hat_class, "Todd": todd_class}
 
 # Work budgets, each about 5 s of a cold command (Python 3.11, 2-core x86-64 VM): genus
 # --half-dim 24 took 3.0-4.8 s over L, Ahat and Todd (25: 5.0-5.8 s).  A detreg walks its
-# head, at most PURE_MODE_LIMIT modes, in pure Python at any --oracle-modes; one whose head
-# is longer walks every mode, on numpy: 2*10^9 of them in 4.2-4.9 s.  An index on a
+# head, about 90*beta*|param|/unit modes, in pure Python at any --oracle-modes, and sums
+# the rest in constant time: a head of 2^25 modes took 4.3-5.1 s.  An index on a
 # descriptor builds its genus at half its real_dim, so descriptors share the genus budget.
 # The library's builders, index functions and oracle keep no cap.
 MAX_GENUS_HALF_DIM = 24
 MAX_ORACLE_MODES = 2 * 10**9
+MAX_ORACLE_HEAD = 1 << 25
 
 
 def _within_genus_budget(entries) -> None:
@@ -179,8 +180,6 @@ def _cmd_index(args, out) -> int:
 
 
 def _cmd_detreg(args, out) -> int:
-    # the mode count and the operator are checked before a head past
-    # closed_forms.PURE_MODE_LIMIT modes loads numpy
     if args.oracle_modes < 1:
         raise ValueError(f"--oracle-modes must be at least 1, got {args.oracle_modes}")
     if args.oracle_modes > MAX_ORACLE_MODES:
@@ -190,7 +189,7 @@ def _cmd_detreg(args, out) -> int:
     from .closed_forms import OperatorSpec, regularized_det
 
     spec = OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
-    record = regularized_det(spec, args.oracle_modes)
+    record = regularized_det(spec, args.oracle_modes, max_head=MAX_ORACLE_HEAD)
     payload = {
         "op": spec.kind,
         "beta": spec.beta,

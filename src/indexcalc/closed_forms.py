@@ -23,11 +23,11 @@ walks the same skeleton in blocks, the later ones on numpy; the two agree to
 about one ulp of the log-ratio, and refuse alike, since every refusal comes
 from the skeleton.
 
-This module imports no numpy: only the standard library and exact_algebra.
-Its regularized_det is the entry point of the one-shot commands (`detreg`,
-`verify`): it walks the pure kernel at any N while the head is at most
-PURE_MODE_LIMIT modes, so the process never imports numpy, whose import costs
-more than such a walk, and hands a longer head to zeta_det.regularized_det.
+This module imports no numpy at import time: only the standard library and
+exact_algebra.  Its regularized_det, the entry point of the one-shot commands
+(`detreg`, `verify`), walks every head in the pure kernel, so no command loads
+numpy or zeta_det.  Only _mode_numbers imports numpy, when called: by zeta_det,
+and by paired_mode_factors, the raw route the oracle is checked against.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
@@ -69,11 +69,6 @@ _SINGULAR_TOL = 1e-9
 # Riemann zeta data entering the spectral-zeta route
 _ZETA_R_AT_0 = -0.5
 _ZETA_R_PRIME_AT_0 = -0.5 * math.log(2.0 * math.pi)
-
-# The pure kernel walks its head, the modes before the series split (about 90 x of them,
-# x = beta*|parameter|/unit), at 110-120 ns a mode (Python 3.11, 2-core x86-64 VM), so a head
-# of 2^19 modes costs a one-shot process about what importing numpy does there (60-100 ms).
-PURE_MODE_LIMIT = 1 << 19
 
 
 class SingularOperatorError(ValueError):
@@ -290,8 +285,6 @@ class OperatorSpec(_Value):
         Pairing keeps every partial product real and positive wherever the
         full regularized product is.
         """
-        from .zeta_det import _mode_numbers
-
         row = _KINDS[self.kind]
         freq = _mode_numbers(row.periodic, 0, _mode_count(n_modes)) * row.unit / self.beta
         sq = freq * freq
@@ -304,6 +297,16 @@ class OperatorSpec(_Value):
             return sq + p2
         d = sq - p2
         return d * d
+
+
+def _mode_numbers(periodic: bool, start: int, stop: int):
+    """m = n for n = start+1..stop (periodic kinds) or 2k+1 for k = start..stop-1, as a numpy
+    array of floats: this module's one numpy import, for paired_mode_factors and zeta_det."""
+    import numpy as np
+
+    if periodic:
+        return np.arange(start + 1, stop + 1, dtype=float)
+    return np.arange(2 * start + 1, 2 * stop, 2, dtype=float)
 
 
 def closed_form(spec: OperatorSpec) -> float:
@@ -505,15 +508,26 @@ def _ratio_oracle(
     )
 
 
-def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:
-    """Closed form and oracle in one record, for the CLI and verify: the pure kernel walks a
-    head of up to PURE_MODE_LIMIT modes at any N, and zeta_det.regularized_det a longer one."""
-    n_modes = _mode_count(n_modes)
+def _oracle_head(spec: OperatorSpec, n_modes: int) -> int:
+    """The number of modes the pure kernel walks one by one on an oracle of n_modes modes: those
+    before its series split.  The oracle's c is x^2 or one ulp off it (see _ratio_scale), which
+    may move the split by one mode."""
     row = _KINDS[spec.kind]
     x = spec.beta * abs(spec.parameter) / row.unit
-    # the oracle's c is x^2, or an ulp off it, which moves the split by one mode at most
-    if _series_split(row.periodic, x * x, n_modes) > PURE_MODE_LIMIT:
-        from . import zeta_det
+    return _series_split(row.periodic, x * x, n_modes)
 
-        return zeta_det.regularized_det(spec, n_modes)
-    return RegularizedDet(closed_form(spec), _ratio_oracle(spec, n_modes), n_modes)
+
+def regularized_det(
+    spec: OperatorSpec, n_modes: int, max_head: int | None = None
+) -> RegularizedDet:
+    """Closed form and oracle in one record, the oracle walked by the pure kernel in O(head) at
+    any N, with no numpy.  Given max_head, an oracle whose head is longer is refused after the
+    closed form, before any walk."""
+    n_modes = _mode_count(n_modes)
+    closed = closed_form(spec)
+    if max_head is not None and (head := _oracle_head(spec, n_modes)) > max_head:
+        raise ValueError(
+            f"{spec.kind} oracle at beta={spec.beta}, parameter={spec.parameter} walks a head "
+            f"of {head} modes, above the {max_head} allowed"
+        )
+    return RegularizedDet(closed, _ratio_oracle(spec, n_modes), n_modes)

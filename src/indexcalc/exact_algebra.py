@@ -99,82 +99,38 @@ class TaylorSeries(_Value):
         """True when every odd-exponent coefficient vanishes."""
         return all(c == 0 for c in self.coefficients[1::2])
 
-    def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coefficients[j]
-                if b:
-                    out[i + j] += a * b
-        return TaylorSeries(tuple(out))
-
     def scale_argument(self, c: Fraction) -> "TaylorSeries":
         """Substitute x -> c * x."""
         c = Fraction(c)
         return TaylorSeries(tuple(a * c**k for k, a in enumerate(self.coefficients)))
 
-    def inverse(self) -> "TaylorSeries":
-        """Multiplicative inverse mod x^(order+1); requires nonzero constant term."""
-        a0 = self.coefficients[0]
-        if a0 == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv = [Fraction(1) / a0]
-        for m in range(1, self.order + 1):
-            s = sum(
-                self.coefficients[k] * inv[m - k]
-                for k in range(1, m + 1)
-                if self.coefficients[k]
-            )
-            inv.append(-s / a0)
-        return TaylorSeries(tuple(inv))
 
-
-GENUS_SERIES_KINDS = ("L", "A_hat", "Todd", "Exp")
+_GENUS_COEFFICIENTS = {
+    "L": lambda k: 0 if k % 2 else 2**k * bernoulli(k) / factorial(k),
+    "A_hat": lambda k: 0 if k % 2 else (2 - 2**k) * bernoulli(k) / (2**k * factorial(k)),
+    "Todd": lambda k: (-1) ** k * bernoulli(k) / factorial(k),
+    "Exp": lambda k: Fraction(1, factorial(k)),
+}
 
 
 def genus_series(kind: str, order: int) -> TaylorSeries:
-    """Truncated defining series of a genus.
+    """Truncated defining series of a genus, its coefficient of x^k read from bernoulli(k):
 
-    L      x/tanh(x)         = cosh(x) / (sinh(x)/x)
-    A_hat  (x/2)/sinh(x/2)
-    Todd   x/(1 - e^(-x))
-    Exp    e^x
+    L      x/tanh(x)          2^k B_k / k!             (even k)
+    A_hat  (x/2)/sinh(x/2)    (2 - 2^k) B_k / (2^k k!)  (even k)
+    Todd   x/(1 - e^(-x))     (-1)^k B_k / k!
+    Exp    e^x                1 / k!
 
-    All four have constant term 1.  The even ones (L, A_hat) are computed by
-    exact long division of the hyperbolic series; tests cross-check the
-    division against the Bernoulli-number closed forms.
+    All four have constant term 1.  The tests check these against exact long
+    division of the hyperbolic series.
     """
     if order < 0:
         raise ValueError("series order must be non-negative")
-    n = order
-    if kind == "Exp":
-        coeffs = tuple(Fraction(1, factorial(k)) for k in range(n + 1))
-        return TaylorSeries(coeffs)
-    if kind == "Todd":
-        # (1 - e^(-x))/x has coefficients (-1)^k / (k+1)!
-        base = TaylorSeries(tuple(Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)))
-        return base.inverse()
-    if kind == "A_hat":
-        # sinh(x/2)/(x/2) = sum x^(2k) / (4^k (2k+1)!)
-        base = TaylorSeries(
-            tuple(
-                Fraction(1, 4 ** (k // 2) * factorial(k + 1)) if k % 2 == 0 else Fraction(0)
-                for k in range(n + 1)
-            ),
+    if kind not in _GENUS_COEFFICIENTS:
+        raise ValueError(
+            f"unknown genus series kind {kind!r}; expected one of {tuple(_GENUS_COEFFICIENTS)}"
         )
-        return base.inverse()
-    if kind == "L":
-        cosh = TaylorSeries(
-            tuple(Fraction(1, factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)),
-        )
-        sinh_over_x = TaylorSeries(
-            tuple(Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)),
-        )
-        return cosh * sinh_over_x.inverse()
-    raise ValueError(f"unknown genus series kind {kind!r}; expected one of {GENUS_SERIES_KINDS}")
+    return TaylorSeries(_GENUS_COEFFICIENTS[kind](k) for k in range(order + 1))
 
 
 class BasisMismatchError(ValueError):

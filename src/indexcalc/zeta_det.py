@@ -3,9 +3,10 @@ oracle_product and regularized_det.
 
 oracle_product walks closed_forms' oracle skeleton in blocks of _ORACLE_BLOCK
 modes, and math.fsum adds the block sums.  Block 0 is the pure kernel's,
-closed_forms._pure_block_log_ratio; closed_forms.regularized_det hands a walk
-here only when its head is longer than PURE_MODE_LIMIT, where modes walked one
-by one cost less on numpy.
+closed_forms._pure_block_log_ratio.  No command imports this module: the CLI
+walks every oracle through closed_forms.regularized_det.  The library exports
+this module's oracle_product and regularized_det, and the benchmark's
+det-oracle workload calls them.
 
 A later block's mode numbers m are _MODES, one block's m for each parity, plus
 the block's offset: integers below 2^53, so exact floats, bit-identical to
@@ -26,7 +27,9 @@ import math
 # zeta_det before its timed operations, which should not pay numpy's import
 import numpy as np
 
-from .closed_forms import _KINDS, RegularizedDet, _pure_block_log_ratio, _ratio_oracle
+from .closed_forms import (
+    _KINDS, RegularizedDet, _mode_numbers, _pure_block_log_ratio, _ratio_oracle,
+)
 
 # read from here by the benchmark: perfbench/worker.py builds OperatorSpec and catches
 # SingularOperatorError, and perfbench/tracer.py wraps closed_form (called below) and
@@ -38,14 +41,6 @@ __all__ = ["oracle_product", "regularized_det"]
 # Modes per oracle block: one 256 KiB float array, which stays in cache while the block's
 # mode numbers become log-ratios.
 _ORACLE_BLOCK = 1 << 15
-
-
-def _mode_numbers(periodic: bool, start: int, stop: int) -> np.ndarray:
-    """m = n for n = start+1..stop (periodic kinds) or 2k+1 for k = start..stop-1."""
-    if periodic:
-        return np.arange(start + 1, stop + 1, dtype=float)
-    return np.arange(2 * start + 1, 2 * stop, 2, dtype=float)
-
 
 # One block's mode numbers, keyed by _Kind.periodic; read-only
 _MODES = {periodic: _mode_numbers(periodic, 0, _ORACLE_BLOCK) for periodic in (True, False)}
@@ -84,7 +79,7 @@ def _block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     # m = table + the block's offset, squared in place
     offset = start if row.periodic else 2 * start
     m2 = _MODES[row.periodic][: stop - start] + offset
-    np.multiply(m2, m2, out=m2)
+    np.square(m2, out=m2)
     # t = c/m^2 <= _SERIES_T from the first m^2 >= c/_SERIES_T on: found on m^2, before the
     # divides overwrite it.  Those modes are summed as a series, the ones before walked
     series_m2 = c / _SERIES_T

@@ -2,9 +2,12 @@
 
 Dict-based polynomial arithmetic over root exponent tuples, with genus
 series coefficients taken from the Bernoulli closed forms; none of it uses
-the package's series division or symmetric reduction.  `reduced_root_product`
-is the other reference: the root expansion of prod f(x_i) rewritten by the
-package's Gauss elimination (`symmetric_reduce`), with no power sums.
+the package's symmetric reduction.  `series_by_division` builds the same
+series by exact long division of the hyperbolic series: the reference for
+the package's genus_series, which reads them from Bernoulli numbers.
+`reduced_root_product` is the other reference: the root expansion of
+prod f(x_i) rewritten by the package's Gauss elimination (`symmetric_reduce`),
+with no power sums.
 `pontryagin_pair_sum` is the textbook pair sum for Pontryagin classes in
 the same dict arithmetic.
 
@@ -54,6 +57,33 @@ def series_coeff(kind: str, k: int) -> Fraction:
         return Fraction(2 - 2**k) * bernoulli(k) / (Fraction(2**k) * factorial(k))
     if kind == "Todd":
         return Fraction((-1) ** k) * bernoulli(k) / factorial(k)
+    raise ValueError(kind)
+
+
+def _series_inverse(a: list[Fraction]) -> list[Fraction]:
+    """1/a mod x^len(a), by long division; a[0] != 0."""
+    inv = [1 / a[0]]
+    for m in range(1, len(a)):
+        inv.append(-sum(a[k] * inv[m - k] for k in range(1, m + 1)) / a[0])
+    return inv
+
+
+def series_by_division(kind: str, order: int) -> list[Fraction]:
+    """The L, A_hat or Todd series to x^order by exact long division:
+    cosh(x)/(sinh(x)/x), 1/(sinh(x/2)/(x/2)) and 1/((1 - e^(-x))/x)."""
+    n = order + 1
+
+    def even(coefficient):
+        return [coefficient(k) if k % 2 == 0 else Fraction(0) for k in range(n)]
+
+    if kind == "Todd":
+        return _series_inverse([Fraction((-1) ** k, factorial(k + 1)) for k in range(n)])
+    if kind == "A_hat":
+        return _series_inverse(even(lambda k: Fraction(1, 2**k * factorial(k + 1))))
+    if kind == "L":
+        cosh = even(lambda k: Fraction(1, factorial(k)))
+        inv = _series_inverse(even(lambda k: Fraction(1, factorial(k + 1))))
+        return [sum(cosh[i] * inv[k - i] for i in range(k + 1)) for k in range(n)]
     raise ValueError(kind)
 
 

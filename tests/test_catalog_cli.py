@@ -5,11 +5,13 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 from itertools import product
 from pathlib import Path
 
@@ -638,8 +640,6 @@ class TestCliDetreg:
         assert abs(doc["closed"] - doc["oracle"]) < 1e-4
 
     def test_singular_parameter_exits_2(self):
-        import math
-
         code, _, err = run(
             ["detreg", "--op", "pbc_curvature_block", "--beta", "1", "--param", str(2 * math.pi)]
         )
@@ -689,6 +689,30 @@ class TestCliDetreg:
         code, out, _ = run([*argv, "10"])
         assert (code, json.loads(out)["modes"]) == (0, 10)
         assert run([*argv, "11"]) == (2, "", "error: --oracle-modes must be at most 10, got 11\n")
+
+    def test_oracle_head_at_the_cap_runs(self, monkeypatch):
+        # beta*param/(2 pi) = 10.5: the series starts at m = 951, after a head of 950 modes
+        argv = ["detreg", "--op", "pbc_curvature_block", "--beta", "2", "--param",
+                repr(10.5 * math.pi), "--oracle-modes", str(10**6), "--format", "json"]
+        monkeypatch.setattr(cli, "MAX_ORACLE_HEAD", 950)
+        code, out, _ = run(argv)
+        assert (code, json.loads(out)["modes"]) == (0, 10**6)
+        monkeypatch.setattr(cli, "MAX_ORACLE_HEAD", 949)
+        start = time.perf_counter()
+        assert run(argv) == (2, "", (
+            f"error: pbc_curvature_block oracle at beta=2.0, parameter={10.5 * math.pi} walks "
+            "a head of 950 modes, above the 949 allowed\n"))
+        assert time.perf_counter() - start < 1.0
+
+    def test_oracle_head_cap_sits_at_two_to_the_25(self):
+        # the real cap, with no walk: beta*param/(2 pi) = 2^25/sqrt(2^13) puts the series split
+        # at 2^25 + 1, and 1164675.2 (370,727.65) two modes past that
+        from indexcalc.closed_forms import OperatorSpec, _oracle_head
+
+        assert cli.MAX_ORACLE_HEAD == 1 << 25
+        for param, head in ((math.pi * 2**25 / 2**6.5, 1 << 25), (1164675.2, (1 << 25) + 2)):
+            spec = OperatorSpec("pbc_curvature_block", 2.0, param)
+            assert _oracle_head(spec, cli.MAX_ORACLE_MODES) == head
 
     def test_float_overflow_exits_2(self):
         code, out, err = run(

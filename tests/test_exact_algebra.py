@@ -1,17 +1,18 @@
 """Exact arithmetic, series, and graded-ring tests.
 
 Oracles here are independent of the implementation: Bernoulli numbers are
-cross-checked with Akiyama-Tanigawa, the generating series against their
-Bernoulli closed forms (the implementation uses long division).
+cross-checked with Akiyama-Tanigawa, the generating series, which the
+implementation reads from Bernoulli numbers, against exact long division of
+the hyperbolic series (oracle_helpers.series_by_division).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
+from oracle_helpers import series_by_division
 
 from indexcalc.exact_algebra import (
     BasisMismatchError,
@@ -63,31 +64,19 @@ class TestBernoulli:
 
 
 class TestGenusSeries:
-    def test_l_series_matches_bernoulli_formula(self):
-        # x/tanh x = sum 2^(2k) B_2k x^(2k) / (2k)!
-        f = genus_series("L", 12)
-        for k in range(0, 7):
-            expected = Fraction(2 ** (2 * k)) * bernoulli(2 * k) / factorial(2 * k)
-            assert f.coefficient(2 * k) == expected
+    @pytest.mark.parametrize("kind", ["L", "A_hat", "Todd"])
+    def test_series_match_long_division(self, kind):
+        # genus_series reads Bernoulli numbers; the reference divides the hyperbolic series
+        for order in (0, 1, 2, 5, 30):
+            assert list(genus_series(kind, order).coefficients) == series_by_division(kind, order)
 
     def test_l_series_frozen(self):
         f = genus_series("L", 4)
         assert f.coefficients == (1, 0, Fraction(1, 3), 0, Fraction(-1, 45))
 
-    def test_a_hat_series_matches_bernoulli_formula(self):
-        # (x/2)/sinh(x/2) = sum (2 - 2^(2k)) B_2k x^(2k) / (4^k (2k)!)
-        f = genus_series("A_hat", 12)
-        for k in range(0, 7):
-            expected = Fraction(2 - 2 ** (2 * k)) * bernoulli(2 * k) / (
-                Fraction(4**k) * factorial(2 * k)
-            )
-            assert f.coefficient(2 * k) == expected
-
-    def test_todd_series_matches_bernoulli_formula(self):
-        # x/(1 - e^(-x)) = sum (-1)^k B_k x^k / k!
-        f = genus_series("Todd", 10)
-        for k in range(11):
-            assert f.coefficient(k) == Fraction((-1) ** k) * bernoulli(k) / factorial(k)
+    def test_a_hat_series_frozen(self):
+        f = genus_series("A_hat", 4)
+        assert f.coefficients == (1, 0, Fraction(-1, 24), 0, Fraction(7, 5760))
 
     def test_todd_series_frozen(self):
         f = genus_series("Todd", 4)
@@ -112,16 +101,6 @@ class TestGenusSeries:
 
 
 class TestTaylorSeries:
-    def test_inverse_roundtrip(self):
-        f = genus_series("Todd", 8)
-        g = f.inverse()
-        assert (f * g).coefficients == (1,) + (Fraction(0),) * 8
-
-    def test_inverse_needs_unit(self):
-        s = TaylorSeries((0, 1))
-        with pytest.raises(ZeroDivisionError):
-            s.inverse()
-
     def test_scale_argument(self):
         f = TaylorSeries((1, 1, 1))
         g = f.scale_argument(Fraction(1, 2))

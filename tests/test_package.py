@@ -161,13 +161,19 @@ _OVER_BUDGET = {
     "oracle-modes": (["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5",
                       "--oracle-modes", str(10**12)],
                      f"--oracle-modes must be at most {cli.MAX_ORACLE_MODES}, got {10**12}"),
+    # beta*param/(2 pi) = 370,727.65: the series starts two modes past a head of 2^25
+    "oracle-head": (["detreg", "--op", "pbc_curvature_block", "--beta", "2", "--param",
+                     "1164675.2", "--oracle-modes", str(2 * 10**9)],
+                    "pbc_curvature_block oracle at beta=2.0, parameter=1164675.2 walks a head "
+                    f"of {cli.MAX_ORACLE_HEAD + 2} modes, above the {cli.MAX_ORACLE_HEAD} allowed"),
 }
 
 
 @pytest.mark.parametrize("name", _OVER_BUDGET)
 def test_work_budget_refusals_exit_2_within_a_second(name):
-    """Uncapped, genus --half-dim 1000 ran past a 15 s timeout, and detreg would walk 10^12
-    modes for about an hour; with the caps, a fresh interpreter refuses either at once."""
+    """Uncapped, genus --half-dim 1000 ran past a 15 s timeout, detreg would walk 10^12 modes
+    for about an hour, and a head one past 2^25 modes for about 5 s; with the caps, a fresh
+    interpreter refuses each at once."""
     argv, message = _OVER_BUDGET[name]
     start = time.perf_counter()
     proc = subprocess.run(
@@ -233,9 +239,8 @@ for argv in (["verify"], ["verify", "--all"], *(detreg + [kind] for kind in sys.
 
 def test_verify_and_short_head_detreg_never_load_numpy():
     """verify walks three oracles of 10^4 modes, verify --all three of 10^5 and detreg one of
-    10^5 by default, and one of 2*10^9 here: every head is a few modes, far below
-    PURE_MODE_LIMIT, so the pure kernel walks them and zeta_det, which imports numpy, never
-    loads."""
+    10^5 by default, and one of 2*10^9 here: the pure kernel walks each head, a few modes,
+    and zeta_det, which imports numpy, never loads."""
     walking = ("apbc_first_order_shifted", "pbc_curvature_block", "apbc_curvature_block")
     proc = _child(_NUMPY_FREE_CHILD, *walking)
     assert proc.returncode == 0, proc.stderr
@@ -280,33 +285,36 @@ def test_verify_never_imports_inspect():
     assert proc.returncode == 0, proc.stderr
 
 
-# beta*param/(2 pi) = 6000.5: the series starts at m = 543,104, past PURE_MODE_LIMIT = 2^19
+# beta*param/(2 pi) = 6000.5: the series starts at m = 543,104, past 2^19 + 1 modes
 _LONG_HEAD = ["--op", "pbc_curvature_block", "--beta", "2", "--param", str(6000.5 * math.pi)]
 
-_ABOVE_LIMIT_CHILD = """
+_LONG_HEAD_CHILD = """
 import io
 import sys
 from indexcalc.cli import run_cli
-from indexcalc.closed_forms import PURE_MODE_LIMIT
-argv = ["detreg", *sys.argv[1:], "--oracle-modes", str(PURE_MODE_LIMIT + 1), "--format", "json"]
+argv = ["detreg", *sys.argv[1:], "--format", "json"]
 out = io.StringIO()
 assert run_cli(argv, out) == 0
-assert "numpy" in sys.modules, "a head past PURE_MODE_LIMIT did not load numpy"
+loaded = [m for m in ("numpy", "indexcalc.zeta_det") if m in sys.modules]
+assert not loaded, f"a long head loaded {loaded}"
 print(out.getvalue())
 """
 
 
-def test_detreg_past_the_limit_loads_numpy_and_prints_zeta_det_values():
-    from indexcalc import zeta_det
-    from indexcalc.closed_forms import PURE_MODE_LIMIT
+@pytest.mark.parametrize("n_modes", [(1 << 19) + 1, 2 * 10**9])
+def test_detreg_with_a_long_head_walks_it_without_numpy(n_modes):
+    """A head of 543,103 modes, all of a walk of 2^19 + 1 modes and a small part of one of
+    2*10^9, walks in pure Python: the command prints closed_forms._ratio_oracle's value and
+    loads neither numpy nor zeta_det."""
+    from indexcalc import closed_forms
 
-    proc = _child(_ABOVE_LIMIT_CHILD, *_LONG_HEAD)
+    proc = _child(_LONG_HEAD_CHILD, *_LONG_HEAD, "--oracle-modes", str(n_modes))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    spec = zeta_det.OperatorSpec("pbc_curvature_block", 2.0, 6000.5 * math.pi)
-    record = zeta_det.regularized_det(spec, PURE_MODE_LIMIT + 1)
+    spec = closed_forms.OperatorSpec("pbc_curvature_block", 2.0, 6000.5 * math.pi)
+    closed, oracle = closed_forms.closed_form(spec), closed_forms._ratio_oracle(spec, n_modes)
     assert (doc["modes"], doc["closed"], doc["oracle"], doc["delta"]) == (
-        PURE_MODE_LIMIT + 1, record.closed_form, record.oracle_value, record.delta
+        n_modes, closed, oracle, oracle - closed
     )
 
 
@@ -385,36 +393,24 @@ def test_benchmark_tracer_still_finds_the_index_functions():
     assert calls["genera.chern_character"] == 1  # the twisted index only
 
 
-_TRACED_DETREG = """
-import io
-import json
-import sys
-sys.path.insert(0, sys.argv[1])
-import tracer
-spans = tracer.Tracer()
-spans.install()
-from indexcalc.cli import run_cli
-from indexcalc.closed_forms import PURE_MODE_LIMIT
-argv = ["detreg", *sys.argv[2:], "--oracle-modes", str(PURE_MODE_LIMIT + 1)]
-assert run_cli(argv, io.StringIO()) == 0
-print(json.dumps(spans.export()["calls"]))
-"""
-
-
-def test_benchmark_tracer_still_finds_the_determinant_layer():
-    """perfbench/tracer.py wraps zeta_det.oracle_product and closed_form by name; a traced
-    detreg with a head past PURE_MODE_LIMIT, which walks zeta_det's numpy kernel, must show
-    one span of each (the oracle's reference needs no closed_form call)."""
+@pytest.mark.parametrize("workload", ["det-oracle", "cli-cold"])
+def test_benchmark_runs_its_workloads_traced(workload):
+    """perfbench/tracer.py binds its spans by name: a tiny traced run of each workload must
+    answer correctly, and det-oracle's must show zeta_det.oracle_product, which no CLI command
+    reaches, and cli-cold's cli.run_cli, so a rename in src/ fails here."""
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", _TRACED_DETREG, str(SRC.parent / "perfbench"), *_LONG_HEAD],
-        env={"PYTHONPATH": str(SRC)},
+        [sys.executable, "-B", str(SRC.parent / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1", "--tiny"],
+        cwd=SRC.parent,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout)
-    assert calls["zeta_det.oracle_product"] == calls["zeta_det.closed_form"] == 1
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"], result
+    span = "zeta_det.oracle_product" if workload == "det-oracle" else "cli.run_cli"
+    assert result["metrics"][f"{span}.calls"]["value"] > 0
 
 
 def test_benchmark_worker_answers_a_det_oracle_stream():

@@ -545,7 +545,7 @@ class TestRatioWork:
             raise AssertionError("the oracle walked the modes")
 
         monkeypatch.setattr(zeta_det, "_block_log_ratio", walked)
-        monkeypatch.setattr(zeta_det, "_mode_numbers", walked)
+        monkeypatch.setattr(closed_forms, "_mode_numbers", walked)
         for beta, parameter in ((0.5, 0.0), (1.7, 0.0), (2.0, 0.0)):
             spec = OperatorSpec(kind, beta, parameter)
             for n_modes in (1, B, 10**9):
@@ -567,7 +567,7 @@ class TestRatioWork:
     def test_vanishing_pair_found_where_the_raw_route_has_it(self, kind, beta, k, extra, sign):
         n_modes = k + extra
         row = closed_forms._KINDS[kind]
-        freq = zeta_det._mode_numbers(row.periodic, k, k + 1)[0] * row.unit / beta
+        freq = closed_forms._mode_numbers(row.periodic, k, k + 1)[0] * row.unit / beta
         spec = OperatorSpec(kind, beta, sign * freq)
         with pytest.raises(SingularOperatorError) as info:
             oracle_product(spec, n_modes)
@@ -615,7 +615,7 @@ def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     sums of 1/m^2 and 1/m^4 over them."""
     if not start:
         return closed_forms._pure_block_log_ratio(kind, c, 0, stop)
-    m2 = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, stop)
+    m2 = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, stop)
     m2 *= m2
     curvature = closed_forms._KINDS[kind].pairs == "curvature"
     v = -c if curvature else c
@@ -663,7 +663,7 @@ class TestModeTables:
     @pytest.mark.parametrize("start, stop", BLOCKS)
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_block_log_ratio_equals_arange_route(self, kind, start, stop):
-        last = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, stop - 1, stop)[0]
+        last = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, stop - 1, stop)[0]
         # the last scale puts t > 1 on every mode of the block: the curvature head reaches its end
         for c in RATIO_SCALES + [(1.5 * last) ** 2]:
             assert zeta_det._block_log_ratio(kind, c, start, stop) == arange_block_log_ratio(
@@ -736,8 +736,7 @@ def _kernel_specs() -> list[OperatorSpec]:
     return specs
 
 
-AGREEMENT_MODES = [1, 2, 7, B - 1, B, B + 1, 10**5,
-                   closed_forms.PURE_MODE_LIMIT, closed_forms.PURE_MODE_LIMIT + 1]
+AGREEMENT_MODES = [1, 2, 7, B - 1, B, B + 1, 10**5, 1 << 19, (1 << 19) + 1]
 
 
 def _outcome(route, spec, n_modes):
@@ -786,27 +785,36 @@ class TestKernelAgreement:
             tracemalloc.stop()
         assert peak <= 16 * 1024
 
-    def test_entry_point_walks_a_short_head_in_pure_python_at_any_n(self, monkeypatch):
+    @pytest.mark.parametrize("spec, head, modes", [
+        (OperatorSpec("apbc_curvature_block", 1.0, 1.0), 14, (1, B + 1)),
+        # x = 6000.5: the series starts at m = 543,104, so a walk of 2^19 + 1 modes is all head
+        # (a shorter walk leaves the float range: its product overshoots by exp(2 x^2/N))
+        (OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * 6000.5), 543_103, ()),
+    ], ids=["short", "long"])
+    def test_entry_point_walks_every_head_in_pure_python_at_any_n(
+        self, spec, head, modes, monkeypatch
+    ):
         def numpy_walk(*args):
-            raise AssertionError("a short head went to zeta_det")
+            raise AssertionError("the entry point walked a block on numpy")
 
-        monkeypatch.setattr(zeta_det, "regularized_det", numpy_walk)
-        spec = OperatorSpec("apbc_curvature_block", 1.0, 1.0)  # a head of 15 modes
-        for n_modes in (1, B + 1, closed_forms.PURE_MODE_LIMIT + 1, 2 * 10**9):
+        monkeypatch.setattr(zeta_det, "_block_log_ratio", numpy_walk)
+        assert closed_forms._oracle_head(spec, 2 * 10**9) == head
+        for n_modes in (*modes, (1 << 19) + 1, 2 * 10**9):
             record = closed_forms.regularized_det(spec, n_modes)
             oracle = closed_forms._ratio_oracle(spec, n_modes)
             assert record == closed_forms.RegularizedDet(closed_form(spec), oracle, n_modes)
 
-    def test_entry_point_hands_a_head_past_the_limit_to_zeta_det(self):
-        limit = closed_forms.PURE_MODE_LIMIT
-        # x = 6000.5: the series starts at m = 543,104, so the head of a walk of limit + 1
-        # modes is all of it, and that of a walk of limit modes walks in pure Python
+    def test_entry_point_refuses_a_head_past_max_head_after_the_closed_form(self):
         spec = OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * 6000.5)
-        x = spec.parameter / (2.0 * math.pi)
-        assert closed_forms._series_split(True, x * x, 10**6) == 543_103
-        assert closed_forms.regularized_det(spec, limit + 1) == regularized_det(spec, limit + 1)
-        record = closed_forms.regularized_det(spec, limit)
-        assert record.oracle_value == closed_forms._ratio_oracle(spec, limit)
+        assert closed_forms._oracle_head(spec, 2 * 10**9) == 543_103
+        record = closed_forms.regularized_det(spec, 2 * 10**9, max_head=543_103)
+        assert record == closed_forms.regularized_det(spec, 2 * 10**9)
+        with pytest.raises(ValueError, match="walks a head of 543103 modes, above the 543102"):
+            closed_forms.regularized_det(spec, 2 * 10**9, max_head=543_102)
+        # a closed form that leaves the float range refuses first, at any head
+        spec = OperatorSpec("apbc_first_order_shifted", 1.0, 1e4)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            closed_forms.regularized_det(spec, 10**5, max_head=0)
 
 
 def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
@@ -833,7 +841,7 @@ class TestSeriesSum:
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_later_blocks_agree_with_40_digit_sum(self, kind, start, stop):
         mid = (start + stop) // 2
-        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, mid, mid + 1)[0]
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, mid, mid + 1)[0]
         # the numpy series starts mid-block, then in the block from 30*B on only (612.9 * 2^26
         # = m^2 at m = 202,800); the pure kernel's series starts before every block
         for c in (m * m * 2.0**-26, 612.9):
@@ -846,7 +854,7 @@ class TestSeriesSum:
     def test_first_mode_at_the_series_bound(self, kind, start):
         # the first t exactly 2^-26 puts the whole block in the series; one ulp above, the
         # first mode of a later block is walked (block 0's series takes both)
-        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
         stop = start + 1024
         for t in (2.0**-26, math.nextafter(2.0**-26, math.inf)):
             c = t * (m * m)
@@ -866,7 +874,7 @@ class TestSeriesSum:
         monkeypatch.setattr(np, "log1p", counted_log1p)
         c = 0.37  # t < 1 on every mode, and t <= 2^-26 from m = 4983 on
         for start in (B, 3 * B):  # later blocks: block 0 calls no numpy function (TestPureKernelSeries)
-            m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
+            m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
             walked.clear()
             zeta_det._block_log_ratio(kind, c, start, start + B)
             assert sum(walked) == np.count_nonzero(m * m < c * 2.0**26), start
@@ -891,14 +899,14 @@ class TestSeriesSum:
         numpy_route = zeta_det._block_log_ratio(kind, c, start, start + length)
         # log(t - 1) on a leading run of t > 1 can cancel the other terms: there the sums
         # agree to an absolute 1e-13, elsewhere every term has one sign
-        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
         cancels = curvature and c > m * m
         assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
 
 def arange_series_split(kind: str, c: float, stop: int) -> int:
     """The series split on np.arange: the number of modes below stop with m^2 < 2^13 c."""
-    m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, 0, stop)
+    m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, 0, stop)
     return int(np.count_nonzero(m * m < c * 2.0**13))
 
 
@@ -1005,7 +1013,7 @@ class TestPureKernelSeries:
         for c, series_from in ((at_bound, first),
                                (math.nextafter(at_bound, math.inf), first + (1 if periodic else 2))):
             head = arange_series_split(kind, c, stop)
-            assert zeta_det._mode_numbers(periodic, head, head + 1)[0] == series_from
+            assert closed_forms._mode_numbers(periodic, head, head + 1)[0] == series_from
             exact = _exact_block_log_ratio(kind, c, 0, stop)
             assert math.isclose(closed_forms._pure_block_log_ratio(kind, c, 0, stop), exact, rel_tol=1e-15), c
 
@@ -1026,7 +1034,7 @@ class TestPureKernelSeries:
         value = closed_forms._pure_block_log_ratio(kind, c, start, start + length)
         # log(t - 1) on a leading run of t > 1 can cancel the other terms: there the sums
         # agree to an absolute 1e-13, elsewhere every term has one sign
-        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
         cancels = curvature and c > m * m
         assert math.isclose(value, walked, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
@@ -1064,7 +1072,7 @@ class TestPureKernelSeries:
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_later_block_divides_the_head_by_c_and_the_tail_into_1(self, kind, monkeypatch):
         start = B
-        m = zeta_det._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
         c = m[B // 2] ** 2 * 2.0**-26  # t <= 2^-26 from mid-block on
         head = int(np.count_nonzero(m * m < c * 2.0**26))
         assert head == B // 2
@@ -1092,7 +1100,7 @@ class TestPureKernelSeries:
     @pytest.mark.parametrize("kind", ["pbc_curvature_block", "apbc_curvature_block"])
     def test_split_index_matches_a_search_on_the_squares(self, kind):
         periodic = closed_forms._KINDS[kind].periodic
-        m2 = zeta_det._mode_numbers(periodic, 0, 10**6) ** 2
+        m2 = closed_forms._mode_numbers(periodic, 0, 10**6) ** 2
         rng = np.random.default_rng(31)
         cs = [0.0, 5e-324, 2.0**-13, 1.0, 2.5, 1e4, 5.2e5, 2.0**19, 2.0**19 - 1, 1e8, math.inf]
         cs += list(10.0 ** rng.uniform(-9, 8, 300))
