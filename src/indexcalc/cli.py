@@ -186,10 +186,15 @@ def _cmd_detreg(args, out) -> int:
         raise ValueError(
             f"--oracle-modes must be at most {MAX_ORACLE_MODES}, got {args.oracle_modes}"
         )
-    from .closed_forms import OperatorSpec, regularized_det
+    from .closed_forms import OperatorSpec, _oracle_head, regularized_det
 
     spec = OperatorSpec(kind=args.op, beta=args.beta, parameter=args.param)
-    record = regularized_det(spec, args.oracle_modes, max_head=MAX_ORACLE_HEAD)
+    if (head := _oracle_head(spec, args.oracle_modes)) > MAX_ORACLE_HEAD:
+        raise ValueError(
+            f"{spec.kind} oracle at beta={spec.beta}, parameter={spec.parameter} walks a head "
+            f"of {head} modes, above the {MAX_ORACLE_HEAD} allowed"
+        )
+    record = regularized_det(spec, args.oracle_modes)
     payload = {
         "op": spec.kind,
         "beta": spec.beta,

@@ -517,17 +517,8 @@ def _oracle_head(spec: OperatorSpec, n_modes: int) -> int:
     return _series_split(row.periodic, x * x, n_modes)
 
 
-def regularized_det(
-    spec: OperatorSpec, n_modes: int, max_head: int | None = None
-) -> RegularizedDet:
+def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:
     """Closed form and oracle in one record, the oracle walked by the pure kernel in O(head) at
-    any N, with no numpy.  Given max_head, an oracle whose head is longer is refused after the
-    closed form, before any walk."""
+    any N, with no numpy."""
     n_modes = _mode_count(n_modes)
-    closed = closed_form(spec)
-    if max_head is not None and (head := _oracle_head(spec, n_modes)) > max_head:
-        raise ValueError(
-            f"{spec.kind} oracle at beta={spec.beta}, parameter={spec.parameter} walks a head "
-            f"of {head} modes, above the {max_head} allowed"
-        )
-    return RegularizedDet(closed, _ratio_oracle(spec, n_modes), n_modes)
+    return RegularizedDet(closed_form(spec), _ratio_oracle(spec, n_modes), n_modes)

@@ -397,7 +397,8 @@ def test_benchmark_tracer_still_finds_the_index_functions():
 def test_benchmark_runs_its_workloads_traced(workload):
     """perfbench/tracer.py binds its spans by name: a tiny traced run of each workload must
     answer correctly, and det-oracle's must show zeta_det.oracle_product, which no CLI command
-    reaches, and cli-cold's cli.run_cli, so a rename in src/ fails here."""
+    reaches, and the closed_form that zeta_det.regularized_det calls, and cli-cold's
+    cli.run_cli, so a rename in src/ fails here."""
     proc = subprocess.run(
         [sys.executable, "-B", str(SRC.parent / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1", "--tiny"],
@@ -409,8 +410,10 @@ def test_benchmark_runs_its_workloads_traced(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"], result
-    span = "zeta_det.oracle_product" if workload == "det-oracle" else "cli.run_cli"
-    assert result["metrics"][f"{span}.calls"]["value"] > 0
+    spans = (["zeta_det.oracle_product", "zeta_det.closed_form"] if workload == "det-oracle"
+             else ["cli.run_cli"])
+    for span in spans:
+        assert result["metrics"][f"{span}.calls"]["value"] > 0, span
 
 
 def test_benchmark_worker_answers_a_det_oracle_stream():

@@ -804,19 +804,6 @@ class TestKernelAgreement:
             oracle = closed_forms._ratio_oracle(spec, n_modes)
             assert record == closed_forms.RegularizedDet(closed_form(spec), oracle, n_modes)
 
-    def test_entry_point_refuses_a_head_past_max_head_after_the_closed_form(self):
-        spec = OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * 6000.5)
-        assert closed_forms._oracle_head(spec, 2 * 10**9) == 543_103
-        record = closed_forms.regularized_det(spec, 2 * 10**9, max_head=543_103)
-        assert record == closed_forms.regularized_det(spec, 2 * 10**9)
-        with pytest.raises(ValueError, match="walks a head of 543103 modes, above the 543102"):
-            closed_forms.regularized_det(spec, 2 * 10**9, max_head=543_102)
-        # a closed form that leaves the float range refuses first, at any head
-        spec = OperatorSpec("apbc_first_order_shifted", 1.0, 1e4)
-        with pytest.raises(ValueError, match="leaves the float range"):
-            closed_forms.regularized_det(spec, 10**5, max_head=0)
-
-
 def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """A block's log-ratio summed to 40 digits over the same float t = c/m^2 the kernels
     compute, so only the kernels' logs and sums are under test."""
