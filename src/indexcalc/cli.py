@@ -52,7 +52,7 @@ _GENUS_BUILDERS = {"L": l_class, "Ahat": a_hat_class, "Todd": todd_class}
 
 # Work budgets, each about 5 s of a cold command (Python 3.11, 2-core x86-64 VM): genus
 # --half-dim 24 took 3.0-4.8 s over L, Ahat and Todd (25: 5.0-5.8 s).  A detreg walks its
-# head, about 90*beta*|param|/unit modes, in pure Python at any --oracle-modes, and sums
+# head, about 11*beta*|param|/unit modes, in pure Python at any --oracle-modes, and sums
 # the rest in constant time: a head of 2^25 modes took 4.3-5.1 s.  An index on a
 # descriptor builds its genus at half its real_dim, so descriptors share the genus budget.
 # The library's builders, index functions and oracle keep no cap.

@@ -16,9 +16,9 @@ Laplacian kinds return their closed form with no walk; the others hand modes
 0..N-1 to a kernel (kind, c, start, stop) -> log-ratio sum, with
 c = (beta*|parameter|/unit)^2 and t = c/m^2 on mode number m: log1p(t) (shifted
 first-order) or 2 log|1 - t| (curvature blocks).  The pure kernel here walks the
-head, the modes before t <= 2^-13 (about 90 x of them, x = sqrt(c)), one log
-each through generators, and sums the rest as a series in the power sums of
-1/m^2..1/m^8 from _power_sums, so a walk costs O(head) at any N.  zeta_det
+head, the modes before t <= 2^-7 (about 11 x of them, x = sqrt(c)), one log
+each through generators, and sums the rest as an eight-term series in the power
+sums of 1/m^2..1/m^16 from _power_sums, so a walk costs O(head) at any N.  zeta_det
 walks the same skeleton in blocks, the later ones on numpy; the two agree to
 about one ulp of the log-ratio, and refuse alike, since every refusal comes
 from the skeleton.
@@ -240,20 +240,18 @@ def det_apbc_first_order(omega: float, beta: float) -> float:
 
 class _Kind(NamedTuple):
     periodic: bool  # mode number m = n at unit 2pi, else m = 2k+1 at unit pi
+    unit: float  # beta times the frequency of mode number 1: 2pi or pi
     pairs: str | None  # pair rule: None (no parameter), "shifted" or "curvature"
     closed: Callable[..., float]  # of (beta) if pairs is None, else of (parameter, beta)
 
-    @property
-    def unit(self) -> float:
-        return 2.0 * math.pi if self.periodic else math.pi
 
-
+_PBC, _APBC = (True, 2.0 * math.pi), (False, math.pi)
 _KINDS = {
-    "pbc_laplacian": _Kind(True, None, det_pbc_laplacian),
-    "pbc_first_order": _Kind(True, None, det_pbc_first_order),
-    "apbc_first_order_shifted": _Kind(False, "shifted", det_apbc_first_order),
-    "pbc_curvature_block": _Kind(True, "curvature", det_pbc_curvature_block),
-    "apbc_curvature_block": _Kind(False, "curvature", det_apbc_curvature_block),
+    "pbc_laplacian": _Kind(*_PBC, None, det_pbc_laplacian),
+    "pbc_first_order": _Kind(*_PBC, None, det_pbc_first_order),
+    "apbc_first_order_shifted": _Kind(*_APBC, "shifted", det_apbc_first_order),
+    "pbc_curvature_block": _Kind(*_PBC, "curvature", det_pbc_curvature_block),
+    "apbc_curvature_block": _Kind(*_APBC, "curvature", det_apbc_curvature_block),
 }
 OPERATOR_KINDS = tuple(_KINDS)
 
@@ -356,46 +354,52 @@ def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
 
 
 def _series_split(periodic: bool, c: float, stop: int) -> int:
-    """Index of the first mode with m^2 >= 2^13 c (t <= 2^-13), or stop if it lies at or past
-    stop: from there on u - u^2/2 + u^3/3 - u^4/4 is log1p(u) (u = t, or -t on the curvature
-    blocks) to within |u| 2^-53.  Exact: 2^13 c is an exact float, and m^2 >= it iff m^2 >=
-    its ceiling."""
-    bound = c * 2.0**13
+    """Index of the first mode with m^2 >= 2^7 c (t <= 2^-7), or stop if it lies at or past
+    stop: from there on the eight terms u - u^2/2 + ... - u^8/8 are log1p(u) (u = t, or -t on
+    the curvature blocks) to within |u|^9/(9(1 - |u|)) < |u| 2^-59.  Exact: 2^7 c is an exact
+    float, and m^2 >= it iff m^2 >= its ceiling."""
+    bound = c * 2.0**7
     if bound == math.inf:
         return stop
     first = math.isqrt(math.ceil(bound) - 1) + 1 if bound else 1  # least m, m^2 >= bound
     return min(first - 1 if periodic else first // 2, stop)  # m = k+1, or the odd m = 2k+1
 
 
-# The power sums S_s = sum of 1/m^s (s = 2, 4, 6, 8) over mode indices a..b-1 are differences
+# The power sums S_s = sum of 1/m^s (s = 2, 4, .., 16) over mode indices a..b-1 are differences
 # T_s(q_a) - T_s(q_b) of the tails T_s(q) = sum over i >= 0 of (q + h i)^-s, q a mode number and
 # h the step (1 periodic, 2 antiperiodic): zeta(s, q) or 2^-s zeta(s, q/2).  Euler-Maclaurin:
 #   T_s(q) = q^(1-s)/(h(s-1)) + q^-s/2 + R_s(q),
 #   R_s(q) = sum_k B_2k/(2k)! (s)_(2k-1) h^(2k-1) q^(1-s-2k).
 # Below mode index _EM_FROM, T and R come from tables, past it from _EM_TERMS series terms, or
-# 2 from q/h = _EM_FEW_FROM on: either leaves out under 2^-56 of T_s (1e-18 at q/h = 64, s = 8).
-_EM_POWERS = (2, 4, 6, 8)
+# 2 from q/h = _EM_FEW_FROM on: either leaves out under 2^-56 of T_s for s <= 8 (1e-18 at
+# q/h = 64, s = 8) and under 2^-50 for s = 10..16.  In the kernel's series S_2j enters with a
+# weight of at most 2^(-7(j-1))/j of S_2 (t <= 2^-7 on every mode it sums), so S_10..S_16 need
+# a relative 2^(7(j-1)-56) only: their tables are summed in floats, not in fixed point.
+_EM_POWERS = (2, 4, 6, 8, 10, 12, 14, 16)
 _EM_FROM = 64
 _EM_TERMS = 5
 _EM_FEW_FROM = 1100
 
 
-def _em_coefficients(step: int, terms: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    """Per power s: 1/(h(s-1)), and R_s's coefficients to that many terms, highest k first."""
+def _em_coefficients(step: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    """Per power s: 1/(h(s-1)), and R_s's coefficients to _EM_TERMS terms, highest k first."""
+    scaled = [(k, bernoulli(2 * k) * step ** (2 * k - 1) / math.factorial(2 * k))
+              for k in range(_EM_TERMS, 0, -1)]
     return tuple(
         (1 / (step * (s - 1)),
-         tuple(float(bernoulli(2 * k) * math.perm(s + 2 * k - 2, 2 * k - 1) * step ** (2 * k - 1)
-                     / math.factorial(2 * k)) for k in range(terms, 0, -1)))
+         tuple(float(b * math.perm(s + 2 * k - 2, 2 * k - 1)) for k, b in scaled))
         for s in _EM_POWERS
     )
 
 
-_EM_COEFFICIENTS = {(step, terms): _em_coefficients(step, terms)
-                    for step in (1, 2) for terms in (2, _EM_TERMS)}
+_EM_COEFFICIENTS = {}  # keyed by (step, terms); 2 terms are the last two of _EM_TERMS
+for _step in (1, 2):
+    _full = _EM_COEFFICIENTS[_step, _EM_TERMS] = _em_coefficients(_step)
+    _EM_COEFFICIENTS[_step, 2] = tuple((lead, rest[-2:]) for lead, rest in _full)
 
 
 def _em_rests(step: int, q: int, terms: int) -> list[float]:
-    """R_2(q)..R_8(q) by Euler-Maclaurin to 2 or _EM_TERMS terms, for q >= _EM_FROM h."""
+    """R_2(q)..R_16(q) by Euler-Maclaurin to 2 or _EM_TERMS terms, for q >= _EM_FROM h."""
     y = 1.0 / q
     y2 = y * y
     ys = y  # y^(s+1), from s = 2
@@ -410,32 +414,42 @@ def _em_rests(step: int, q: int, terms: int) -> list[float]:
 
 
 def _small_sums(periodic: bool) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
-    """T_2..T_8 and R_2..R_8 at the mode indices below _EM_FROM, summed down in fixed point from
-    the first mode past them and each rounded once."""
+    """T_2..T_16 and R_2..R_16 at the mode indices below _EM_FROM, summed down from the first
+    mode past them: T_2..T_8 in fixed point, each rounded once, the rest in floats."""
     step = 1 if periodic else 2
     one = 1 << 192  # in fixed point the sums of 1/m^s are exact to 2^-185
     first = _EM_FROM + 1 if periodic else 2 * _EM_FROM + 1
+    qs = range(first - step, 0, -step)
     tails, rests = [], []
     for s, rest in zip(_EM_POWERS, _em_rests(step, first, _EM_TERMS)):
         g = step * (s - 1)
-        tail = round(rest * one) + one * (2 * first + g) // (2 * g * first**s)
         tails.append([])
         rests.append([])
-        for q in range(first - step, 0, -step):
-            tail += one // q**s
-            tails[-1].append(tail / one)
-            rests[-1].append((tail - one * (2 * q + g) // (2 * g * q**s)) / one)
+        if s <= 8:
+            tail = round(rest * one) + one * (2 * first + g) // (2 * g * first**s)
+            for q in qs:
+                power = q**s
+                tail += one // power
+                tails[-1].append(tail / one)
+                rests[-1].append((tail - one * (2 * q + g) // (2 * g * power)) / one)
+        else:
+            tail = rest + first**-s * (first / g + 0.5)
+            for q in qs:
+                inverse = q**-s
+                tail += inverse
+                tails[-1].append(tail)
+                rests[-1].append(tail - inverse * (q / g + 0.5))
     return tuple(list(zip(*(column[::-1] for column in table))) for table in (tails, rests))
 
 
-_SMALL_TAILS, _SMALL_RESTS = {}, {}  # per parity, the four sums at each mode index
+_SMALL_TAILS, _SMALL_RESTS = {}, {}  # per parity, the eight sums at each mode index
 for _periodic in (True, False):
     _SMALL_TAILS[_periodic], _SMALL_RESTS[_periodic] = _small_sums(_periodic)
 
 
 def _power_sums(periodic: bool, a: int, b: int) -> list[float]:
-    """S2, S4, S6 and S8: the sums of 1/m^2..1/m^8 over the mode indices a..b-1 (0 <= a <= b),
-    m = k+1 or 2k+1, each within about one ulp."""
+    """S2, S4, .., S16: the sums of 1/m^2..1/m^16 over the mode indices a..b-1 (0 <= a <= b),
+    m = k+1 or 2k+1, S2..S8 each within about one ulp (S10..S16: see _EM_POWERS)."""
     step = 1 if periodic else 2
     qa, qb = (a + 1, b + 1) if periodic else (2 * a + 1, 2 * b + 1)
     if a < _EM_FROM and qb >= _EM_FEW_FROM * step:
@@ -463,23 +477,26 @@ def _power_sums(periodic: bool, a: int, b: int) -> list[float]:
 def _pure_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1, streamed: the
     modes before the series split walked with one log1p (or log(t - 1) where t > 1) each, t =
-    c/m^2 on the float m and math.fsum adding them, and the rest summed from _power_sums."""
+    c/m^2 on the float m, the rest summed as sum over j = 1..8 of (-1)^(j+1) v^j S_2j / j
+    (v = c, or -c on the curvature blocks) from _power_sums, and math.fsum adding the logs
+    and that sum, so the two meet with one rounding."""
     row = _KINDS[kind]
     curvature = row.pairs == "curvature"
     split = max(start, _series_split(row.periodic, c, stop))
     log_sum = 0.0
     if split < stop:  # no c*0 when an infinite c leaves no series
-        s2, s4, s6, s8 = _power_sums(row.periodic, split, stop)
+        s2, s4, s6, s8, s10, s12, s14, s16 = _power_sums(row.periodic, split, stop)
         v = -c if curvature else c
-        log_sum = v * (s2 - v * (0.5 * s4 - v * (s6 / 3.0 - 0.25 * v * s8)))
+        high = s10 / 5.0 - v * (s12 / 6.0 - v * (s14 / 7.0 - 0.125 * v * s16))
+        log_sum = v * (s2 - v * (0.5 * s4 - v * (s6 / 3.0 - v * (0.25 * s8 - v * high))))
     ms = range(start + 1, split + 1) if row.periodic else range(2 * start + 1, 2 * split, 2)
     if ms and not curvature:
-        log_sum += fsum(log1p(c / (m * m)) for m in map(float, ms))
+        log_sum = fsum(chain((log_sum,), (log1p(c / (m * m)) for m in map(float, ms))))
     elif ms:  # t > 1 on a leading run of modes only, where the log is log(t - 1); none if c <= 1
         above = bisect_left(ms, True, key=lambda m: c / (m * m) <= 1.0) if c > 1.0 else 0
         minus_c = -c
-        log_sum += fsum(chain((log(c / (m * m) - 1.0) for m in map(float, ms[:above])),
-                              (log1p(minus_c / (m * m)) for m in map(float, ms[above:]))))
+        log_sum = fsum(chain((log_sum,), (log(c / (m * m) - 1.0) for m in map(float, ms[:above])),
+                             (log1p(minus_c / (m * m)) for m in map(float, ms[above:]))))
     return 2.0 * log_sum if curvature else log_sum
 
 

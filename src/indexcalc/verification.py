@@ -4,7 +4,7 @@ Each criterion contributes named checks with an expected and a computed
 value; tolerances are fixed here, not configurable.  The quick mode trims
 the oracle mode counts; --all runs the full-size ratio oracles (10^5 modes)
 with the same tolerances.  Both sizes walk closed_forms.regularized_det's
-pure kernel, on heads under 60 modes, and never import numpy.  The
+pure kernel, on heads of at most 4 modes, and never import numpy.  The
 catalog is read before any criterion runs, and an index that comes out
 non-integer fails its row ("non-integer <v>").  Runtime rows print microseconds: a criterion that
 takes under half a millisecond still reads above zero.

@@ -3,7 +3,8 @@ oracle_product and regularized_det.
 
 oracle_product walks closed_forms' oracle skeleton in blocks of _ORACLE_BLOCK
 modes, and math.fsum adds the block sums.  Block 0 is the pure kernel's,
-closed_forms._pure_block_log_ratio.  No command imports this module: the CLI
+closed_forms._pure_block_log_ratio, which walks the modes with t = c/m^2 > 2^-7
+and sums the rest as an eight-term series.  No command imports this module: the CLI
 walks every oracle through closed_forms.regularized_det.  The library exports
 this module's oracle_product and regularized_det, and the benchmark's
 det-oracle workload calls them.

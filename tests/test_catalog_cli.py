@@ -691,26 +691,26 @@ class TestCliDetreg:
         assert run([*argv, "11"]) == (2, "", "error: --oracle-modes must be at most 10, got 11\n")
 
     def test_oracle_head_at_the_cap_runs(self, monkeypatch):
-        # beta*param/(2 pi) = 10.5: the series starts at m = 951, after a head of 950 modes
+        # beta*param/(2 pi) = 10.5: the series starts at m = 119, after a head of 118 modes
         argv = ["detreg", "--op", "pbc_curvature_block", "--beta", "2", "--param",
                 repr(10.5 * math.pi), "--oracle-modes", str(10**6), "--format", "json"]
-        monkeypatch.setattr(cli, "MAX_ORACLE_HEAD", 950)
+        monkeypatch.setattr(cli, "MAX_ORACLE_HEAD", 118)
         code, out, _ = run(argv)
         assert (code, json.loads(out)["modes"]) == (0, 10**6)
-        monkeypatch.setattr(cli, "MAX_ORACLE_HEAD", 949)
+        monkeypatch.setattr(cli, "MAX_ORACLE_HEAD", 117)
         start = time.perf_counter()
         assert run(argv) == (2, "", (
             f"error: pbc_curvature_block oracle at beta=2.0, parameter={10.5 * math.pi} walks "
-            "a head of 950 modes, above the 949 allowed\n"))
+            "a head of 118 modes, above the 117 allowed\n"))
         assert time.perf_counter() - start < 1.0
 
     def test_oracle_head_cap_sits_at_two_to_the_25(self):
-        # the real cap, with no walk: beta*param/(2 pi) = 2^25/sqrt(2^13) puts the series split
-        # at 2^25 + 1, and 1164675.2 (370,727.65) two modes past that
+        # the real cap, with no walk: beta*param/(2 pi) = 2^25/sqrt(2^7) puts the series split
+        # at 2^25 + 1, and 9317401.4 (2,965,820.98) two modes past that
         from indexcalc.closed_forms import OperatorSpec, _oracle_head
 
         assert cli.MAX_ORACLE_HEAD == 1 << 25
-        for param, head in ((math.pi * 2**25 / 2**6.5, 1 << 25), (1164675.2, (1 << 25) + 2)):
+        for param, head in ((math.pi * 2**25 / 2**3.5, 1 << 25), (9317401.4, (1 << 25) + 2)):
             spec = OperatorSpec("pbc_curvature_block", 2.0, param)
             assert _oracle_head(spec, cli.MAX_ORACLE_MODES) == head
 

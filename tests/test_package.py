@@ -161,10 +161,10 @@ _OVER_BUDGET = {
     "oracle-modes": (["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5",
                       "--oracle-modes", str(10**12)],
                      f"--oracle-modes must be at most {cli.MAX_ORACLE_MODES}, got {10**12}"),
-    # beta*param/(2 pi) = 370,727.65: the series starts two modes past a head of 2^25
+    # beta*param/(2 pi) = 2,965,820.98: the series starts two modes past a head of 2^25
     "oracle-head": (["detreg", "--op", "pbc_curvature_block", "--beta", "2", "--param",
-                     "1164675.2", "--oracle-modes", str(2 * 10**9)],
-                    "pbc_curvature_block oracle at beta=2.0, parameter=1164675.2 walks a head "
+                     "9317401.4", "--oracle-modes", str(2 * 10**9)],
+                    "pbc_curvature_block oracle at beta=2.0, parameter=9317401.4 walks a head "
                     f"of {cli.MAX_ORACLE_HEAD + 2} modes, above the {cli.MAX_ORACLE_HEAD} allowed"),
 }
 

@@ -786,10 +786,11 @@ class TestKernelAgreement:
         assert peak <= 16 * 1024
 
     @pytest.mark.parametrize("spec, head, modes", [
-        (OperatorSpec("apbc_curvature_block", 1.0, 1.0), 14, (1, B + 1)),
-        # x = 6000.5: the series starts at m = 543,104, so a walk of 2^19 + 1 modes is all head
-        # (a shorter walk leaves the float range: its product overshoots by exp(2 x^2/N))
-        (OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * 6000.5), 543_103, ()),
+        (OperatorSpec("apbc_curvature_block", 1.0, 1.0), 2, (1, B + 1)),
+        # x = 3000.5: the series starts at m = 33,947, so a walk of B + 1 modes is all head
+        # (one under about 25,000 modes leaves the float range: its product overshoots by
+        # exp(2 x^2/N))
+        (OperatorSpec("pbc_curvature_block", 1.0, 2.0 * math.pi * 3000.5), 33_946, (B + 1,)),
     ], ids=["short", "long"])
     def test_entry_point_walks_every_head_in_pure_python_at_any_n(
         self, spec, head, modes, monkeypatch
@@ -821,7 +822,7 @@ class TestSeriesSum:
     """The numpy kernel sums a later block's modes with t = c/m^2 <= 2^-26 as
     sum(u) - sum(u^2)/2 (u = t, or -t on the curvature blocks), one ulp or less from each
     mode's log1p; the modes before are walked with log1p or log|1 - t|.  Block 0 is the pure
-    kernel, which splits at 2^-13 (TestPureKernelSeries)."""
+    kernel, which splits at 2^-7 (TestPureKernelSeries)."""
 
     # two short later blocks, where the 40-digit sum costs less, and one whole one
     @pytest.mark.parametrize("start, stop", [(B, B + 4099), (2 * B + 17, 2 * B + 3000), (30 * B, 31 * B)])
@@ -892,9 +893,9 @@ class TestSeriesSum:
 
 
 def arange_series_split(kind: str, c: float, stop: int) -> int:
-    """The series split on np.arange: the number of modes below stop with m^2 < 2^13 c."""
+    """The series split on np.arange: the number of modes below stop with m^2 < 2^7 c."""
     m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, 0, stop)
-    return int(np.count_nonzero(m * m < c * 2.0**13))
+    return int(np.count_nonzero(m * m < c * 2.0**7))
 
 
 def walked_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
@@ -908,6 +909,10 @@ def walked_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
 
 
 POWERS = (2, 4, 6, 8)
+# S_2j enters the kernel's series as v^j S_2j / j, and t = |v|/m^2 <= 2^-7 on every mode it
+# sums, so |v|^(j-1) S_2j <= 2^(-7(j-1)) S_2: a relative error of 2^(7(j-1)-56) in S_2j moves
+# the series by under 2^-56 of its leading term v S_2
+HIGH_POWERS = {10: 2.0**-28, 12: 2.0**-21, 14: 2.0**-14, 16: 2.0**-7}
 
 
 class TestPowerSums:
@@ -951,10 +956,31 @@ class TestPowerSums:
                         value = closed_forms._power_sums(periodic, a, ends[j])[s // 2 - 1]
                         assert abs(value - exact) <= math.ulp(exact), (s, a, ends[j])
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_high_powers_agree_with_40_digit_hurwitz_zeta_within_their_weight(self, periodic):
+        # S_10..S_16 within the relative bound HIGH_POWERS derives from their weight in the
+        # series (they come within 14 ulps).  mpmath evaluates zeta(s, q) at 120 digits to keep
+        # 40: at 40 it loses up to 29 of them for s = 16 near q = 1099
+        mpmath = pytest.importorskip("mpmath")
+        ends = [0, 1, 2, 62, 63, 64, 65, 1098, 1099, 1100, 10**4, B, 10**6, 2 * 10**9]
+        with mpmath.workdps(120):
+            for i, (s, bound) in enumerate(HIGH_POWERS.items(), start=len(POWERS)):
+                def tail(k):
+                    if periodic:
+                        return mpmath.zeta(s, k + 1)
+                    return mpmath.zeta(s, k + mpmath.mpf(0.5)) / 2**s
+
+                tails = [tail(k) for k in ends]
+                for a_index, a in enumerate(ends):
+                    for j in range(a_index + 1, len(ends)):
+                        exact = float(tails[a_index] - tails[j])
+                        value = closed_forms._power_sums(periodic, a, ends[j])[i]
+                        assert abs(value - exact) <= bound * exact, (s, a, ends[j])
+
     def test_empty_range_sums_to_zero(self):
         for periodic in (True, False):
             for a in (0, 63, 64, 10**9):
-                assert closed_forms._power_sums(periodic, a, a) == [0.0] * 4
+                assert closed_forms._power_sums(periodic, a, a) == [0.0] * 8
 
     @pytest.mark.parametrize("s", POWERS)
     def test_first_series_term_left_out_is_below_2_to_the_minus_56(self, s):
@@ -968,17 +994,27 @@ class TestPowerSums:
             left_out = abs(bernoulli(2 * k)) / math.factorial(2 * k) * rising * (s - 1) / Fraction(q) ** (2 * k)
             assert left_out < Fraction(1, 2**56), (terms, q)
 
+    @pytest.mark.parametrize("s", HIGH_POWERS)
+    def test_high_powers_leave_out_less_than_their_weight_allows(self, s):
+        # as above, for S_10..S_16 against the relative bound of HIGH_POWERS
+        for terms, q in ((closed_forms._EM_TERMS, closed_forms._EM_FROM),
+                         (2, closed_forms._EM_FEW_FROM)):
+            k = terms + 1
+            rising = math.perm(s + 2 * k - 2, 2 * k - 1)
+            left_out = abs(bernoulli(2 * k)) / math.factorial(2 * k) * rising * (s - 1) / Fraction(q) ** (2 * k)
+            assert left_out < Fraction(HIGH_POWERS[s]), (terms, q)
+
 
 class TestPureKernelSeries:
-    """The pure kernel sums u - u^2/2 + u^3/3 - u^4/4 (u = t, or -t on the curvature blocks)
-    over its modes from the first with t = c/m^2 <= 2^-13 on, from _power_sums, and walks
+    """The pure kernel sums u - u^2/2 + ... - u^8/8 (u = t, or -t on the curvature blocks)
+    over its modes from the first with t = c/m^2 <= 2^-7 on, from _power_sums, and walks
     the head before that split; zeta_det's block 0 is this kernel."""
 
     @pytest.mark.parametrize("start", [0, B])
     @pytest.mark.parametrize("length", [3001, 12001])
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_partial_block_agrees_with_40_digit_sum(self, kind, start, length):
-        # t <= 2^-13 from m = 21 on at c = 0.05 and from m = 64 on at 0.5, so at start 0 the
+        # t <= 2^-7 from m = 3 on at c = 0.05 and from m = 8 on at 0.5, so at start 0 the
         # series starts inside the block.  t < 1 on every mode, so no log(t - 1) cancels the sum
         stop = start + length
         for c in (0.05, 0.5):
@@ -991,18 +1027,22 @@ class TestPureKernelSeries:
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     @pytest.mark.parametrize("first", [31, 301])
     def test_first_series_mode_at_the_bound_agrees_with_40_digit_sum(self, kind, first):
-        # c = 2^-13 m^2 puts t exactly 2^-13 on mode m, the first of the series; one ulp
-        # above, m is walked too
+        # c = 2^-7 m^2 puts t exactly 2^-7 on mode m, the first of the series; one ulp
+        # above, m is walked too.  The walk starts at the first mode with t <= 1/2, so every
+        # term has one sign: at m = 301 (c = 708) the apbc head's logs of t - 1 and 1 - t cancel
+        # to 1.28, and their roundings leave it 7 ulps off its 40-digit value
         periodic = closed_forms._KINDS[kind].periodic
-        at_bound = first * first * 2.0**-13
-        assert at_bound / (first * first) == 2.0**-13
+        at_bound = first * first * 2.0**-7
+        assert at_bound / (first * first) == 2.0**-7
         stop = 3000
         for c, series_from in ((at_bound, first),
                                (math.nextafter(at_bound, math.inf), first + (1 if periodic else 2))):
             head = arange_series_split(kind, c, stop)
             assert closed_forms._mode_numbers(periodic, head, head + 1)[0] == series_from
-            exact = _exact_block_log_ratio(kind, c, 0, stop)
-            assert math.isclose(closed_forms._pure_block_log_ratio(kind, c, 0, stop), exact, rel_tol=1e-15), c
+            start = arange_series_split(kind, c / 64.0, stop)  # m^2 < 2^7 c/64 = 2c
+            exact = _exact_block_log_ratio(kind, c, start, stop)
+            value = closed_forms._pure_block_log_ratio(kind, c, start, stop)
+            assert math.isclose(value, exact, rel_tol=1e-15), c
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -1034,7 +1074,7 @@ class TestPureKernelSeries:
                 return _log(t)
 
             monkeypatch.setattr(closed_forms, name, counted)
-        for c in (1e-6, 0.37, 2.5, 612.9):  # heads of 0 to 2240 modes
+        for c in (6.4e-5, 23.68, 160.0, 39225.6):  # heads of 0 to 2240 modes
             for n_modes in (B, 2 * 10**9):
                 logged.clear()
                 closed_forms._pure_block_log_ratio(kind, c, 0, n_modes)
@@ -1051,7 +1091,7 @@ class TestPureKernelSeries:
                 return getattr(np, name)
 
         monkeypatch.setattr(zeta_det, "np", Recorder())
-        for c in (1e-6, 0.37, 2.5, 612.9):  # heads of 0 to 2240 modes
+        for c in (6.4e-5, 23.68, 160.0, 39225.6):  # heads of 0 to 2240 modes
             value = zeta_det._block_log_ratio(kind, c, 0, 20000)
             assert looked_up == [], c
             assert value == closed_forms._pure_block_log_ratio(kind, c, 0, 20000)
@@ -1089,12 +1129,14 @@ class TestPureKernelSeries:
         periodic = closed_forms._KINDS[kind].periodic
         m2 = closed_forms._mode_numbers(periodic, 0, 10**6) ** 2
         rng = np.random.default_rng(31)
-        cs = [0.0, 5e-324, 2.0**-13, 1.0, 2.5, 1e4, 5.2e5, 2.0**19, 2.0**19 - 1, 1e8, math.inf]
-        cs += list(10.0 ** rng.uniform(-9, 8, 300))
-        cs += [float(k * k) * 2.0**-13 for k in range(1, 400)]
+        # 2^7 c = 2^32 = 65536^2 at c = 2^25, and 6.4e9 puts the split near 10^6
+        cs = [0.0, 5e-324, 2.0**-7, 1.0, 64.0, 160.0, 6.4e5, 3.328e7, 2.0**25, 2.0**25 - 64,
+              6.4e9, math.inf]
+        cs += list(10.0 ** rng.uniform(-7, 10, 300))
+        cs += [float(k * k) * 2.0**-7 for k in range(1, 400)]
         cs += [math.nextafter(c, t) for c in cs[-399:] for t in (0.0, math.inf)]
         for c in cs:
-            expected = int(np.searchsorted(m2, c * 2.0**13))
+            expected = int(np.searchsorted(m2, c * 2.0**7))
             for stop in (1, 100, B, 10**6):
                 assert closed_forms._series_split(periodic, c, stop) == min(expected, stop), c
 
