@@ -3,10 +3,8 @@ circle operators, fermionic normalization checks, and topological index
 evaluation on characteristic-number descriptors.
 
 Importing the package loads no submodule: each public name is imported from
-its submodule on first use (PEP 562).  Only oracle_product and
-regularized_det come from zeta_det, the blocked oracle on numpy; the CLI
-walks its determinants through the numpy-free closed_forms.regularized_det
-and never imports numpy.
+its submodule on first use (PEP 562).  No public name needs numpy:
+regularized_det is closed_forms', the route every command walks.
 """
 
 import importlib
@@ -16,7 +14,7 @@ __version__ = "0.1.0"
 # public name -> defining submodule; the only list of the package's exports
 _EXPORTS = {
     "exact_algebra": (
-        "bernoulli", "TaylorSeries", "genus_series", "GradedPolynomial", "symmetric_reduce",
+        "bernoulli", "TaylorSeries", "genus_series", "GradedPolynomial",
     ),
     "genera": (
         "GenusClass", "multiplicative_sequence", "l_class", "a_hat_class", "todd_class",
@@ -25,8 +23,8 @@ _EXPORTS = {
     "closed_forms": (
         "OperatorSpec", "RegularizedDet", "det_pbc_laplacian", "det_pbc_curvature_block",
         "det_apbc_curvature_block", "det_apbc_first_order", "fermion_partition",
+        "regularized_det",
     ),
-    "zeta_det": ("oracle_product", "regularized_det"),
     "clifford": (
         "ComplexRational", "GrassmannElement", "PauliString", "build_gamma", "chirality",
         "berezin_integrate", "normalization_psi2",

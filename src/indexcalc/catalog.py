@@ -34,7 +34,6 @@ __all__ = [
     "builtin_catalog",
     "effective_catalog",
     "catalog_entry",
-    "available_names",
     "load_descriptor",
     "save_descriptor",
     "resolve_manifold",
@@ -243,10 +242,6 @@ def effective_catalog() -> list[CatalogEntry]:
     entries = [overrides.pop(e.name, e) for e in builtin_catalog()]
     entries.extend(overrides.values())
     return entries
-
-
-def available_names() -> list[str]:
-    return [e.name for e in effective_catalog()]
 
 
 def catalog_entry(name: str) -> CatalogEntry:

@@ -19,9 +19,9 @@ Every subcommand accepts --format {text,json}.
 
 Each subcommand imports its modules when it runs, so genus, index and
 fermion-checks start without the determinant code.  detreg and verify walk the
-determinant oracle through closed_forms.regularized_det, whose pure kernel
-walks only the head before its series split at any --oracle-modes; no command
-imports numpy or zeta_det.
+determinant oracle through closed_forms.regularized_det, the package's
+regularized_det, whose pure kernel walks only the head before its series split
+at any --oracle-modes; no command needs numpy.
 JSON output and descriptor files are loaded on use too: text output never
 imports json, and only a descriptor path or a catalog directory loads
 descriptor_file.

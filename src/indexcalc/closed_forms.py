@@ -18,16 +18,13 @@ c = (beta*|parameter|/unit)^2 and t = c/m^2 on mode number m: log1p(t) (shifted
 first-order) or 2 log|1 - t| (curvature blocks).  The pure kernel here walks the
 head, the modes before t <= 2^-7 (about 11 x of them, x = sqrt(c)), one log
 each through generators, and sums the rest as an eight-term series in the power
-sums of 1/m^2..1/m^16 from _power_sums, so a walk costs O(head) at any N.  zeta_det
-walks the same skeleton in blocks, the later ones on numpy; the two agree to
-about one ulp of the log-ratio, and refuse alike, since every refusal comes
-from the skeleton.
+sums of 1/m^2..1/m^16 from _power_sums, so a walk costs O(head) at any N.
 
-This module imports no numpy at import time: only the standard library and
-exact_algebra.  Its regularized_det, the entry point of the one-shot commands
-(`detreg`, `verify`), walks every head in the pure kernel, so no command loads
-numpy or zeta_det.  Only _mode_numbers imports numpy, when called: by zeta_det,
-and by paired_mode_factors, the raw route the oracle is checked against.
+regularized_det, the package's and every command's route, walks every head in
+this kernel: the module imports only the standard library and exact_algebra.
+Only _mode_numbers imports numpy, a test dependency, when called: by
+paired_mode_factors, the raw route the tests check the oracle against, and by
+zeta_det, the benchmark's blocked walk of the same skeleton.
 
 Convention: the antiperiodic determinant of d/dt at zero shift is fixed to 2
 (the Hurwitz-zeta value exp(-zeta'(0)) with zeta(s) = (1-2^(-2s))zeta_R(2s)
@@ -39,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from itertools import chain
 from math import fsum, log, log1p
 from typing import Callable, NamedTuple
@@ -278,7 +274,7 @@ class OperatorSpec(_Value):
 
     def paired_mode_factors(self, n_modes: int):
         """Eigenvalue products over the symmetric mode pairs (n, -n) or (k, -k-1), as a
-        numpy array: the raw route the oracle is checked against, which loads numpy.
+        numpy array: the raw route the tests check the oracle against, which needs numpy.
 
         Pairing keeps every partial product real and positive wherever the
         full regularized product is.
@@ -299,7 +295,8 @@ class OperatorSpec(_Value):
 
 def _mode_numbers(periodic: bool, start: int, stop: int):
     """m = n for n = start+1..stop (periodic kinds) or 2k+1 for k = start..stop-1, as a numpy
-    array of floats: this module's one numpy import, for paired_mode_factors and zeta_det."""
+    array of floats: this module's one numpy import, made on call, for paired_mode_factors
+    and zeta_det."""
     import numpy as np
 
     if periodic:
@@ -353,16 +350,21 @@ def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
     return c
 
 
+def _least_root(bound: float, limit: int) -> int:
+    """The least integer m >= 1 with m^2 >= bound (0 <= bound <= inf), or limit if that is
+    smaller.  Exact: m^2 >= bound iff m^2 >= its ceiling."""
+    if bound > limit * limit:
+        return limit
+    return math.isqrt(math.ceil(bound) - 1) + 1 if bound else 1
+
+
 def _series_split(periodic: bool, c: float, stop: int) -> int:
     """Index of the first mode with m^2 >= 2^7 c (t <= 2^-7), or stop if it lies at or past
     stop: from there on the eight terms u - u^2/2 + ... - u^8/8 are log1p(u) (u = t, or -t on
     the curvature blocks) to within |u|^9/(9(1 - |u|)) < |u| 2^-59.  Exact: 2^7 c is an exact
-    float, and m^2 >= it iff m^2 >= its ceiling."""
-    bound = c * 2.0**7
-    if bound == math.inf:
-        return stop
-    first = math.isqrt(math.ceil(bound) - 1) + 1 if bound else 1  # least m, m^2 >= bound
-    return min(first - 1 if periodic else first // 2, stop)  # m = k+1, or the odd m = 2k+1
+    float."""
+    first = _least_root(c * 2.0**7, stop + 1 if periodic else 2 * stop + 1)
+    return first - 1 if periodic else first // 2  # m = k+1, or the odd m = 2k+1
 
 
 # The power sums S_s = sum of 1/m^s (s = 2, 4, .., 16) over mode indices a..b-1 are differences
@@ -476,10 +478,14 @@ def _power_sums(periodic: bool, a: int, b: int) -> list[float]:
 
 def _pure_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """Sum of log(lambda(parameter) / lambda(0)) over mode pairs start..stop-1, streamed: the
-    modes before the series split walked with one log1p (or log(t - 1) where t > 1) each, t =
-    c/m^2 on the float m, the rest summed as sum over j = 1..8 of (-1)^(j+1) v^j S_2j / j
-    (v = c, or -c on the curvature blocks) from _power_sums, and math.fsum adding the logs
-    and that sum, so the two meet with one rounding."""
+    modes before the series split walked with one log each, t = c/m^2 on the float m, the
+    rest summed as sum over j = 1..8 of (-1)^(j+1) v^j S_2j / j (v = c, or -c on the
+    curvature blocks) from _power_sums, and math.fsum adding the logs and that sum, so the
+    two meet with one rounding.
+
+    A curvature mode's log is log(t - 1) while t > 2, log(|m*m - c| / (m*m)) for
+    1/2 < t <= 2, where m*m - c is exact (Sterbenz) and so is m*m (m < 2^26.5, every head the
+    CLI admits), and log1p(-t) below: next to a vanishing pair no rounding of t is amplified."""
     row = _KINDS[kind]
     curvature = row.pairs == "curvature"
     split = max(start, _series_split(row.periodic, c, stop))
@@ -492,11 +498,16 @@ def _pure_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     ms = range(start + 1, split + 1) if row.periodic else range(2 * start + 1, 2 * split, 2)
     if ms and not curvature:
         log_sum = fsum(chain((log_sum,), (log1p(c / (m * m)) for m in map(float, ms))))
-    elif ms:  # t > 1 on a leading run of modes only, where the log is log(t - 1); none if c <= 1
-        above = bisect_left(ms, True, key=lambda m: c / (m * m) <= 1.0) if c > 1.0 else 0
+    elif ms:  # three runs by the exact m^2: below c/2, below 2c, and the rest (all if c <= 1/2)
+        above = band = 0
+        if c > 0.5:
+            beyond = ms[-1] + 1
+            above = len(range(ms.start, _least_root(c / 2.0, beyond), ms.step))
+            band = len(range(ms.start, _least_root(2.0 * c, beyond), ms.step))
         minus_c = -c
         log_sum = fsum(chain((log_sum,), (log(c / (m * m) - 1.0) for m in map(float, ms[:above])),
-                             (log1p(minus_c / (m * m)) for m in map(float, ms[above:]))))
+                             (log(abs(m * m - c) / (m * m)) for m in map(float, ms[above:band])),
+                             (log1p(minus_c / (m * m)) for m in map(float, ms[band:]))))
     return 2.0 * log_sum if curvature else log_sum
 
 

@@ -1,13 +1,14 @@
 """The truncated-product oracle in blocks, the later ones walked on numpy:
-oracle_product and regularized_det.
+oracle_product and regularized_det, for the benchmark's det-oracle workload.
+
+It needs numpy, a test dependency, and neither the package nor any command
+imports it: indexcalc.regularized_det is closed_forms'.  It stays as
+det-oracle's walk until that workload's worker memory is measured honestly.
 
 oracle_product walks closed_forms' oracle skeleton in blocks of _ORACLE_BLOCK
 modes, and math.fsum adds the block sums.  Block 0 is the pure kernel's,
 closed_forms._pure_block_log_ratio, which walks the modes with t = c/m^2 > 2^-7
-and sums the rest as an eight-term series.  No command imports this module: the CLI
-walks every oracle through closed_forms.regularized_det.  The library exports
-this module's oracle_product and regularized_det, and the benchmark's
-det-oracle workload calls them.
+and sums the rest as an eight-term series.
 
 A later block's mode numbers m are _MODES, one block's m for each parity, plus
 the block's offset: integers below 2^53, so exact floats, bit-identical to

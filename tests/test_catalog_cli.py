@@ -24,9 +24,9 @@ from indexcalc import index_engine as engine
 from indexcalc.catalog import (
     CATALOG_DIR_ENV,
     CatalogEntry,
-    available_names,
     builtin_catalog,
     catalog_entry,
+    effective_catalog,
     load_descriptor,
     resolve_manifold,
     save_descriptor,
@@ -54,7 +54,7 @@ def run(argv):
 
 class TestCatalog:
     def test_required_entries_present(self):
-        names = set(available_names())
+        names = {entry.name for entry in effective_catalog()}
         assert {"cp1", "cp2", "cp3", "cp1xcp1", "k3", "t2", "t4", "s4", "cp2xcp2"} <= names
 
     def test_unknown_name(self):

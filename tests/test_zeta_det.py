@@ -806,16 +806,17 @@ class TestKernelAgreement:
             assert record == closed_forms.RegularizedDet(closed_form(spec), oracle, n_modes)
 
 def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
-    """A block's log-ratio summed to 40 digits over the same float t = c/m^2 the kernels
-    compute, so only the kernels' logs and sums are under test."""
+    """A block's log-ratio summed to 40 digits over the exact t = c/m^2 of the float c, so
+    the kernels' rounding of t is under test too: next to a vanishing pair a log of the
+    float t - 1 amplifies it by 1/|1 - t|."""
     mpmath = pytest.importorskip("mpmath")
     row = closed_forms._KINDS[kind]
     ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
     with mpmath.workdps(40):
+        ts = (mpmath.mpf(c) / (m * m) for m in ms)
         if row.pairs != "curvature":
-            return float(mpmath.fsum(mpmath.log1p(c / (m * m)) for m in map(float, ms)))
-        terms = (mpmath.log(abs(1 - mpmath.mpf(c / (m * m)))) for m in map(float, ms))
-        return float(2 * mpmath.fsum(terms))
+            return float(mpmath.fsum(map(mpmath.log1p, ts)))
+        return float(2 * mpmath.fsum(mpmath.log(abs(1 - t)) for t in ts))
 
 
 class TestSeriesSum:
@@ -899,13 +900,22 @@ def arange_series_split(kind: str, c: float, stop: int) -> int:
 
 
 def walked_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
-    """The pure kernel with no series: one log1p or log(t - 1) a mode, summed by math.fsum."""
+    """The pure kernel with no series: one log a mode, each mode's run chosen on its own
+    m^2 (exact, as is its double), summed by math.fsum."""
     row = closed_forms._KINDS[kind]
     ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
-    ts = [c / (m * m) for m in map(float, ms)]
+    squares = [m * m for m in map(float, ms)]
     if row.pairs != "curvature":
-        return math.fsum(map(math.log1p, ts))
-    return 2.0 * math.fsum(math.log(t - 1.0) if t > 1.0 else math.log1p(-t) for t in ts)
+        return math.fsum(math.log1p(c / m2) for m2 in squares)
+
+    def log_term(m2):
+        if 2.0 * m2 < c:  # t > 2
+            return math.log(c / m2 - 1.0)
+        if m2 < 2.0 * c:  # 1/2 < t <= 2, where m^2 - c is exact
+            return math.log(abs(m2 - c) / m2)
+        return math.log1p(-c / m2)
+
+    return 2.0 * math.fsum(map(log_term, squares))
 
 
 POWERS = (2, 4, 6, 8)
@@ -1043,6 +1053,29 @@ class TestPureKernelSeries:
             exact = _exact_block_log_ratio(kind, c, start, stop)
             value = closed_forms._pure_block_log_ratio(kind, c, start, stop)
             assert math.isclose(value, exact, rel_tol=1e-15), c
+
+    @pytest.mark.parametrize("kind", ["pbc_curvature_block", "apbc_curvature_block"])
+    def test_walk_next_to_a_vanishing_pair_agrees_with_40_digit_sum(self, kind):
+        # x = k +- 1e-3 or k +- 1e-6 puts t = c/m^2 within 2e-3 or 2e-6 of 1 at m = k.  A log
+        # of the float t - 1 there amplified the rounding of t by 1/|1 - t|, up to 1.7e-10 of
+        # the sum; the walk takes log(|m*m - c| / (m*m)), whose m*m - c is exact
+        for k in (1, 7, 101, 1001):
+            for x in (k - 1e-3, k + 1e-3, k - 1e-6, k + 1e-6):
+                c = x * x
+                exact = _exact_block_log_ratio(kind, c, 0, 3000)
+                value = closed_forms._pure_block_log_ratio(kind, c, 0, 3000)
+                assert math.isclose(value, exact, rel_tol=1e-14), x
+
+    def test_long_head_next_to_a_vanishing_pair_agrees_with_40_digit_sum(self):
+        # the head of a 2*10^9-mode walk at x = 20000.5, 226,279 modes: 2 sum log|1 - c/m^2|
+        # is 3518.1490580909712489 to 20 digits, 1.7e-14 from its nearest float.  A log of the
+        # float t - 1 missed it by 3.6e-12, 8 ulps
+        spec = OperatorSpec("pbc_curvature_block", 2.0 * math.pi, 20000.5)
+        c = closed_forms._ratio_scale(spec, 2 * 10**9)
+        head = closed_forms._oracle_head(spec, 2 * 10**9)
+        assert (c, head) == (20000.5**2, 226_279)
+        value = closed_forms._pure_block_log_ratio(spec.kind, c, 0, head)
+        assert abs(value - 3518.1490580909712489) <= math.ulp(3518.0)
 
     @settings(deadline=None, max_examples=100)
     @given(
