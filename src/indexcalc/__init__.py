@@ -46,7 +46,7 @@ __all__ = ["__version__", *_SUBMODULE]
 def __getattr__(name: str):
     if name in _SUBMODULE:
         return getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
-    if name in _EXPORTS:  # indexcalc.zeta_det etc. without importing them first
+    if name in _EXPORTS:  # indexcalc.closed_forms etc. without importing them first
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

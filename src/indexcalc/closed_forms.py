@@ -6,8 +6,10 @@ Closed forms for the periodic/antiperiodic spectra
     PBC   nu_n    = 2*pi*n/beta,       n in Z (primed: n = 0 excluded)
     APBC  omega_k = (2k+1)*pi/beta,    k in Z
 
-from the spectral zeta function.  One table, _KINDS, gives each kind's mode
-numbers and unit, its pair rule and its closed form; closed form and oracle
+from the spectral zeta function.  Both are one progression: mode index k >= 0
+has mode number m = h*k + 1 and frequency m*unit/beta, unit = 2pi/h, with step
+h = 1 (periodic, m = n) or 2 (antiperiodic).  One table, _KINDS, gives each
+kind's step and unit, its pair rule and its closed form; closed form and oracle
 ask one _nearest_mode which curvature pair may vanish.
 
 The oracle regularizes by ratio to parameter zero (see _ratio_oracle), a
@@ -70,9 +72,9 @@ _ZETA_R_PRIME_AT_0 = -0.5 * math.log(2.0 * math.pi)
 class SingularOperatorError(ValueError):
     """The operator has an exactly vanishing eigenvalue at these parameters.
 
-    ``mode_index`` is the positive mode number m of the vanishing pair, whose
-    frequency m*unit/beta is |parameter|: n for the periodic pair (n, -n) and
-    2k+1 for the antiperiodic pair (k, -k-1), from closed form and oracle alike.
+    ``mode_index`` is the positive mode number m = h*k + 1 of the vanishing pair,
+    whose frequency m*unit/beta is |parameter|: n for the periodic pair (n, -n)
+    and 2k+1 for the antiperiodic pair (k, -k-1), from closed form and oracle alike.
     """
 
     def __init__(self, message: str, mode_index: int | None = None):
@@ -124,8 +126,9 @@ def _in_float_range(
 
 
 def _nearest_mode(kind: str, x: float) -> int:
-    """The mode number n (periodic) or 2k+1 nearest x = beta*parameter/unit, signed as x."""
-    return round(x) if _KINDS[kind].periodic else 2 * round((x - 1.0) / 2.0) + 1
+    """The mode number h*k + 1 (k in Z) nearest x = beta*parameter/unit, signed as x."""
+    step = _KINDS[kind].step
+    return step * round((x - 1.0) / step) + 1
 
 
 def _refuse_vanishing_pair(kind: str, beta: float, y: float) -> None:
@@ -139,7 +142,7 @@ def _refuse_vanishing_pair(kind: str, beta: float, y: float) -> None:
         )
     m = _nearest_mode(kind, x)
     if m != 0 and abs(x - m) <= _SINGULAR_TOL:
-        where = (f"{m}*pi (periodic mode n = {m})" if _KINDS[kind].periodic
+        where = (f"{m}*pi (periodic mode n = {m})" if _KINDS[kind].step == 1
                  else f"({m}/2)*pi (antiperiodic mode {m})")
         raise SingularOperatorError(f"zero eigenvalue: beta*y/2 = {where}", mode_index=abs(m))
 
@@ -235,13 +238,13 @@ def det_apbc_first_order(omega: float, beta: float) -> float:
 
 
 class _Kind(NamedTuple):
-    periodic: bool  # mode number m = n at unit 2pi, else m = 2k+1 at unit pi
-    unit: float  # beta times the frequency of mode number 1: 2pi or pi
+    step: int  # h: mode index k has mode number m = h*k + 1; 1 periodic, 2 antiperiodic
+    unit: float  # beta times the frequency of mode number 1: 2pi/h, so 2pi or pi
     pairs: str | None  # pair rule: None (no parameter), "shifted" or "curvature"
     closed: Callable[..., float]  # of (beta) if pairs is None, else of (parameter, beta)
 
 
-_PBC, _APBC = (True, 2.0 * math.pi), (False, math.pi)
+_PBC, _APBC = (1, 2.0 * math.pi), (2, math.pi)
 _KINDS = {
     "pbc_laplacian": _Kind(*_PBC, None, det_pbc_laplacian),
     "pbc_first_order": _Kind(*_PBC, None, det_pbc_first_order),
@@ -280,7 +283,7 @@ class OperatorSpec(_Value):
         full regularized product is.
         """
         row = _KINDS[self.kind]
-        freq = _mode_numbers(row.periodic, 0, _mode_count(n_modes)) * row.unit / self.beta
+        freq = _mode_numbers(row.step, 0, _mode_count(n_modes)) * row.unit / self.beta
         sq = freq * freq
         pairs = row.pairs
         if pairs is None:
@@ -293,15 +296,12 @@ class OperatorSpec(_Value):
         return d * d
 
 
-def _mode_numbers(periodic: bool, start: int, stop: int):
-    """m = n for n = start+1..stop (periodic kinds) or 2k+1 for k = start..stop-1, as a numpy
-    array of floats: this module's one numpy import, made on call, for paired_mode_factors
-    and zeta_det."""
+def _mode_numbers(step: int, start: int, stop: int):
+    """m = step*k + 1 (k+1 or 2k+1) for k = start..stop-1, as a numpy array of floats: this
+    module's one numpy import, made on call, for paired_mode_factors and zeta_det."""
     import numpy as np
 
-    if periodic:
-        return np.arange(start + 1, stop + 1, dtype=float)
-    return np.arange(2 * start + 1, 2 * stop, 2, dtype=float)
+    return np.arange(step * start + 1, step * stop + 1, step, dtype=float)
 
 
 def closed_form(spec: OperatorSpec) -> float:
@@ -338,7 +338,7 @@ def _ratio_scale(spec: OperatorSpec, n_modes: int) -> float:
     c = x * x
     if kind.pairs == "curvature" and x <= 2 * n_modes:
         m = _nearest_mode(spec.kind, x)
-        if 1 <= m <= (n_modes if kind.periodic else 2 * n_modes - 1):
+        if 1 <= m <= kind.step * (n_modes - 1) + 1:
             freq = m * kind.unit / spec.beta
             if freq == p:
                 raise SingularOperatorError(
@@ -358,13 +358,13 @@ def _least_root(bound: float, limit: int) -> int:
     return math.isqrt(math.ceil(bound) - 1) + 1 if bound else 1
 
 
-def _series_split(periodic: bool, c: float, stop: int) -> int:
+def _series_split(step: int, c: float, stop: int) -> int:
     """Index of the first mode with m^2 >= 2^7 c (t <= 2^-7), or stop if it lies at or past
     stop: from there on the eight terms u - u^2/2 + ... - u^8/8 are log1p(u) (u = t, or -t on
     the curvature blocks) to within |u|^9/(9(1 - |u|)) < |u| 2^-59.  Exact: 2^7 c is an exact
     float."""
-    first = _least_root(c * 2.0**7, stop + 1 if periodic else 2 * stop + 1)
-    return first - 1 if periodic else first // 2  # m = k+1, or the odd m = 2k+1
+    first = _least_root(c * 2.0**7, step * stop + 1)
+    return (first + step - 2) // step  # the least k with step*k + 1 >= first
 
 
 # The power sums S_s = sum of 1/m^s (s = 2, 4, .., 16) over mode indices a..b-1 are differences
@@ -394,12 +394,6 @@ def _em_coefficients(step: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
     )
 
 
-_EM_COEFFICIENTS = {}  # keyed by (step, terms); 2 terms are the last two of _EM_TERMS
-for _step in (1, 2):
-    _full = _EM_COEFFICIENTS[_step, _EM_TERMS] = _em_coefficients(_step)
-    _EM_COEFFICIENTS[_step, 2] = tuple((lead, rest[-2:]) for lead, rest in _full)
-
-
 def _em_rests(step: int, q: int, terms: int) -> list[float]:
     """R_2(q)..R_16(q) by Euler-Maclaurin to 2 or _EM_TERMS terms, for q >= _EM_FROM h."""
     y = 1.0 / q
@@ -415,12 +409,11 @@ def _em_rests(step: int, q: int, terms: int) -> list[float]:
     return rests
 
 
-def _small_sums(periodic: bool) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
+def _small_sums(step: int) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
     """T_2..T_16 and R_2..R_16 at the mode indices below _EM_FROM, summed down from the first
     mode past them: T_2..T_8 in fixed point, each rounded once, the rest in floats."""
-    step = 1 if periodic else 2
     one = 1 << 192  # in fixed point the sums of 1/m^s are exact to 2^-185
-    first = _EM_FROM + 1 if periodic else 2 * _EM_FROM + 1
+    first = step * _EM_FROM + 1
     qs = range(first - step, 0, -step)
     tails, rests = [], []
     for s, rest in zip(_EM_POWERS, _em_rests(step, first, _EM_TERMS)):
@@ -444,29 +437,31 @@ def _small_sums(periodic: bool) -> tuple[list[tuple[float, ...]], list[tuple[flo
     return tuple(list(zip(*(column[::-1] for column in table))) for table in (tails, rests))
 
 
-_SMALL_TAILS, _SMALL_RESTS = {}, {}  # per parity, the eight sums at each mode index
-for _periodic in (True, False):
-    _SMALL_TAILS[_periodic], _SMALL_RESTS[_periodic] = _small_sums(_periodic)
+_EM_COEFFICIENTS = {}  # keyed by (step, terms); 2 terms are the last two of _EM_TERMS
+_SMALL_TAILS, _SMALL_RESTS = {}, {}  # per step, the eight sums at each mode index
+for _step in (1, 2):
+    _full = _EM_COEFFICIENTS[_step, _EM_TERMS] = _em_coefficients(_step)
+    _EM_COEFFICIENTS[_step, 2] = tuple((lead, rest[-2:]) for lead, rest in _full)
+    _SMALL_TAILS[_step], _SMALL_RESTS[_step] = _small_sums(_step)
 
 
-def _power_sums(periodic: bool, a: int, b: int) -> list[float]:
+def _power_sums(step: int, a: int, b: int) -> list[float]:
     """S2, S4, .., S16: the sums of 1/m^2..1/m^16 over the mode indices a..b-1 (0 <= a <= b),
-    m = k+1 or 2k+1, S2..S8 each within about one ulp (S10..S16: see _EM_POWERS)."""
-    step = 1 if periodic else 2
-    qa, qb = (a + 1, b + 1) if periodic else (2 * a + 1, 2 * b + 1)
+    m = step*k + 1, S2..S8 each within about one ulp (S10..S16: see _EM_POWERS)."""
+    qa, qb = step * a + 1, step * b + 1
     if a < _EM_FROM and qb >= _EM_FEW_FROM * step:
         # the near tail is tabled, and the far one, under a sixteenth of it, summed in floats
         y = 1.0 / qb
         y2, ys, sums = y * y, y, []  # ys = y^(s-1), from s = 2
-        for near, (lead, (c2, c1)) in zip(_SMALL_TAILS[periodic][a], _EM_COEFFICIENTS[step, 2]):
+        for near, (lead, (c2, c1)) in zip(_SMALL_TAILS[step][a], _EM_COEFFICIENTS[step, 2]):
             sums.append(near - ys * (lead + y * (0.5 + y * (c1 + y2 * c2))))
             ys *= y2
         return sums
     # Else the first two terms' difference comes from integers: a short range far out cancels
     # nothing.  Both ends keep as many series terms, so their smooth truncation errors cancel
     terms = 2 if qa >= _EM_FEW_FROM * step else _EM_TERMS
-    rests_a = _SMALL_RESTS[periodic][a] if a < _EM_FROM else _em_rests(step, qa, terms)
-    rests_b = _SMALL_RESTS[periodic][b] if b < _EM_FROM else _em_rests(step, qb, terms)
+    rests_a = _SMALL_RESTS[step][a] if a < _EM_FROM else _em_rests(step, qa, terms)
+    rests_b = _SMALL_RESTS[step][b] if b < _EM_FROM else _em_rests(step, qb, terms)
     pa, pb, qa2, qb2, ta, tb = 1, 1, qa * qa, qb * qb, 2 * qa, 2 * qb
     sums = []
     for s, ra, rb in zip(_EM_POWERS, rests_a, rests_b):
@@ -487,15 +482,15 @@ def _pure_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     1/2 < t <= 2, where m*m - c is exact (Sterbenz) and so is m*m (m < 2^26.5, every head the
     CLI admits), and log1p(-t) below: next to a vanishing pair no rounding of t is amplified."""
     row = _KINDS[kind]
-    curvature = row.pairs == "curvature"
-    split = max(start, _series_split(row.periodic, c, stop))
+    step, curvature = row.step, row.pairs == "curvature"
+    split = max(start, _series_split(step, c, stop))
     log_sum = 0.0
     if split < stop:  # no c*0 when an infinite c leaves no series
-        s2, s4, s6, s8, s10, s12, s14, s16 = _power_sums(row.periodic, split, stop)
+        s2, s4, s6, s8, s10, s12, s14, s16 = _power_sums(step, split, stop)
         v = -c if curvature else c
         high = s10 / 5.0 - v * (s12 / 6.0 - v * (s14 / 7.0 - 0.125 * v * s16))
         log_sum = v * (s2 - v * (0.5 * s4 - v * (s6 / 3.0 - v * (0.25 * s8 - v * high))))
-    ms = range(start + 1, split + 1) if row.periodic else range(2 * start + 1, 2 * split, 2)
+    ms = range(step * start + 1, step * split + 1, step)
     if ms and not curvature:
         log_sum = fsum(chain((log_sum,), (log1p(c / (m * m)) for m in map(float, ms))))
     elif ms:  # three runs by the exact m^2: below c/2, below 2c, and the rest (all if c <= 1/2)
@@ -542,7 +537,7 @@ def _oracle_head(spec: OperatorSpec, n_modes: int) -> int:
     may move the split by one mode."""
     row = _KINDS[spec.kind]
     x = spec.beta * abs(spec.parameter) / row.unit
-    return _series_split(row.periodic, x * x, n_modes)
+    return _series_split(row.step, x * x, n_modes)
 
 
 def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:

@@ -10,13 +10,13 @@ modes, and math.fsum adds the block sums.  Block 0 is the pure kernel's,
 closed_forms._pure_block_log_ratio, which walks the modes with t = c/m^2 > 2^-7
 and sums the rest as an eight-term series.
 
-A later block's mode numbers m are _MODES, one block's m for each parity, plus
-the block's offset: integers below 2^53, so exact floats, bit-identical to
-np.arange.  The block walks its modes with t = c/m^2 > 2^-26 with one log1p (or
-log(t - 1) where t > 1) each, and sums log1p(u) (u = t, or -t on the curvature
-blocks) over the rest as sum(u) - sum(u^2)/2 = v (S2 - v S4/2), v = c or -c and
-S2, S4 the sums of 1/m^2 and 1/m^4 there: the terms dropped add up to under one
-ulp of u.  c scales the sums once, so a subnormal c keeps the digits a per-mode
+A later block's mode numbers m = h*k + 1 are _MODES, one block's m for each
+step h, plus the block's offset h*start: integers below 2^53, so exact floats,
+bit-identical to np.arange.  The block walks its modes with t = c/m^2 > 2^-26
+with one log1p (or log(t - 1) where t > 1) each, and sums log1p(u) (u = t, or
+-t on the curvature blocks) over the rest as sum(u) - sum(u^2)/2 = v (S2 - v
+S4/2), v = c or -c and S2, S4 the sums of 1/m^2 and 1/m^4 there: the terms
+dropped add up to under one ulp of u.  c scales the sums once, so a subnormal c keeps the digits a per-mode
 t would lose to underflow.  np.einsum sums S4 in numpy's own loop on the
 calling thread (np.dot and np.vdot would hand it to BLAS and its threads).
 """
@@ -44,9 +44,9 @@ __all__ = ["oracle_product", "regularized_det"]
 # mode numbers become log-ratios.
 _ORACLE_BLOCK = 1 << 15
 
-# One block's mode numbers, keyed by _Kind.periodic; read-only
-_MODES = {periodic: _mode_numbers(periodic, 0, _ORACLE_BLOCK) for periodic in (True, False)}
-_MODES[True].flags.writeable = _MODES[False].flags.writeable = False
+# One block's mode numbers, keyed by _Kind.step; read-only
+_MODES = {step: _mode_numbers(step, 0, _ORACLE_BLOCK) for step in (1, 2)}
+_MODES[1].flags.writeable = _MODES[2].flags.writeable = False
 
 
 def oracle_product(spec: OperatorSpec, n_modes: int) -> float:
@@ -79,8 +79,7 @@ def _block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     curvature = row.pairs == "curvature"
     signed_c = -c if curvature else c  # u = signed_c/m^2: t, or -t rising towards 0 with m
     # m = table + the block's offset, squared in place
-    offset = start if row.periodic else 2 * start
-    m2 = _MODES[row.periodic][: stop - start] + offset
+    m2 = _MODES[row.step][: stop - start] + row.step * start
     np.square(m2, out=m2)
     # t = c/m^2 <= _SERIES_T from the first m^2 >= c/_SERIES_T on: found on m^2, before the
     # divides overwrite it.  Those modes are summed as a series, the ones before walked

@@ -4,10 +4,12 @@ code its command runs."""
 from __future__ import annotations
 
 import ast
+import compileall
 import importlib
 import importlib.util
 import json
 import math
+import shutil
 import subprocess
 import sys
 import time
@@ -54,11 +56,12 @@ def test_cold_index_and_genus_never_import_numpy():
     assert proc.stdout.splitlines() == ["2", "1 + 1/2·c1 + 1/12·c2 + 1/12·c1^2 + 1/24·c1·c2"]
 
 
-def _child(code: str, *args: str) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter that writes no bytecode, with only src/ on its path."""
+def _child(code: str, *args: str, path: Path = SRC) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that writes no bytecode, with only ``path`` (by default
+    src/) on its path."""
     return subprocess.run(
         [sys.executable, "-B", "-c", code, *args],
-        env={"PYTHONPATH": str(SRC)},
+        env={"PYTHONPATH": str(path)},
         capture_output=True,
         text=True,
         timeout=60,
@@ -85,21 +88,33 @@ import numpy
 def peak_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+import indexcalc.exact_algebra
 before = peak_kib()
+import indexcalc.closed_forms
+between = peak_kib()
 import indexcalc.zeta_det
-print(peak_kib() - before)
+print(between - before, peak_kib() - between)
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_importing_zeta_det_after_numpy_raises_peak_rss_by_at_most_2_5_mib():
-    """zeta_det builds its two 256 KiB mode tables at import, and closed_forms a table of
-    about 500 floats.  After numpy, the import raised the peak RSS (VmHWM, which exec resets,
-    unlike the ru_maxrss a child inherits from its parent) by 1924-1988 KiB in eight runs, and
-    by 4872-4944 KiB when block 0 read 3 MiB of suffix tables of 1/m^2..1/m^8."""
-    proc = _child(_PEAK_RSS_CHILD)
+def test_importing_closed_forms_then_zeta_det_raises_peak_rss_by_at_most_0_5_then_1_mib(tmp_path):
+    """Each module's own rise of the peak RSS (VmHWM, which exec resets, unlike the ru_maxrss a
+    child inherits from its parent), with numpy and exact_algebra (and its fractions) already
+    loaded: closed_forms builds its Euler-Maclaurin tables of about 2000 floats, read at
+    212-224 KiB, and zeta_det its two 256 KiB mode tables, read at 520-528 KiB.
+
+    The child imports a copy of the package compiled to bytecode first: a module compiled from
+    source at import, whichever one it is, raises the peak by about 1.5 MiB, so a stale or
+    missing bytecode cache would decide the reading."""
+    package = tmp_path / "indexcalc"
+    shutil.copytree(SRC / "indexcalc", package, ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(package, quiet=1)
+    proc = _child(_PEAK_RSS_CHILD, path=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 2.5 * 1024  # KiB
+    closed_forms_kib, zeta_det_kib = map(int, proc.stdout.split())
+    assert closed_forms_kib <= 0.5 * 1024
+    assert zeta_det_kib <= 1024
 
 
 _NO_NUMPY_CHILD = """

@@ -567,7 +567,7 @@ class TestRatioWork:
     def test_vanishing_pair_found_where_the_raw_route_has_it(self, kind, beta, k, extra, sign):
         n_modes = k + extra
         row = closed_forms._KINDS[kind]
-        freq = closed_forms._mode_numbers(row.periodic, k, k + 1)[0] * row.unit / beta
+        freq = closed_forms._mode_numbers(row.step, k, k + 1)[0] * row.unit / beta
         spec = OperatorSpec(kind, beta, sign * freq)
         with pytest.raises(SingularOperatorError) as info:
             oracle_product(spec, n_modes)
@@ -615,7 +615,7 @@ def arange_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     sums of 1/m^2 and 1/m^4 over them."""
     if not start:
         return closed_forms._pure_block_log_ratio(kind, c, 0, stop)
-    m2 = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, stop)
+    m2 = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, start, stop)
     m2 *= m2
     curvature = closed_forms._KINDS[kind].pairs == "curvature"
     v = -c if curvature else c
@@ -663,7 +663,7 @@ class TestModeTables:
     @pytest.mark.parametrize("start, stop", BLOCKS)
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_block_log_ratio_equals_arange_route(self, kind, start, stop):
-        last = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, stop - 1, stop)[0]
+        last = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, stop - 1, stop)[0]
         # the last scale puts t > 1 on every mode of the block: the curvature head reaches its end
         for c in RATIO_SCALES + [(1.5 * last) ** 2]:
             assert zeta_det._block_log_ratio(kind, c, start, stop) == arange_block_log_ratio(
@@ -694,12 +694,22 @@ class TestModeTables:
                         regularized_det(OperatorSpec(kind, beta, parameter), n_modes)
                     except ValueError:  # singular pairs and the float range refused
                         pass
-        modes = {True: np.arange(1, B + 1, dtype=float), False: np.arange(1, 2 * B, 2, dtype=float)}
-        for periodic, expected in modes.items():
-            assert np.array_equal(zeta_det._MODES[periodic], expected)
-        for periodic in (True, False):
-            fresh = closed_forms._small_sums(periodic)
-            assert (closed_forms._SMALL_TAILS[periodic], closed_forms._SMALL_RESTS[periodic]) == fresh
+        modes = {1: np.arange(1, B + 1, dtype=float), 2: np.arange(1, 2 * B, 2, dtype=float)}
+        for step, expected in modes.items():
+            assert np.array_equal(zeta_det._MODES[step], expected)
+        for step in (1, 2):
+            fresh = closed_forms._small_sums(step)
+            assert (closed_forms._SMALL_TAILS[step], closed_forms._SMALL_RESTS[step]) == fresh
+
+
+def test_every_kind_has_mode_numbers_step_k_plus_1_at_unit_2pi_over_step():
+    """One spectrum rule: mode index k has mode number m = h*k + 1 at unit 2pi/h, with h = 1
+    (n = 1, 2, 3, ... at 2pi) on the periodic kinds and h = 2 (2k+1 at pi) on the others."""
+    for kind, row in closed_forms._KINDS.items():
+        assert row.step == (1 if kind.startswith("pbc") else 2), kind
+        assert row.unit == 2.0 * math.pi / row.step, kind
+        expected = [1.0, 2.0, 3.0] if row.step == 1 else [1.0, 3.0, 5.0]
+        assert closed_forms._mode_numbers(row.step, 0, 3).tolist() == expected, kind
 
 
 def _singular_parameter(kind: str, beta: float, m: int) -> float:
@@ -811,7 +821,7 @@ def _exact_block_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     float t - 1 amplifies it by 1/|1 - t|."""
     mpmath = pytest.importorskip("mpmath")
     row = closed_forms._KINDS[kind]
-    ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
+    ms = range(start + 1, stop + 1) if row.step == 1 else range(2 * start + 1, 2 * stop, 2)
     with mpmath.workdps(40):
         ts = (mpmath.mpf(c) / (m * m) for m in ms)
         if row.pairs != "curvature":
@@ -830,7 +840,7 @@ class TestSeriesSum:
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_later_blocks_agree_with_40_digit_sum(self, kind, start, stop):
         mid = (start + stop) // 2
-        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, mid, mid + 1)[0]
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, mid, mid + 1)[0]
         # the numpy series starts mid-block, then in the block from 30*B on only (612.9 * 2^26
         # = m^2 at m = 202,800); the pure kernel's series starts before every block
         for c in (m * m * 2.0**-26, 612.9):
@@ -843,7 +853,7 @@ class TestSeriesSum:
     def test_first_mode_at_the_series_bound(self, kind, start):
         # the first t exactly 2^-26 puts the whole block in the series; one ulp above, the
         # first mode of a later block is walked (block 0's series takes both)
-        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, start, start + 1)[0]
         stop = start + 1024
         for t in (2.0**-26, math.nextafter(2.0**-26, math.inf)):
             c = t * (m * m)
@@ -863,7 +873,7 @@ class TestSeriesSum:
         monkeypatch.setattr(np, "log1p", counted_log1p)
         c = 0.37  # t < 1 on every mode, and t <= 2^-26 from m = 4983 on
         for start in (B, 3 * B):  # later blocks: block 0 calls no numpy function (TestPureKernelSeries)
-            m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
+            m = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, start, start + B)
             walked.clear()
             zeta_det._block_log_ratio(kind, c, start, start + B)
             assert sum(walked) == np.count_nonzero(m * m < c * 2.0**26), start
@@ -888,14 +898,14 @@ class TestSeriesSum:
         numpy_route = zeta_det._block_log_ratio(kind, c, start, start + length)
         # log(t - 1) on a leading run of t > 1 can cancel the other terms: there the sums
         # agree to an absolute 1e-13, elsewhere every term has one sign
-        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, start, start + 1)[0]
         cancels = curvature and c > m * m
         assert math.isclose(numpy_route, pure, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
 
 def arange_series_split(kind: str, c: float, stop: int) -> int:
     """The series split on np.arange: the number of modes below stop with m^2 < 2^7 c."""
-    m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, 0, stop)
+    m = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, 0, stop)
     return int(np.count_nonzero(m * m < c * 2.0**7))
 
 
@@ -903,7 +913,7 @@ def walked_log_ratio(kind: str, c: float, start: int, stop: int) -> float:
     """The pure kernel with no series: one log a mode, each mode's run chosen on its own
     m^2 (exact, as is its double), summed by math.fsum."""
     row = closed_forms._KINDS[kind]
-    ms = range(start + 1, stop + 1) if row.periodic else range(2 * start + 1, 2 * stop, 2)
+    ms = range(start + 1, stop + 1) if row.step == 1 else range(2 * start + 1, 2 * stop, 2)
     squares = [m * m for m in map(float, ms)]
     if row.pairs != "curvature":
         return math.fsum(math.log1p(c / m2) for m2 in squares)
@@ -929,8 +939,8 @@ class TestPowerSums:
     """closed_forms._power_sums: S2..S8, the sums of 1/m^2..1/m^8 over a range of mode
     indices, as differences of the Euler-Maclaurin tail sums T_s (see closed_forms)."""
 
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_agree_with_fsum_within_two_ulps(self, periodic):
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_agree_with_fsum_within_two_ulps(self, step):
         # each term 1/m^s is an int / int, correctly rounded, so the fsum is within one ulp
         # of the exact sum, and _power_sums is: short ranges from every start below 200, at
         # random starts up to 2^30, and ending at 2*10^9, where a difference of two tail sums
@@ -941,13 +951,13 @@ class TestPowerSums:
         ranges += [(2**30 - int(n), 2**30) for n in rng.integers(1, 300, 20)]
         ranges += [(2 * 10**9 - int(n), 2 * 10**9) for n in rng.integers(1, 300, 20)]
         for a, b in ranges:
-            ms = range(a + 1, b + 1) if periodic else range(2 * a + 1, 2 * b, 2)
-            for s, value in zip(POWERS, closed_forms._power_sums(periodic, a, b)):
+            ms = range(a + 1, b + 1) if step == 1 else range(2 * a + 1, 2 * b, 2)
+            for s, value in zip(POWERS, closed_forms._power_sums(step, a, b)):
                 exact = math.fsum(1 / m**s for m in ms)
                 assert abs(value - exact) <= 2 * math.ulp(exact), (s, a, b)
 
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_agree_with_40_digit_hurwitz_zeta_within_one_ulp(self, periodic):
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_agree_with_40_digit_hurwitz_zeta_within_one_ulp(self, step):
         # T_s(q) is zeta(s, q) on the periodic modes and 2^-s zeta(s, q/2) on the odd ones.
         # The ends lie on both sides of the table's edge and of where the series keeps 2 terms
         mpmath = pytest.importorskip("mpmath")
@@ -955,7 +965,7 @@ class TestPowerSums:
         with mpmath.workdps(40):
             for s in POWERS:
                 def tail(k):
-                    if periodic:
+                    if step == 1:
                         return mpmath.zeta(s, k + 1)
                     return mpmath.zeta(s, k + mpmath.mpf(0.5)) / 2**s
 
@@ -963,11 +973,11 @@ class TestPowerSums:
                 for i, a in enumerate(ends):
                     for j in range(i + 1, len(ends)):
                         exact = float(tails[i] - tails[j])
-                        value = closed_forms._power_sums(periodic, a, ends[j])[s // 2 - 1]
+                        value = closed_forms._power_sums(step, a, ends[j])[s // 2 - 1]
                         assert abs(value - exact) <= math.ulp(exact), (s, a, ends[j])
 
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_high_powers_agree_with_40_digit_hurwitz_zeta_within_their_weight(self, periodic):
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_high_powers_agree_with_40_digit_hurwitz_zeta_within_their_weight(self, step):
         # S_10..S_16 within the relative bound HIGH_POWERS derives from their weight in the
         # series (they come within 14 ulps).  mpmath evaluates zeta(s, q) at 120 digits to keep
         # 40: at 40 it loses up to 29 of them for s = 16 near q = 1099
@@ -976,7 +986,7 @@ class TestPowerSums:
         with mpmath.workdps(120):
             for i, (s, bound) in enumerate(HIGH_POWERS.items(), start=len(POWERS)):
                 def tail(k):
-                    if periodic:
+                    if step == 1:
                         return mpmath.zeta(s, k + 1)
                     return mpmath.zeta(s, k + mpmath.mpf(0.5)) / 2**s
 
@@ -984,13 +994,13 @@ class TestPowerSums:
                 for a_index, a in enumerate(ends):
                     for j in range(a_index + 1, len(ends)):
                         exact = float(tails[a_index] - tails[j])
-                        value = closed_forms._power_sums(periodic, a, ends[j])[i]
+                        value = closed_forms._power_sums(step, a, ends[j])[i]
                         assert abs(value - exact) <= bound * exact, (s, a, ends[j])
 
     def test_empty_range_sums_to_zero(self):
-        for periodic in (True, False):
+        for step in (1, 2):
             for a in (0, 63, 64, 10**9):
-                assert closed_forms._power_sums(periodic, a, a) == [0.0] * 8
+                assert closed_forms._power_sums(step, a, a) == [0.0] * 8
 
     @pytest.mark.parametrize("s", POWERS)
     def test_first_series_term_left_out_is_below_2_to_the_minus_56(self, s):
@@ -1041,14 +1051,14 @@ class TestPureKernelSeries:
         # above, m is walked too.  The walk starts at the first mode with t <= 1/2, so every
         # term has one sign: at m = 301 (c = 708) the apbc head's logs of t - 1 and 1 - t cancel
         # to 1.28, and their roundings leave it 7 ulps off its 40-digit value
-        periodic = closed_forms._KINDS[kind].periodic
+        step = closed_forms._KINDS[kind].step
         at_bound = first * first * 2.0**-7
         assert at_bound / (first * first) == 2.0**-7
         stop = 3000
         for c, series_from in ((at_bound, first),
-                               (math.nextafter(at_bound, math.inf), first + (1 if periodic else 2))):
+                               (math.nextafter(at_bound, math.inf), first + step)):
             head = arange_series_split(kind, c, stop)
-            assert closed_forms._mode_numbers(periodic, head, head + 1)[0] == series_from
+            assert closed_forms._mode_numbers(step, head, head + 1)[0] == series_from
             start = arange_series_split(kind, c / 64.0, stop)  # m^2 < 2^7 c/64 = 2c
             exact = _exact_block_log_ratio(kind, c, start, stop)
             value = closed_forms._pure_block_log_ratio(kind, c, start, stop)
@@ -1094,7 +1104,7 @@ class TestPureKernelSeries:
         value = closed_forms._pure_block_log_ratio(kind, c, start, start + length)
         # log(t - 1) on a leading run of t > 1 can cancel the other terms: there the sums
         # agree to an absolute 1e-13, elsewhere every term has one sign
-        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + 1)[0]
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, start, start + 1)[0]
         cancels = curvature and c > m * m
         assert math.isclose(value, walked, rel_tol=1e-13, abs_tol=1e-13 if cancels else 0.0)
 
@@ -1132,7 +1142,7 @@ class TestPureKernelSeries:
     @pytest.mark.parametrize("kind", WALKING_KINDS)
     def test_later_block_divides_the_head_by_c_and_the_tail_into_1(self, kind, monkeypatch):
         start = B
-        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].periodic, start, start + B)
+        m = closed_forms._mode_numbers(closed_forms._KINDS[kind].step, start, start + B)
         c = m[B // 2] ** 2 * 2.0**-26  # t <= 2^-26 from mid-block on
         head = int(np.count_nonzero(m * m < c * 2.0**26))
         assert head == B // 2
@@ -1159,8 +1169,8 @@ class TestPureKernelSeries:
 
     @pytest.mark.parametrize("kind", ["pbc_curvature_block", "apbc_curvature_block"])
     def test_split_index_matches_a_search_on_the_squares(self, kind):
-        periodic = closed_forms._KINDS[kind].periodic
-        m2 = closed_forms._mode_numbers(periodic, 0, 10**6) ** 2
+        step = closed_forms._KINDS[kind].step
+        m2 = closed_forms._mode_numbers(step, 0, 10**6) ** 2
         rng = np.random.default_rng(31)
         # 2^7 c = 2^32 = 65536^2 at c = 2^25, and 6.4e9 puts the split near 10^6
         cs = [0.0, 5e-324, 2.0**-7, 1.0, 64.0, 160.0, 6.4e5, 3.328e7, 2.0**25, 2.0**25 - 64,
@@ -1171,7 +1181,7 @@ class TestPureKernelSeries:
         for c in cs:
             expected = int(np.searchsorted(m2, c * 2.0**7))
             for stop in (1, 100, B, 10**6):
-                assert closed_forms._series_split(periodic, c, stop) == min(expected, stop), c
+                assert closed_forms._series_split(step, c, stop) == min(expected, stop), c
 
 
 class TestModeCount:
