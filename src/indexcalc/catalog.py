@@ -7,7 +7,8 @@ import when called, so a command on a built-in entry never loads them.
 Each catalog entry records the indices expected on it, which keeps the
 `verify` subcommand self-contained.  The INDEXCALC_CATALOG_DIR environment
 variable may point at a directory of extra descriptor files; entries there
-shadow built-ins of the same name, and a value naming no directory is an error.
+shadow built-ins of the same name.  A value naming no directory, and two files
+there that describe one manifold, are errors.
 """
 
 from __future__ import annotations
@@ -232,12 +233,14 @@ def builtin_catalog() -> list[CatalogEntry]:
 def effective_catalog() -> list[CatalogEntry]:
     """Built-in entries with any directory overrides applied."""
     directory = os.environ.get(CATALOG_DIR_ENV)
-    overrides = {}
+    overrides, paths = {}, {}
     if directory:
         if not Path(directory).is_dir():
             raise DescriptorError(f"{CATALOG_DIR_ENV}={directory} is not a directory")
         for path in sorted(Path(directory).glob("*.json")):
             entry = load_descriptor(path)
+            if (first := paths.setdefault(entry.name, path)) != path:
+                raise DescriptorError(f"{first} and {path} both describe manifold {entry.name!r}")
             overrides[entry.name] = entry
     entries = [overrides.pop(e.name, e) for e in builtin_catalog()]
     entries.extend(overrides.values())

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from itertools import chain
 from math import fsum, log, log1p
 from typing import Callable, NamedTuple
@@ -96,8 +97,9 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _mode_count(n_modes: int) -> int:
-    """n_modes as an int >= 1; bool and non-integer values are refused."""
+def _mode_count(n_modes: int, step: int) -> int:
+    """n_modes as an int >= 1 whose end mode number step*n_modes + 1 is a float, as the power
+    sums take its reciprocal; bool and non-integer values are refused."""
     try:
         if isinstance(n_modes, bool):
             raise TypeError
@@ -106,6 +108,8 @@ def _mode_count(n_modes: int) -> int:
         raise ValueError(f"the number of modes must be an integer, got {n_modes!r}") from None
     if n_modes < 1:
         raise ValueError("need at least one mode")
+    if step * n_modes + 1 > sys.float_info.max:
+        raise ValueError(f"{n_modes} modes reach mode number {step}*N + 1, past the float range")
     return n_modes
 
 
@@ -283,7 +287,7 @@ class OperatorSpec(_Value):
         full regularized product is.
         """
         row = _KINDS[self.kind]
-        freq = _mode_numbers(row.step, 0, _mode_count(n_modes)) * row.unit / self.beta
+        freq = _mode_numbers(row.step, 0, _mode_count(n_modes, row.step)) * row.unit / self.beta
         sq = freq * freq
         pairs = row.pairs
         if pairs is None:
@@ -517,8 +521,8 @@ def _ratio_oracle(
     reference determinant at parameter 0.  The Laplacian kinds return that
     reference with no walk: their eigenvalues do not depend on the parameter.
     """
-    n_modes = _mode_count(n_modes)
     kind, beta = spec.kind, spec.beta
+    n_modes = _mode_count(n_modes, _KINDS[kind].step)
     if _KINDS[kind].pairs is None:  # the reference at +0.0, named so in a refusal
         return closed_form(OperatorSpec(kind, beta))
     c = _ratio_scale(spec, n_modes)
@@ -543,5 +547,5 @@ def _oracle_head(spec: OperatorSpec, n_modes: int) -> int:
 def regularized_det(spec: OperatorSpec, n_modes: int) -> RegularizedDet:
     """Closed form and oracle in one record, the oracle walked by the pure kernel in O(head) at
     any N, with no numpy."""
-    n_modes = _mode_count(n_modes)
+    n_modes = _mode_count(n_modes, _KINDS[spec.kind].step)
     return RegularizedDet(closed_form(spec), _ratio_oracle(spec, n_modes), n_modes)

@@ -682,13 +682,17 @@ class TestCliDetreg:
         assert (code, out) == (2, "")
         assert f"--oracle-modes must be at least 1, got {modes}" in err
 
-    def test_oracle_modes_at_the_cap_runs(self, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_ORACLE_MODES", 10)
-        argv = ["detreg", "--op", "pbc_curvature_block", "--beta", "1", "--param", "0.5",
+    def test_oracle_modes_of_10_to_the_12_run_within_a_second(self):
+        # the oracle walks its head and sums the rest in constant time: more modes cost no
+        # more, and only bring the truncated product closer to its closed form
+        argv = ["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5",
                 "--format", "json", "--oracle-modes"]
-        code, out, _ = run([*argv, "10"])
-        assert (code, json.loads(out)["modes"]) == (0, 10)
-        assert run([*argv, "11"]) == (2, "", "error: --oracle-modes must be at most 10, got 11\n")
+        start = time.perf_counter()
+        code, out, _ = run([*argv, str(10**12)])
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(out)
+        assert (code, doc["modes"]) == (0, 10**12)
+        assert abs(doc["delta"]) < abs(json.loads(run([*argv, str(10**5)])[1])["delta"])
 
     def test_oracle_head_at_the_cap_runs(self, monkeypatch):
         # beta*param/(2 pi) = 10.5: the series starts at m = 119, after a head of 118 modes
@@ -712,7 +716,7 @@ class TestCliDetreg:
         assert cli.MAX_ORACLE_HEAD == 1 << 25
         for param, head in ((math.pi * 2**25 / 2**3.5, 1 << 25), (9317401.4, (1 << 25) + 2)):
             spec = OperatorSpec("pbc_curvature_block", 2.0, param)
-            assert _oracle_head(spec, cli.MAX_ORACLE_MODES) == head
+            assert _oracle_head(spec, 2 * 10**9) == head
 
     def test_float_overflow_exits_2(self):
         code, out, err = run(
@@ -826,6 +830,14 @@ class TestCliVerify:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_all_is_kept_and_runs_the_same_suite(self, fmt):
+        def masked(argv):
+            code, out, err = run([*argv, "--format", fmt])
+            return code, re.sub(r"\b\d+\.\d+ s\b", "<runtime> s", out), err
+
+        assert masked(["verify", "--all"]) == masked(["verify"])
 
     def test_json_structure(self):
         code, out, _ = run(["verify", "--format", "json"])
@@ -1041,6 +1053,18 @@ class TestCatalogDirMustBeADirectory:
     def test_empty_value_means_unset(self, monkeypatch):
         monkeypatch.setenv(CATALOG_DIR_ENV, "")
         assert run(["index", "--manifold", "k3", "--complex", "spin"]) == (0, "2\n", "")
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["index", "--manifold", "k3", "--complex", "spin"]])
+def test_two_catalog_dir_files_naming_one_manifold_exit_2(argv, tmp_path, monkeypatch):
+    # the later file silently replaced the earlier, whose expectations verify never read
+    entry = catalog_entry("cp2")
+    save_descriptor(entry, tmp_path / "a.json")
+    save_descriptor(CatalogEntry(entry.manifold, entry.bundles, {"signature": 1}),
+                    tmp_path / "b.json")
+    monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
+    message = f"{tmp_path / 'a.json'} and {tmp_path / 'b.json'} both describe manifold 'cp2'"
+    assert run(argv) == (2, "", f"error: {message}\n")
 
 
 class TestCliMisc:

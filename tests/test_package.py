@@ -168,6 +168,11 @@ def test_runtime_dependencies_are_empty_and_numpy_is_a_test_extra():
     assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
 
 
+# the largest float is an even integer M: the least counts with step*N + 1 > M, per step
+_LARGEST_FLOAT = int(sys.float_info.max)
+_PAST_FLOATS = (("pbc_curvature_block", 1, _LARGEST_FLOAT),
+                ("apbc_curvature_block", 2, _LARGEST_FLOAT // 2))
+
 _DETREG_REFUSALS = [
     (["--op", "pbc_laplacian", "--beta", "inf"], "beta must be finite and positive, got inf"),
     (["--op", "apbc_curvature_block", "--beta", "1", "--param", "nan"],
@@ -177,9 +182,9 @@ _DETREG_REFUSALS = [
      "'apbc_first_order_shifted', 'pbc_curvature_block', 'apbc_curvature_block')"),
     (["--op", "pbc_first_order", "--beta", "1", "--param", "0.7"],
      "pbc_first_order takes no parameter, got parameter=0.7"),
-    (["--op", "pbc_curvature_block", "--beta", "1", "--param", "0.5",
-      "--oracle-modes", str(10**12)],
-     f"--oracle-modes must be at most {cli.MAX_ORACLE_MODES}, got {10**12}"),
+    *((["--op", op, "--beta", "1", "--param", "0.5", "--oracle-modes", str(modes)],
+       f"{modes} modes reach mode number {step}*N + 1, past the float range")
+      for op, step, modes in _PAST_FLOATS),
 ]
 
 _DETREG_CHILD = """
@@ -195,7 +200,9 @@ print(json.dumps([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
 
 
 @pytest.mark.parametrize(
-    "argv, message", _DETREG_REFUSALS, ids=["beta", "param", "op", "laplacian", "modes"]
+    "argv, message", _DETREG_REFUSALS,
+    ids=["beta", "param", "op", "laplacian", "modes-past-floats-step-1",
+         "modes-past-floats-step-2"],
 )
 def test_refused_detreg_never_loads_numpy(argv, message):
     proc = _child(_DETREG_CHILD, json.dumps([argv, message]))
@@ -206,9 +213,6 @@ def test_refused_detreg_never_loads_numpy(argv, message):
 _OVER_BUDGET = {
     "half-dim": (["genus", "--kind", "L", "--half-dim", "1000"],
                  f"--half-dim must be at most {cli.MAX_GENUS_HALF_DIM}, got 1000"),
-    "oracle-modes": (["detreg", "--op", "apbc_curvature_block", "--beta", "1", "--param", "0.5",
-                      "--oracle-modes", str(10**12)],
-                     f"--oracle-modes must be at most {cli.MAX_ORACLE_MODES}, got {10**12}"),
     # beta*param/(2 pi) = 2,965,820.98: the series starts two modes past a head of 2^25
     "oracle-head": (["detreg", "--op", "pbc_curvature_block", "--beta", "2", "--param",
                      "9317401.4", "--oracle-modes", str(2 * 10**9)],
@@ -219,10 +223,16 @@ _OVER_BUDGET = {
 
 @pytest.mark.parametrize("name", _OVER_BUDGET)
 def test_work_budget_refusals_exit_2_within_a_second(name):
-    """Uncapped, genus --half-dim 1000 ran past a 15 s timeout, detreg would walk 10^12 modes
-    for about an hour, and a head one past 2^25 modes for about 5 s; with the caps, a fresh
-    interpreter refuses each at once."""
+    """Uncapped, genus --half-dim 1000 ran past a 15 s timeout, and a head one past 2^25
+    modes walked for about 5 s; with the caps, a fresh interpreter refuses each at once."""
     argv, message = _OVER_BUDGET[name]
+    proc, elapsed = _cold_indexcalc(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert elapsed < 1.0
+
+
+def _cold_indexcalc(argv: list[str]) -> tuple[subprocess.CompletedProcess, float]:
+    """indexcalc argv in a fresh interpreter, and its wall time in seconds."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-B", "-m", "indexcalc", *argv],
@@ -231,7 +241,19 @@ def test_work_budget_refusals_exit_2_within_a_second(name):
         text=True,
         timeout=10,
     )
-    elapsed = time.perf_counter() - start
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("op, step, modes", _PAST_FLOATS, ids=["step-1", "step-2"])
+def test_mode_counts_on_both_sides_of_the_float_range_within_a_second(op, step, modes):
+    """--oracle-modes is no work budget: the largest count whose end mode number step*N + 1
+    is a float runs cold in under a second, and the next one exits 2 naming itself."""
+    argv = ["detreg", "--op", op, "--beta", "1", "--param", "0.5", "--oracle-modes"]
+    proc, elapsed = _cold_indexcalc([*argv, str(modes - 1)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("closed=") and elapsed < 1.0
+    proc, elapsed = _cold_indexcalc([*argv, str(modes)])
+    message = f"{modes} modes reach mode number {step}*N + 1, past the float range"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert elapsed < 1.0
 
@@ -276,7 +298,7 @@ import sys
 from indexcalc.cli import run_cli
 detreg = ["detreg", "--beta", "1", "--param", "0.5", "--op"]
 for argv in (["verify"], ["verify", "--all"], *(detreg + [kind] for kind in sys.argv[1:]),
-             detreg + ["apbc_curvature_block", "--oracle-modes", "2000000000"]):
+             detreg + ["apbc_curvature_block", "--oracle-modes", str(10**12)]):
     out = io.StringIO()
     assert run_cli(argv, out) == 0, argv
     assert argv[0] == "verify" or out.getvalue().startswith("closed="), out.getvalue()
@@ -286,9 +308,9 @@ for argv in (["verify"], ["verify", "--all"], *(detreg + [kind] for kind in sys.
 
 
 def test_verify_and_short_head_detreg_never_load_numpy():
-    """verify walks three oracles of 10^4 modes, verify --all three of 10^5 and detreg one of
-    10^5 by default, and one of 2*10^9 here: the pure kernel walks each head, a few modes,
-    and zeta_det, which imports numpy, never loads."""
+    """verify and verify --all each walk three oracles of 10^5 modes, and detreg one of 10^5
+    by default and one of 10^12 here: the pure kernel walks each head, a few modes, and
+    zeta_det, which imports numpy, never loads."""
     walking = ("apbc_first_order_shifted", "pbc_curvature_block", "apbc_curvature_block")
     proc = _child(_NUMPY_FREE_CHILD, *walking)
     assert proc.returncode == 0, proc.stderr
