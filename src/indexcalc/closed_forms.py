@@ -114,17 +114,18 @@ def _mode_count(n_modes: int, step: int) -> int:
 
 
 def _in_float_range(
-    compute: Callable[[], float], kind: str, beta: float, parameter: float
+    compute: Callable[[], float], what: str, beta: float, parameter: float
 ) -> float:
-    """compute(), refused with a ValueError naming the operator if it leaves the float range:
-    overflows, or falls below sys.float_info.min = 2**-1022, where no regular determinant lies."""
+    """compute(), refused with a ValueError naming what it is ("<kind> determinant" or
+    "<kind> oracle over <N> modes") if it leaves the float range: overflows, or falls below
+    sys.float_info.min = 2**-1022, where no regular determinant lies."""
     try:
         value = compute()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value) or abs(value) < 2.0**-1022:
         raise ValueError(
-            f"{kind} determinant at beta={beta}, parameter={parameter} leaves the float range"
+            f"{what} at beta={beta}, parameter={parameter} leaves the float range"
         )
     return value
 
@@ -313,7 +314,7 @@ def closed_form(spec: OperatorSpec) -> float:
     kind, beta, parameter = spec.kind, spec.beta, spec.parameter
     row = _KINDS[kind]
     args = (beta,) if row.pairs is None else (parameter, beta)
-    return _in_float_range(lambda: row.closed(*args), kind, beta, parameter)
+    return _in_float_range(lambda: row.closed(*args), f"{kind} determinant", beta, parameter)
 
 
 class RegularizedDet(NamedTuple):
@@ -376,11 +377,11 @@ def _series_split(step: int, c: float, stop: int) -> int:
 # h the step (1 periodic, 2 antiperiodic): zeta(s, q) or 2^-s zeta(s, q/2).  Euler-Maclaurin:
 #   T_s(q) = q^(1-s)/(h(s-1)) + q^-s/2 + R_s(q),
 #   R_s(q) = sum_k B_2k/(2k)! (s)_(2k-1) h^(2k-1) q^(1-s-2k).
-# Below mode index _EM_FROM, T and R come from tables, past it from _EM_TERMS series terms, or
-# 2 from q/h = _EM_FEW_FROM on: either leaves out under 2^-56 of T_s for s <= 8 (1e-18 at
-# q/h = 64, s = 8) and under 2^-50 for s = 10..16.  In the kernel's series S_2j enters with a
-# weight of at most 2^(-7(j-1))/j of S_2 (t <= 2^-7 on every mode it sums), so S_10..S_16 need
-# a relative 2^(7(j-1)-56) only: their tables are summed in floats, not in fixed point.
+# Below mode index _EM_FROM, T and R come from fixed-point tables, past it R from _EM_TERMS
+# series terms, or 2 in the far tail of _power_sums' first path (q/h >= _EM_FEW_FROM): either
+# leaves out under 2^-56 of T_s for s <= 8 (1e-18 at q/h = 64, s = 8) and under 2^-50 for
+# s = 10..16, as their weight in the kernel's series allows: S_2j enters it at most
+# 2^(-7(j-1))/j times S_2 (t <= 2^-7 on every mode it sums).
 _EM_POWERS = (2, 4, 6, 8, 10, 12, 14, 16)
 _EM_FROM = 64
 _EM_TERMS = 5
@@ -398,13 +399,13 @@ def _em_coefficients(step: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
     )
 
 
-def _em_rests(step: int, q: int, terms: int) -> list[float]:
-    """R_2(q)..R_16(q) by Euler-Maclaurin to 2 or _EM_TERMS terms, for q >= _EM_FROM h."""
+def _em_rests(step: int, q: int) -> list[float]:
+    """R_2(q)..R_16(q) by Euler-Maclaurin to _EM_TERMS terms, for q >= _EM_FROM h."""
     y = 1.0 / q
     y2 = y * y
     ys = y  # y^(s+1), from s = 2
     rests = []
-    for _, coefficients in _EM_COEFFICIENTS[step, terms]:
+    for _, coefficients in _EM_COEFFICIENTS[step, _EM_TERMS]:
         ys *= y2
         p = 0.0
         for b in coefficients:
@@ -414,30 +415,21 @@ def _em_rests(step: int, q: int, terms: int) -> list[float]:
 
 
 def _small_sums(step: int) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
-    """T_2..T_16 and R_2..R_16 at the mode indices below _EM_FROM, summed down from the first
-    mode past them: T_2..T_8 in fixed point, each rounded once, the rest in floats."""
+    """T_2..T_16 and R_2..R_16 at the mode indices below _EM_FROM, summed down in fixed point
+    from the first mode past them, each rounded once."""
     one = 1 << 192  # in fixed point the sums of 1/m^s are exact to 2^-185
     first = step * _EM_FROM + 1
-    qs = range(first - step, 0, -step)
     tails, rests = [], []
-    for s, rest in zip(_EM_POWERS, _em_rests(step, first, _EM_TERMS)):
+    for s, rest in zip(_EM_POWERS, _em_rests(step, first)):
         g = step * (s - 1)
+        tail = round(rest * one) + one * (2 * first + g) // (2 * g * first**s)
         tails.append([])
         rests.append([])
-        if s <= 8:
-            tail = round(rest * one) + one * (2 * first + g) // (2 * g * first**s)
-            for q in qs:
-                power = q**s
-                tail += one // power
-                tails[-1].append(tail / one)
-                rests[-1].append((tail - one * (2 * q + g) // (2 * g * power)) / one)
-        else:
-            tail = rest + first**-s * (first / g + 0.5)
-            for q in qs:
-                inverse = q**-s
-                tail += inverse
-                tails[-1].append(tail)
-                rests[-1].append(tail - inverse * (q / g + 0.5))
+        for q in range(first - step, 0, -step):
+            power = q**s
+            tail += one // power
+            tails[-1].append(tail / one)
+            rests[-1].append((tail - one * (2 * q + g) // (2 * g * power)) / one)
     return tuple(list(zip(*(column[::-1] for column in table))) for table in (tails, rests))
 
 
@@ -451,7 +443,8 @@ for _step in (1, 2):
 
 def _power_sums(step: int, a: int, b: int) -> list[float]:
     """S2, S4, .., S16: the sums of 1/m^2..1/m^16 over the mode indices a..b-1 (0 <= a <= b),
-    m = step*k + 1, S2..S8 each within about one ulp (S10..S16: see _EM_POWERS)."""
+    m = step*k + 1: S2..S8 within about one ulp, and S10..S16 too where both ends lie below
+    _EM_FROM, elsewhere within their weight (see _EM_POWERS)."""
     qa, qb = step * a + 1, step * b + 1
     if a < _EM_FROM and qb >= _EM_FEW_FROM * step:
         # the near tail is tabled, and the far one, under a sixteenth of it, summed in floats
@@ -462,10 +455,9 @@ def _power_sums(step: int, a: int, b: int) -> list[float]:
             ys *= y2
         return sums
     # Else the first two terms' difference comes from integers: a short range far out cancels
-    # nothing.  Both ends keep as many series terms, so their smooth truncation errors cancel
-    terms = 2 if qa >= _EM_FEW_FROM * step else _EM_TERMS
-    rests_a = _SMALL_RESTS[step][a] if a < _EM_FROM else _em_rests(step, qa, terms)
-    rests_b = _SMALL_RESTS[step][b] if b < _EM_FROM else _em_rests(step, qb, terms)
+    # nothing.  Both ends keep _EM_TERMS series terms, so their smooth truncation errors cancel
+    rests_a = _SMALL_RESTS[step][a] if a < _EM_FROM else _em_rests(step, qa)
+    rests_b = _SMALL_RESTS[step][b] if b < _EM_FROM else _em_rests(step, qb)
     pa, pb, qa2, qb2, ta, tb = 1, 1, qa * qa, qb * qb, 2 * qa, 2 * qb
     sums = []
     for s, ra, rb in zip(_EM_POWERS, rests_a, rests_b):
@@ -528,11 +520,10 @@ def _ratio_oracle(
     c = _ratio_scale(spec, n_modes)
     log_ratio = walk(kind, c, 0, n_modes)
     # an overflowing c drives the sum to inf, and a reference past the float range the
-    # product: _in_float_range refuses either, naming the operator's own parameter
+    # product: _in_float_range refuses either, naming N and the operator's own parameter
     closed = _KINDS[kind].closed
-    return _in_float_range(
-        lambda: closed(0.0, beta) * math.exp(log_ratio), kind, beta, spec.parameter
-    )
+    return _in_float_range(lambda: closed(0.0, beta) * math.exp(log_ratio),
+                           f"{kind} oracle over {n_modes} modes", beta, spec.parameter)
 
 
 def _oracle_head(spec: OperatorSpec, n_modes: int) -> int:

@@ -726,6 +726,21 @@ class TestCliDetreg:
         assert "apbc_first_order_shifted" in err and "beta=1000" in err and "parameter=10" in err
         assert "float range" in err
 
+    def test_oracle_underflow_names_its_mode_count(self):
+        # the closed form 7.8e-10 is regular; the oracle's partial product over 10^5 modes
+        # underflows, and a longer oracle reaches the closed form
+        argv = ["detreg", "--op", "pbc_curvature_block", "--beta", "1", "--param", "62834"]
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: pbc_curvature_block oracle over 100000 modes at beta=1.0, "
+            "parameter=62834.0 leaves the float range\n"
+        )
+        code, out, _ = run([*argv, "--oracle-modes", str(10**12), "--format", "json"])
+        assert code == 0
+        record = json.loads(out)
+        assert math.isclose(record["oracle"], record["closed"], rel_tol=1e-3)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -873,23 +888,25 @@ class TestCliVerify:
         assert code == 0
         assert rows == [
             ("L_1 = p1/3", "1/3", "1/3"),
-            (
-                "L_2 = (7 p2 - p1^2)/45",
-                "7/45, -1/45",
-                "[((0, 1), Fraction(7, 45)), ((2, 0), Fraction(-1, 45))]",
-            ),
+            ("L_2 = (7 p2 - p1^2)/45", "7/45, -1/45", "7/45, -1/45"),
             ("A_1 = -p1/24", "-1/24", "-1/24"),
-            (
-                "A_2 = (7 p1^2 - 4 p2)/5760",
-                "7/5760, -1/1440",
-                "[((0, 1), Fraction(-1, 1440)), ((2, 0), Fraction(7, 5760))]",
-            ),
-            (
-                "Td_2 = (c1^2 + c2)/12",
-                "1/12, 1/12",
-                "[((0, 1), Fraction(1, 12)), ((2, 0), Fraction(1, 12))]",
-            ),
-            ("Td_3 = c1 c2 / 24", "1/24", "[((1, 1, 0), Fraction(1, 24))]"),
+            ("A_2 = (7 p1^2 - 4 p2)/5760", "7/5760, -1/1440", "7/5760, -1/1440"),
+            ("Td_2 = (c1^2 + c2)/12", "1/12, 1/12", "1/12, 1/12"),
+            ("Td_3 = c1 c2 / 24", "1/24", "1/24"),
+        ]
+
+    def test_genus_row_shows_a_missing_and_an_extra_term(self, monkeypatch):
+        # a frozen expansion that names (1, 1) and leaves out (2, 0): the computed value
+        # shows 0 for the first and the coefficient of the second, and the row fails
+        from fractions import Fraction
+
+        frozen = {(0, 1): Fraction(7, 45), (1, 1): Fraction(1, 2)}
+        row = ("L_2 with a wrong term", verification.l_class, 2, 8, frozen)
+        monkeypatch.setattr(verification, "_GENUS_ROWS", (row,))
+        report = verification.VerifyReport()
+        verification._check_genus_coefficients(report)
+        assert report.checks == [
+            verification.VerifyCheck(row[0], "7/45, 1/2", "7/45, 0, -1/45 at (2, 0)", False)
         ]
 
     def test_catalog_override_failure_exits_1(self, tmp_path, monkeypatch):
